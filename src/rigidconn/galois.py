@@ -12,7 +12,7 @@ from .errors import ConsistencyError, ValidationError
 from .linalg import mat_vec
 from .rootsys import (build_root_system, coxeter_element,
                       coxeter_primitive_projector)
-from .weights import weight_system
+from .weights import Sl2Decomposition, epsilon_on, weight_system
 
 
 def folding_target(type_label, rank):
@@ -106,7 +106,7 @@ def fold_branching(ws, target_rs, rows):
     out = {}
     for mu, mult in ws.table.items():
         image = tuple(sum(r[i] * mu[i] for i in range(len(mu))) for r in rows)
-        if target_rs.a_value(image) != ws.rs.a_value(mu):
+        if target_rs.a_value(image) != ws.a_of[mu]:
             raise ConsistencyError("projected weight %s changed a-value"
                                    % (mu,))
         out[image] = out.get(image, 0) + mult
@@ -143,94 +143,77 @@ def peel_components(rs, table):
     return comps
 
 
-def _a_histogram(rs, table):
+def _restrict_to_galois(ws, profile):
+    """V as a module of the differential Galois group: that group's root
+    system, V's weight multiset in it, its irreducible components
+    [(highest weight, multiplicity)] and the multiplicity of the trivial
+    one."""
+    if not profile.folded:
+        comps = [(ws.highest, 1)]
+        rs_t, table = ws.rs, ws.table
+    else:
+        rs_t = build_root_system(*profile.target)
+        table = fold_branching(ws, rs_t, folding_matrix(*profile.source))
+        comps = peel_components(rs_t, table)
+    return rs_t, table, comps, sum(c for mu, c in comps if not any(mu))
+
+
+def _local_invariants(rs, table, epsilon, label, w=None):
+    """Local invariants of a module with weight multiset table under rs.
+
+    dim V^S counts the weights killed by the primitive projector of the
+    Coxeter element w (by default coxeter_element(rs)); the irregularity
+    is (dim V - dim V^S)/h; the principal SL2 gives dim V^{I_0}; the
+    weights with a = 0 mod 2h span V^{<n>}; and dim V^{I_infinity} is
+    n-fixed - irr when epsilon = +1, else 0.  label names V in errors.
+    """
+    dim = sum(table.values())
+    h = rs.coxeter_number
+    proj = coxeter_primitive_projector(
+        coxeter_element(rs) if w is None else w, h)
+    v_s = sum(mult for mu, mult in table.items()
+              if all(x == 0 for x in mat_vec(proj, list(mu))))
+    if (dim - v_s) % h:
+        raise ConsistencyError("irregularity: (dim - dim V^S)/h = "
+                               "(%d - %d)/%d is not an integer for %s"
+                               % (dim, v_s, h, label))
+    irr = (dim - v_s) // h
+    # a-values come from rs: a folded table's weights belong to the target
+    # system, where ws.a_of has no entries
     hist = {}
     for mu, mult in table.items():
         a = rs.a_value(mu)
         hist[a] = hist.get(a, 0) + mult
-    return hist
-
-
-def _sl2_mults(hist, dim):
-    """Multiplicities m(k) of Sym^k in a module with a-histogram hist."""
-    for a, c in hist.items():
-        if hist.get(-a, 0) != c:
-            raise ConsistencyError("a-histogram is not symmetric at %d" % a)
-    mults = {}
-    top = max(hist) if hist else 0
-    for k in range(0, top + 1):
-        m = hist.get(k, 0) - hist.get(k + 2, 0)
-        if m < 0:
-            raise ConsistencyError("negative Sym^%d multiplicity" % k)
-        if m:
-            mults[k] = m
-    if len({k % 2 for k in mults}) > 1:
-        raise ConsistencyError("mixed parities in the principal SL2 "
-                               "decomposition; the central involution does "
-                               "not act by a scalar")
-    if sum(m * (k + 1) for k, m in mults.items()) != dim:
-        raise ConsistencyError("SL2 multiplicities do not add up to dim %d"
-                               % dim)
-    return mults
-
-
-def _invariant_bundle(rs, table):
-    """S-invariants, irregularity and inertia data of a weight multiset."""
-    dim = sum(table.values())
-    h = rs.coxeter_number
-    w = coxeter_element(rs)
-    proj = coxeter_primitive_projector(w, h)
-    v_s = 0
-    for mu, mult in table.items():
-        if all(x == 0 for x in mat_vec(proj, list(mu))):
-            v_s += mult
-    if (dim - v_s) % h:
-        raise ConsistencyError("(dim - dim V^S)/h = (%d - %d)/%d is not an "
-                               "integer" % (dim, v_s, h))
-    irr = (dim - v_s) // h
-    hist = _a_histogram(rs, table)
-    mults = _sl2_mults(hist, dim)
-    i0 = sum(mults.values())
-    n_fixed = sum(mult for mu, mult in table.items()
-                  if rs.a_value(mu) % (2 * h) == 0)
-    return {"dim": dim, "V_S": v_s, "irr": irr, "hist": hist,
-            "sl2_mults": mults, "I0": i0, "n_fixed": n_fixed}
+    i0 = Sl2Decomposition(hist, dim, label).summand_count()
+    n_fixed = sum(c for a, c in hist.items() if a % (2 * h) == 0)
+    i_inf = 0
+    if epsilon == 1:
+        i_inf = n_fixed - irr
+        if i_inf < 0:
+            raise ConsistencyError("inertia at infinity: m(chi_0) = %d - %d "
+                                   "is negative for %s"
+                                   % (n_fixed, irr, label))
+    return {"dim": dim, "V_S": v_s, "irr": irr, "I0": i0,
+            "n_fixed": n_fixed, "Iinf": i_inf}
 
 
 def coxeter_torus_invariants(ws, w):
     """dim V^S: total multiplicity of weights killed by the primitive
     projector of the Coxeter element w."""
-    proj = coxeter_primitive_projector(w, ws.rs.coxeter_number)
-    total = 0
-    for mu, mult in ws.table.items():
-        if all(x == 0 for x in mat_vec(proj, list(mu))):
-            total += mult
-    return total
+    return _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label(),
+                             w)["V_S"]
 
 
 def irregularity(ws, w):
     """Irr_infinity(V) = (dim V - dim V^S)/h, an integer here."""
-    v_s = coxeter_torus_invariants(ws, w)
-    h = ws.rs.coxeter_number
-    if (ws.dim - v_s) % h:
-        raise ConsistencyError("irregularity (%d - %d)/%d is not an integer"
-                               % (ws.dim, v_s, h))
-    return (ws.dim - v_s) // h
+    return _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label(),
+                             w)["irr"]
 
 
 def inertia_invariants(ws):
     """dims of V^{I_0}, V^{<n>} and V^{I_infinity} from the a-grading."""
-    rs = ws.rs
-    bundle = _invariant_bundle(rs, ws.table)
-    epsilon = 1 if rs.a_value(ws.highest) % 2 == 0 else -1
-    if epsilon == 1:
-        i_inf = bundle["n_fixed"] - bundle["irr"]
-        if i_inf < 0:
-            raise ConsistencyError("m(chi_0) = %d - %d is negative"
-                                   % (bundle["n_fixed"], bundle["irr"]))
-    else:
-        i_inf = 0
-    return {"I0": bundle["I0"], "n": bundle["n_fixed"], "Iinf": i_inf}
+    inv = _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label())
+    return {"I0": inv["I0"], "n": inv["n_fixed"], "Iinf": inv["Iinf"]}
 
 
 class CohomologyReport:
@@ -279,13 +262,7 @@ class CohomologyReport:
 def dim_invariants_under_galois(ws, profile):
     """Multiplicity of the trivial representation of the differential
     Galois group in V."""
-    if not profile.folded:
-        return 1 if not any(ws.highest) else 0
-    rows = folding_matrix(*profile.source)
-    rs_t = build_root_system(*profile.target)
-    table = fold_branching(ws, rs_t, rows)
-    comps = peel_components(rs_t, table)
-    return sum(count for mu, count in comps if not any(mu))
+    return _restrict_to_galois(ws, profile)[3]
 
 
 def cohomology_dims(type_label, rank, highest):
@@ -297,43 +274,30 @@ def cohomology_dims(type_label, rank, highest):
     """
     type_label = type_label.upper()
     rs = build_root_system(type_label, rank)
-    highest = tuple(int(x) for x in highest)
-    ws = weight_system(rs, highest)
+    ws = weight_system(rs, tuple(int(x) for x in highest))
     profile = galois_group(type_label, rank)
-    epsilon = 1 if rs.a_value(highest) % 2 == 0 else -1
-    trace = []
+    epsilon = epsilon_on(ws)
+    rs_t, table, comps, inv_g = _restrict_to_galois(ws, profile)
     if profile.folded:
-        rows = folding_matrix(type_label, rank)
-        rs_t = build_root_system(*profile.target)
-        table = fold_branching(ws, rs_t, rows)
-        comps = peel_components(rs_t, table)
-        inv_g = sum(count for mu, count in comps if not any(mu))
         pieces = " + ".join("%d" % (weight_system(rs_t, mu).dim * count)
                             for mu, count in comps)
-        trace.append("folded %s -> %s; V restricts as %s"
-                     % (rs.label(), rs_t.label(), pieces))
+        trace = ["folded %s -> %s; V restricts as %s"
+                 % (rs.label(), rs_t.label(), pieces)]
+        label = "%s restricted to %s" % (ws.label(), rs_t.label())
     else:
-        rs_t = rs
-        table = ws.table
-        inv_g = 1 if not any(highest) else 0
-        trace.append("galois group is all of %s" % rs.label())
-    bundle = _invariant_bundle(rs_t, table)
+        trace = ["galois group is all of %s" % rs.label()]
+        label = ws.label()
+    inv = _local_invariants(rs_t, table, epsilon, label)
     trace.append("irregularity (%d - %d)/%d = %d via the Coxeter projector"
-                 % (bundle["dim"], bundle["V_S"], rs_t.coxeter_number,
-                    bundle["irr"]))
+                 % (inv["dim"], inv["V_S"], rs_t.coxeter_number, inv["irr"]))
     if epsilon == 1:
-        i_inf = bundle["n_fixed"] - bundle["irr"]
-        if i_inf < 0:
-            raise ConsistencyError("m(chi_0) = %d - %d is negative"
-                                   % (bundle["n_fixed"], bundle["irr"]))
         trace.append("epsilon = +1: I_inf = n-fixed(%d) - irr(%d) = %d"
-                     % (bundle["n_fixed"], bundle["irr"], i_inf))
+                     % (inv["n_fixed"], inv["irr"], inv["Iinf"]))
     else:
-        i_inf = 0
         trace.append("epsilon = -1 forbids the trivial character: I_inf = 0")
-    return CohomologyReport(type_label, rank, highest, ws.dim, epsilon,
-                            bundle["irr"], bundle["I0"], bundle["n_fixed"],
-                            i_inf, inv_g, profile.label(), trace)
+    return CohomologyReport(type_label, rank, ws.highest, ws.dim, epsilon,
+                            inv["irr"], inv["I0"], inv["n_fixed"],
+                            inv["Iinf"], inv_g, profile.label(), trace)
 
 
 def epsilon_plus_crosscheck(ws):
@@ -349,7 +313,7 @@ def epsilon_plus_crosscheck(ws):
                               "%s has epsilon = -1" % ws.label())
     h = rs.coxeter_number
     pos = sum(mult for mu, mult in ws.table.items()
-              if rs.a_value(mu) > 0 and rs.a_value(mu) % (2 * h) == 0)
+              if ws.a_of[mu] > 0 and ws.a_of[mu] % (2 * h) == 0)
     alt = 2 * (pos - rep.inv_Iinf)
     d_main = rep.h1 - 2 * rep.inv_galois
     if d_main % 2:
@@ -372,7 +336,7 @@ def epsilon_minus_crosscheck(ws):
     h = rs.coxeter_number
     count = 0
     for mu, mult in ws.table.items():
-        a = rs.a_value(mu)
+        a = ws.a_of[mu]
         if a % 2 == 0:
             continue
         k = (a - 1) // 2
@@ -419,7 +383,10 @@ def subregular_table():
         rs = build_root_system(type_label, rank)
         coeffs = rs.simple_coords(rs.theta)
         m = max(coeffs)
-        assert m.denominator == 1
+        if m.denominator != 1:
+            raise ConsistencyError("subregular table: highest root of %s "
+                                   "has the non-integral mark %s"
+                                   % (rs.label(), m))
         m = int(m)
         d = rs.coxeter_number - m
         orbits, rem = divmod(rank * rs.coxeter_number, d)

@@ -111,13 +111,6 @@ def pbezout(p, q):
     return pscale(u0, 1 / lead), pscale(v0, 1 / lead), pmonic(r0)
 
 
-def squarefree_part(p):
-    g = pgcd(p, pderiv(p))
-    s, r = pdivmod(p, g)
-    assert not r
-    return pmonic(s)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(d):
     """Coefficients of the d-th cyclotomic polynomial (ascending)."""

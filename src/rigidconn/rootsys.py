@@ -7,9 +7,10 @@ equal to the j-th column of A in these coordinates.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .linalg import (frac_matrix, identity, inverse, is_zero_matrix, mat_mul,
                      mat_sub, mat_vec, poly_at_matrix)
 from .poly import cyclotomic, pbezout, pdeg, pdivmod, pmul
@@ -70,9 +71,6 @@ class RootSystem:
         if not lo <= rank <= hi:
             raise ValidationError("rank %d out of range [%d, %d] for type %s"
                                   % (rank, lo, hi, type_label))
-        if type_label == "B" and rank == 9:
-            # rank 9 is admitted only for the spin-threshold computation
-            pass
         self.type_label = type_label
         self.rank = rank
         self.cartan = cartan_matrix(type_label, rank)
@@ -162,10 +160,16 @@ class RootSystem:
         self.weyl_order = order
 
     def _build_a_coeffs(self):
-        coeffs = [0] * self.rank
-        for beta in self.pos_roots:
-            for i, c in enumerate(self.coroot_coeffs(beta)):
-                coeffs[i] += c
+        # 2 rho-check is twice the sum of the fundamental coweights, whose
+        # simple-coroot coordinates are the rows of the inverse Cartan matrix
+        coeffs = []
+        for i in range(self.rank):
+            c = 2 * sum(row[i] for row in self.cartan_inv)
+            if c.denominator != 1:
+                raise ConsistencyError("root system: %s has 2 rho-check "
+                                       "coordinate %s at node %d, not an "
+                                       "integer" % (self.label(), c, i + 1))
+            coeffs.append(int(c))
         self.a_coeffs = coeffs  # a(omega_i) = coeffs[i]; 2 rho-check in coroot basis
 
     # -- basic queries ---------------------------------------------------
@@ -213,7 +217,9 @@ class RootSystem:
         return "%s%d" % (self.type_label, self.rank)
 
 
+@lru_cache(maxsize=None)
 def build_root_system(type_label, rank):
+    """The shared, read-only RootSystem of a type; built once per process."""
     return RootSystem(type_label, rank)
 
 

@@ -10,10 +10,9 @@ from fractions import Fraction
 import json
 import os
 import tempfile
-import threading
 
 from .errors import ConsistencyError, ValidationError
-from .rootsys import RootSystem, build_root_system
+from .rootsys import build_root_system
 
 
 class WeightSystem:
@@ -52,7 +51,6 @@ class WeightSystem:
             frontier = nxt
         self.weights = weights
 
-        rho = (1,) * r
         lam_rho = tuple(x + 1 for x in self.highest)
         norm_top = rs.form(lam_rho, lam_rho)
         dominant = [mu for mu in weights if all(x >= 0 for x in mu)]
@@ -80,8 +78,10 @@ class WeightSystem:
             mu_rho = tuple(x + 1 for x in mu)
             denom = norm_top - rs.form(mu_rho, mu_rho)
             m = 2 * total / denom
-            assert m.denominator == 1 and m > 0, \
-                "BUG: Freudenthal gave a non-integral multiplicity"
+            if m.denominator != 1 or m <= 0:
+                raise ConsistencyError("Freudenthal: %s gives weight %s the "
+                                       "multiplicity %s, not a positive "
+                                       "integer" % (self.label(), mu, m))
             dom_mult[mu] = int(m)
         self._dominant_mult = dom_mult
 
@@ -132,28 +132,37 @@ class WeightSystem:
 
 
 class Sl2Decomposition:
-    """V = sum of Sym^k with multiplicity m(k) under the principal SL2."""
+    """V = sum of Sym^k with multiplicity m(k) under the principal SL2.
 
-    def __init__(self, ws):
-        hist = ws.a_histogram()
+    Read off the a-histogram of V (total multiplicity of each a-value),
+    which must come from a module of dimension dim; label names the
+    module in errors.
+    """
+
+    def __init__(self, hist, dim, label):
         for j, n in hist.items():
             if hist.get(-j, 0) != n:
-                raise ConsistencyError("a-histogram of %s is not symmetric"
-                                       % ws.label())
+                raise ConsistencyError("principal SL2: a-histogram of %s is "
+                                       "not symmetric at %d" % (label, j))
         self.m = {}
         top = max(hist) if hist else 0
         for k in range(top + 1):
             mk = hist.get(k, 0) - hist.get(k + 2, 0)
             if mk < 0:
-                raise ConsistencyError("negative Sym^%d multiplicity in %s"
-                                       % (k, ws.label()))
+                raise ConsistencyError("principal SL2: negative Sym^%d "
+                                       "multiplicity in %s" % (k, label))
             if mk:
                 self.m[k] = mk
         total = sum(mk * (k + 1) for k, mk in self.m.items())
-        assert total == ws.dim, "BUG: Sym multiplicities do not sum to dim"
+        if total != dim:
+            raise ConsistencyError("principal SL2: Sym multiplicities of %s "
+                                   "add up to %d, not dim %d"
+                                   % (label, total, dim))
         parities = {k % 2 for k in self.m}
         if len(parities) > 1:
-            raise ConsistencyError("mixed Sym parities in %s" % ws.label())
+            raise ConsistencyError("principal SL2: mixed Sym parities in %s; "
+                                   "the central involution does not act by "
+                                   "a scalar" % label)
 
     def summand_count(self):
         return sum(self.m.values())
@@ -163,7 +172,7 @@ class Sl2Decomposition:
 
 
 def principal_sl2_decomposition(ws):
-    return Sl2Decomposition(ws)
+    return Sl2Decomposition(ws.a_histogram(), ws.dim, ws.label())
 
 
 def epsilon_on(ws):
@@ -179,23 +188,22 @@ def weyl_dim(rs, highest):
     out = Fraction(1)
     for beta in rs.pos_roots:
         out *= rs.form(lam_rho, beta) / rs.form(rho, beta)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise ConsistencyError("weyl_dim: %s, lambda=%s has Weyl dimension "
+                               "%s, not an integer"
+                               % (rs.label(), list(highest), out))
     return int(out)
 
 
 _MEM_CACHE = {}
-_MEM_LOCK = threading.Lock()
 
 
 def weight_system(rs, highest):
     key = (rs.type_label, rs.rank, tuple(int(x) for x in highest))
-    with _MEM_LOCK:
-        got = _MEM_CACHE.get(key)
-    if got is not None:
-        return got
-    ws = WeightSystem(rs, highest)
-    with _MEM_LOCK:
-        return _MEM_CACHE.setdefault(key, ws)
+    got = _MEM_CACHE.get(key)
+    if got is None:
+        got = _MEM_CACHE[key] = WeightSystem(rs, highest)
+    return got
 
 
 def weight_system_to_dict(ws):

@@ -18,7 +18,7 @@ from rigidconn.galois import (cohomology_dims, coxeter_torus_invariants,
 from rigidconn.linalg import mat_vec
 from rigidconn.rootsys import (build_root_system, coxeter_element,
                                coxeter_primitive_projector)
-from rigidconn.weights import epsilon_on, weight_system
+from rigidconn.weights import epsilon_on, weight_system, weyl_dim
 
 
 def adjoint_ws(type_label, rank):
@@ -341,6 +341,29 @@ def test_h1_is_even_for_even_weights():
         rep = cohomology_dims(type_label, rank, highest)
         assert rep.epsilon == 1
         assert (rep.h1 - 2 * rep.inv_galois) % 2 == 0
+
+
+FOLDED_TYPES = [("A", 3), ("A", 5), ("B", 3), ("D", 4), ("D", 5), ("E", 6)]
+
+
+@pytest.mark.parametrize("type_label,rank", FOLDED_TYPES)
+def test_folded_invariants_match_source_route(type_label, rank):
+    # cohomology_dims works in the folded group; irregularity and
+    # inertia_invariants work in the source group with its own Coxeter
+    # element and a-grading.  Both routes must give the same numbers.
+    rs = build_root_system(type_label, rank)
+    w = coxeter_element(rs)
+    checked = 0
+    for coords in itertools.product(range(2), repeat=rank):
+        if coords == rs.theta or weyl_dim(rs, coords) > 700:
+            continue
+        rep = cohomology_dims(type_label, rank, coords)
+        ws = weight_system(rs, coords)
+        assert irregularity(ws, w) == rep.irr, coords
+        assert inertia_invariants(ws) == {"I0": rep.inv_I0, "n": rep.inv_n,
+                                          "Iinf": rep.inv_Iinf}, coords
+        checked += 1
+    assert checked >= 4
 
 
 # ------------------------------------------------ orbit-size criterion

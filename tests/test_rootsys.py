@@ -14,7 +14,7 @@ import pytest
 
 from rigidconn.errors import ValidationError
 from rigidconn.linalg import identity, mat_mul, mat_pow, mat_vec, rank
-from rigidconn.rootsys import (build_root_system, coxeter_element,
+from rigidconn.rootsys import (SUPPORTED, build_root_system, coxeter_element,
                                coxeter_primitive_projector,
                                cyclotomic_factorization, primitive_rank)
 
@@ -97,6 +97,20 @@ def test_simple_root_data(type_label, rank_):
     assert all(c.denominator == 1 and c >= 1 for c in marks)
     assert rs.simple_coords(rs.simple_roots[0]) == [Fraction(j == 0)
                                                     for j in range(rank_)]
+
+
+@pytest.mark.parametrize("type_label,rank_",
+                         [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
+                          for n in range(lo, hi + 1)])
+def test_a_coeffs_are_the_sum_of_positive_coroots(type_label, rank_):
+    """2 rho-check is the sum of the positive coroots; a_coeffs holds its
+    simple-coroot coordinates."""
+    rs = build_root_system(type_label, rank_)
+    want = [0] * rank_
+    for beta in rs.pos_roots:
+        for i, c in enumerate(rs.coroot_coeffs(beta)):
+            want[i] += c
+    assert rs.a_coeffs == want
 
 
 def test_cartan_conventions_g2_f4():

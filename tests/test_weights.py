@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.rootsys import build_root_system
-from rigidconn.weights import (epsilon_on, load_weight_system,
+from rigidconn.weights import (Sl2Decomposition, epsilon_on,
+                               load_weight_system,
                                principal_sl2_decomposition,
                                save_weight_system, weight_system, weyl_dim)
 
@@ -100,6 +104,30 @@ def test_g2_seven_dim_is_one_sl2_string():
     rs = build_root_system("G", 2)
     ws = weight_system(rs, (1, 0))
     assert principal_sl2_decomposition(ws).pieces() == [(6, 1)]
+
+
+@pytest.mark.parametrize("hist,dim", [
+    ({0: 1}, 2),                     # one Sym^0, but dim 2
+    ({2: 1, 0: 1}, 3),               # not symmetric
+    ({2: 2, 0: 1, -2: 2}, 5),        # negative Sym^0 multiplicity
+    ({1: 1, 0: 1, -1: 1}, 3),        # Sym^1 + Sym^0: mixed parities
+])
+def test_sl2_decomposition_rejects_bad_histograms(hist, dim):
+    with pytest.raises(ConsistencyError, match="principal SL2: .*bad"):
+        Sl2Decomposition(hist, dim, "bad")
+
+
+def test_sl2_decomposition_rejects_bad_histogram_under_optimize():
+    code = ("from rigidconn.errors import ConsistencyError\n"
+            "from rigidconn.weights import Sl2Decomposition\n"
+            "try:\n"
+            "    Sl2Decomposition({0: 1}, 2, 'bad')\n"
+            "except ConsistencyError:\n"
+            "    raise SystemExit(3)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 3
 
 
 def test_non_dominant_rejected():
