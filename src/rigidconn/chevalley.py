@@ -185,9 +185,6 @@ class ChevalleyAlgebra:
 
     # -- distinguished elements ----------------------------------------------
 
-    def simple_e(self, i):
-        return {self.index_of_root[self.rs.simple_roots[i]]: Fraction(1)}
-
     def simple_f(self, i):
         neg = tuple(-x for x in self.rs.simple_roots[i])
         return {self.index_of_root[neg]: Fraction(1)}
@@ -277,10 +274,6 @@ def principal_triple(alg):
     for i in range(alg.rank):
         n.update(alg.simple_f(i))
     return n, alg.e_theta(), alg.rho_check()
-
-
-def ad_matrix(alg, x):
-    return alg.ad_matrix(x)
 
 
 def kostant_check(alg):

@@ -284,14 +284,7 @@ def cmd_rigidity(args):
     group = parse_group(args.group, args.rank)
     conn = resolve_connection(group, args.rep)
     result = check_rigidity(conn, conn.dual(), args.trunc)
-    dims = result["dimensions"]
-    h1 = None
-    if dims["laurent_V"] == 0:
-        h1 = dims["two_sided"] - dims["taylor0"] - dims["taylor_inf"]
-        if h1 < 0:
-            raise ConsistencyError("negative h1 accounting: %d - %d - %d"
-                                   % (dims["two_sided"], dims["taylor0"],
-                                      dims["taylor_inf"]))
+    dims, h1 = result["dimensions"], result["h1"]
     job = _job_dict(args, group, rep=(args.rep or "standard"),
                     truncation=args.trunc)
     payload = {"schema": SCHEMA, "job": job, "passed": result["passed"],

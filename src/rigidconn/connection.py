@@ -9,8 +9,8 @@ has 1's below the diagonal and E(V) is the minimal raising term.
 from fractions import Fraction
 
 from .chevalley import build_chevalley, principal_triple
-from .errors import (CyclicVectorError, SlopeVerificationError,
-                     ValidationError)
+from .errors import (ConsistencyError, CyclicVectorError,
+                     SlopeVerificationError, ValidationError)
 from .linalg import graded_cycle_check, zeros
 from .poly import RatFun
 from .rootsys import build_root_system
@@ -392,7 +392,10 @@ def scalar_reduction(conn, cyclic_vector=None):
     op[0] = op[0] + d[0]
     sign = RatFun(1 if (n - 1) % 2 == 0 else -1)
     op = [sign * x for x in op]
-    assert op[n] == RatFun(1), "BUG: reduction lost monicity"
+    if op[n] != RatFun(1):
+        raise ConsistencyError("scalar_reduction: the operator of %s is not "
+                               "monic, leading coefficient %r"
+                               % (conn.label, op[n]))
     return ScalarOperator(op[:n], h=conn.h)
 
 
@@ -470,11 +473,17 @@ def slope_at_infinity(conn, h=None, details=False):
     if w is None:
         w = _weights_from_sparsity(conn)
     n = conn.dim
+    if len(w) != n:
+        raise ValidationError("%s has %d rho_weights for dimension %d"
+                              % (conn.label, len(w), n))
+    for i, wi in enumerate(w):
+        # so that every exponent below lies in (1/2h) Z
+        if (wi * 2 * h).denominator != 1:
+            raise ValidationError("rho weight %s at index %d of %s is not "
+                                  "in (1/%d) Z" % (wi, i, conn.label, 2 * h))
     by_exp = {}
 
     def add(exp, i, j, val):
-        assert (Fraction(exp) * 2 * h).denominator == 1, \
-            "BUG: exponent outside (1/2h) Z"
         mat = by_exp.get(exp)
         if mat is None:
             mat = by_exp[exp] = zeros(n, n)

@@ -1,12 +1,17 @@
 """Truncated formal solutions of (theta + A)f = 0 and the residue pairing.
 
-The recursion n v_n + sum_k A_k v_{n-k} = 0 is propagated upward with a
-running parameter space: parameters enter where n Id + A(0) is singular
+The recursion n v_n + sum_k A_k v_{n-k} = 0 is solved upward, one level
+at a time, with a running parameter space.  Each level takes the kernel
+of one block [n Id + A(0) | sum_{k>=1} A_k v_{n-k}]: a kernel vector
+holds v_n in its first entries and the old parameters, in terms of the
+new ones, in the rest.  Parameters enter where n Id + A(0) is singular
 (n = 0 for the built connections) or, for spaces with an infinite tail
 at t = 0, as free seed layers placed a buffer below the reported
-window.  Equations at the singular levels and at a closed top edge cut
-the parameter space down.  Reported dimensions are ranks over the core
-window [-M, M], which makes them independent of the seed placement.
+window.  Above a closed top edge v_n = 0, so the block has no v_n
+columns and only cuts the parameter space down.  Levels below the
+window are dropped once they feed no equation.  Reported dimensions are
+ranks over the core window [-M, M], which makes them independent of the
+seed placement.
 """
 
 from fractions import Fraction
@@ -64,17 +69,6 @@ class KernelReport:
                                     self.truncation, self.stabilized))
 
 
-def _solve_square(b, r):
-    """X with b X = r when b is invertible, else None."""
-    d = len(b)
-    p = len(r[0]) if r and r[0] is not None else 0
-    aug = [b[i][:] + (r[i][:] if p else []) for i in range(d)]
-    pivots = _row_reduce(aug)
-    if len(pivots) != d or any(c >= d for c in pivots):
-        return None
-    return [row[d:] for row in aug]
-
-
 def _solve_space(conn, space, m_window, buffer_depth):
     if not conn.is_polynomial():
         raise ValidationError("formal solving needs polynomial A(t); %s has "
@@ -85,10 +79,8 @@ def _solve_space(conn, space, m_window, buffer_depth):
     seed_layers = max(big_k, 1)
     a0 = conn.coefficient(0)
     a = {k: conn.coefficient(k) for k in ks}
-    open_bottom = space in ("taylor_inf", "two_sided")
-    closed_top = space in ("taylor_inf", "laurent_polys")
     phi = {}
-    if open_bottom:
+    if space in ("taylor_inf", "two_sided"):
         start = -m_window - buffer_depth
         p = seed_layers * d
         for j in range(seed_layers):
@@ -96,71 +88,48 @@ def _solve_space(conn, space, m_window, buffer_depth):
             for i in range(d):
                 block[i][j * d + i] = Fraction(1)
             phi[start + j] = block
-        first_eq = start + seed_layers
+        start += seed_layers
     else:
         start = -m_window
         p = 0
-        first_eq = start
-    for n in range(first_eq, m_window + 1):
-        r = zeros(d, p)
+    top = m_window
+    if space in ("taylor_inf", "laurent_polys"):
+        top += big_k
+    for n in range(start, top + 1):
+        # a level below the window feeds big_k equations and is never
+        # reported, so it is dropped before reparametrisations touch it
+        if n - big_k - 1 < -m_window:
+            phi.pop(n - big_k - 1, None)
+        # above the window v_n = 0, so the block has no v_n columns
+        w = d if n <= m_window else 0
+        c = zeros(d, p)
         for k in ks:
             prev = phi.get(n - k)
             if prev is None:
                 continue
-            ak = a[k]
-            for i in range(d):
-                row = r[i]
-                arow = ak[i]
-                for s in range(d):
-                    c = arow[s]
-                    if c:
+            for i, arow in enumerate(a[k]):
+                row = c[i]
+                for s, coef in enumerate(arow):
+                    if coef:
                         prev_row = prev[s]
                         for q in range(p):
-                            row[q] -= c * prev_row[q]
-        b = [[a0[i][j] + (Fraction(n) if i == j else 0) for j in range(d)]
-             for i in range(d)]
-        x = _solve_square(b, r)
-        if x is not None:
-            phi[n] = x
-            continue
-        block = [b[i] + [-r[i][q] for q in range(p)] for i in range(d)]
+                            row[q] += coef * prev_row[q]
+        block = [[a0[i][j] + (n if i == j else 0) for j in range(w)] + c[i]
+                 for i in range(d)]
         kern = nullspace(block)
         p2 = len(kern)
-        pmap = [[kern[c][d + q] for c in range(p2)] for q in range(p)]
-        for m in list(phi):
-            phi[m] = mat_mul(phi[m], pmap) if p else zeros(d, p2)
-        phi[n] = [[kern[c][i] for c in range(p2)] for i in range(d)]
+        pmap = [[kern[col][w + q] for col in range(p2)] for q in range(p)]
+        if p2 != p or pmap != identity(p):
+            for m in phi:
+                phi[m] = mat_mul(phi[m], pmap) if p else zeros(d, p2)
+        if w:
+            phi[n] = [[kern[col][i] for col in range(p2)] for i in range(d)]
         p = p2
-    if closed_top:
-        for n in range(m_window + 1, m_window + big_k + 1):
-            c_rows = zeros(d, p)
-            hit = False
-            for k in ks:
-                prev = phi.get(n - k)
-                if prev is None:
-                    continue
-                hit = True
-                ak = a[k]
-                for i in range(d):
-                    for s in range(d):
-                        coef = ak[i][s]
-                        if coef:
-                            for q in range(p):
-                                c_rows[i][q] += coef * prev[s][q]
-            if not hit or p == 0:
-                continue
-            kern = nullspace(c_rows)
-            pmap = [[kern[c][q] for c in range(len(kern))] for q in range(p)]
-            for m in list(phi):
-                phi[m] = mat_mul(phi[m], pmap)
-            p = len(kern)
-    core = [n for n in range(-m_window, m_window + 1) if n in phi]
     if p == 0:
         return 0, []
-    stacked = []
-    for n in core:
-        stacked.extend(row[:] for row in phi[n])
-    pivots = _row_reduce(stacked) if stacked else []
+    core = range(-m_window, m_window + 1)
+    stacked = [row[:] for n in core for row in phi[n]]
+    pivots = _row_reduce(stacked)
     basis = []
     for col in pivots:
         window = {n: [phi[n][i][col] for i in range(d)] for n in core}
@@ -189,11 +158,28 @@ def kernel_dimension(conn, space, truncation, enforce_floor=True):
     return KernelReport(space, dim1, truncation, dim1 == dim2, basis)
 
 
+def _h1(label, dims):
+    """two_sided - taylor0 - taylor_inf, or None if laurent_V is nonzero.
+
+    This is the middle-extension h^1 when the connection has no flat
+    sections over the punctured line.
+    """
+    if dims["laurent_V"] != 0:
+        return None
+    out = dims["two_sided"] - dims["taylor0"] - dims["taylor_inf"]
+    if out < 0:
+        raise ConsistencyError("negative h1 accounting for %s: %d - %d - %d"
+                               % (label, dims["two_sided"], dims["taylor0"],
+                                  dims["taylor_inf"]))
+    return out
+
+
 def check_rigidity(conn, conn_dual, truncation):
     """The two solver-side rigidity criteria, evaluated at truncation.
 
     Passes when the Laurent-polynomial kernels of V and V* vanish and
-    the two-sided kernel splits as taylor0 + taylor_inf.
+    the two-sided kernel splits as taylor0 + taylor_inf.  "h1" is the
+    middle-extension h^1, None when V has flat sections.
     """
     reports = {
         "laurent_V": kernel_dimension(conn, "laurent_polys", truncation),
@@ -203,16 +189,15 @@ def check_rigidity(conn, conn_dual, truncation):
         "taylor0": kernel_dimension(conn, "taylor0", truncation),
         "taylor_inf": kernel_dimension(conn, "taylor_inf", truncation),
     }
-    split_ok = (reports["two_sided"].dimension
-                == reports["taylor0"].dimension
-                + reports["taylor_inf"].dimension)
-    passed = (reports["laurent_V"].dimension == 0
-              and reports["laurent_V_dual"].dimension == 0
+    dims = {k: r.dimension for k, r in reports.items()}
+    split_ok = dims["two_sided"] == dims["taylor0"] + dims["taylor_inf"]
+    passed = (dims["laurent_V"] == 0 and dims["laurent_V_dual"] == 0
               and split_ok)
     return {
         "passed": passed,
         "splits": split_ok,
-        "dimensions": {k: r.dimension for k, r in reports.items()},
+        "dimensions": dims,
+        "h1": _h1(conn.label, dims),
         "stabilized": all(r.stabilized for r in reports.values()),
         "reports": reports,
     }
@@ -224,20 +209,15 @@ def h1_middle_via_solver(conn, conn_dual, truncation):
     This equals the middle-extension h^1 when the connection has no flat
     sections over the punctured line, which is checked first.
     """
-    h0 = kernel_dimension(conn, "laurent_polys", truncation)
-    if h0.dimension != 0:
+    dims = {"laurent_V": kernel_dimension(conn, "laurent_polys",
+                                          truncation).dimension}
+    if dims["laurent_V"] != 0:
         raise ConsistencyError("solver h1 needs a vanishing global kernel; "
                                "%s has dimension %d" % (conn.label,
-                                                        h0.dimension))
-    two = kernel_dimension(conn, "two_sided", truncation)
-    t0 = kernel_dimension(conn, "taylor0", truncation)
-    tinf = kernel_dimension(conn, "taylor_inf", truncation)
-    out = two.dimension - t0.dimension - tinf.dimension
-    if out < 0:
-        raise ConsistencyError("negative h1 accounting for %s: %d - %d - %d"
-                               % (conn.label, two.dimension, t0.dimension,
-                                  tinf.dimension))
-    return out
+                                                        dims["laurent_V"]))
+    for space in ("two_sided", "taylor0", "taylor_inf"):
+        dims[space] = kernel_dimension(conn, space, truncation).dimension
+    return _h1(conn.label, dims)
 
 
 def apply_connection(conn, window):

@@ -29,16 +29,8 @@ def transpose(m):
     return [list(col) for col in zip(*m)]
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -73,10 +65,6 @@ def is_zero_matrix(a):
 
 def hstack(a, b):
     return [ra + rb for ra, rb in zip(a, b)]
-
-
-def vstack(a, b):
-    return [row[:] for row in a] + [row[:] for row in b]
 
 
 def _row_reduce(m):
@@ -211,14 +199,16 @@ def poly_at_matrix(coeffs, m):
     return out
 
 
-def is_semisimple(m):
+def is_semisimple(m, stage="is_semisimple", label="the matrix"):
     """True iff the squarefree part of the charpoly annihilates m."""
     from .poly import pderiv, pgcd, pdivmod
 
     chi = charpoly(m)
     g = pgcd(chi, pderiv(chi))
     s, r = pdivmod(chi, g)
-    assert not any(r), "BUG: gcd does not divide charpoly"
+    if any(r):
+        raise ConsistencyError("%s: gcd(chi, chi') does not divide the "
+                               "charpoly chi of %s" % (stage, label))
     return is_zero_matrix(poly_at_matrix(s, m))
 
 
@@ -269,7 +259,8 @@ def graded_cycle_check(m, degrees, h, stage, label):
             cur = (cur - 1) % h
         kernel_dim_h += len(cols) - rank(power)
         nilpotent = nilpotent and is_nilpotent(power)
-        semisimple = semisimple and is_semisimple(power)
+        semisimple = semisimple and is_semisimple(
+            power, stage, "the class-%s block of (%s)^%d" % (c, label, h))
     return {"kernel_dim": kernel_dim,
             "semisimple": semisimple and kernel_dim == kernel_dim_h,
             "nilpotent": nilpotent}

@@ -56,13 +56,6 @@ def pmul(p, q):
     return ptrim(out)
 
 
-def peval(p, x):
-    out = Fraction(0)
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
 def pderiv(p):
     return ptrim([i * c for i, c in enumerate(p)][1:])
 
@@ -156,10 +149,6 @@ class RatFun:
             num = [c / lead for c in num]
             den = [c / lead for c in den]
         self.num, self.den = num, den
-
-    @staticmethod
-    def t():
-        return RatFun([0, 1])
 
     def is_zero(self):
         return not self.num

@@ -200,9 +200,6 @@ class RootSystem:
         """Pairing <mu, 2 rho-check>; the principal grading of the weight mu."""
         return sum(m * c for m, c in zip(mu, self.a_coeffs))
 
-    def is_root(self, mu):
-        return tuple(mu) in self.root_set
-
     def reflection_matrix(self, i):
         n = self.rank
         s = identity(n)

@@ -1,6 +1,9 @@
 """Matrix connections: the six case constructors, gauge moves, scalar
 reduction, and the slope at infinity."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,6 +141,36 @@ def test_slope_rejects_mixed_leading_term():
                            rho_weights=[half, -half, half, -half])
     with pytest.raises(SlopeVerificationError, match="not semisimple"):
         slope_at_infinity(bad)
+
+
+@pytest.mark.parametrize("weights,match", [
+    ([Fraction(1, 5), 0, -1], r"rho weight 1/5 at index 0 of sl3 standard"),
+    ([1, -1], r"sl3 standard has 2 rho_weights for dimension 3"),
+])
+def test_slope_rejects_bad_weights(weights, match):
+    """1/5 is not in (1/2h) Z = (1/6) Z, so some exponent would not be."""
+    base = sl_standard(3)
+    bad = MatrixConnection(base.coeffs, base.label, h=3, rho_weights=weights)
+    with pytest.raises(ValidationError, match=match):
+        slope_at_infinity(bad)
+
+
+def test_slope_rejects_weights_off_the_lattice_under_optimize():
+    code = ("from fractions import Fraction\n"
+            "from rigidconn.connection import (MatrixConnection, "
+            "sl_standard, slope_at_infinity)\n"
+            "from rigidconn.errors import ValidationError\n"
+            "base = sl_standard(3)\n"
+            "bad = MatrixConnection(base.coeffs, base.label, h=3, "
+            "rho_weights=[Fraction(1, 5), 0, -1])\n"
+            "try:\n"
+            "    slope_at_infinity(bad)\n"
+            "except ValidationError:\n"
+            "    raise SystemExit(2)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 2
 
 
 def test_slope_needs_h():

@@ -10,9 +10,10 @@ from rigidconn.chevalley import build_chevalley, kac_decomposition
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   sl2_sym, sl_standard, so_odd_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.formal import (SeriesWindow, apply_connection, check_rigidity,
-                              h1_middle_via_solver, kernel_dimension,
-                              residue_pair, sl2_double_cover_h1)
+from rigidconn.formal import (SeriesWindow, _h1, apply_connection,
+                              check_rigidity, h1_middle_via_solver,
+                              kernel_dimension, residue_pair,
+                              sl2_double_cover_h1)
 
 
 def test_adjoint_a1_dimensions():
@@ -77,6 +78,7 @@ def test_rigidity_fails_for_sym3():
     dims = result["dimensions"]
     assert dims["laurent_V"] == dims["laurent_V_dual"] == 0
     assert dims["two_sided"] - dims["taylor0"] - dims["taylor_inf"] == 1
+    assert result["h1"] == 1
 
 
 def test_h1_values():
@@ -92,6 +94,13 @@ def test_h1_needs_vanishing_global_kernel():
     assert kernel_dimension(flat, "laurent_polys", 10).dimension == 1
     with pytest.raises(ConsistencyError):
         h1_middle_via_solver(flat, flat.dual(), 10)
+    assert check_rigidity(flat, flat.dual(), 10)["h1"] is None
+
+
+def test_negative_h1_accounting_raises():
+    dims = {"laurent_V": 0, "two_sided": 1, "taylor0": 1, "taylor_inf": 1}
+    with pytest.raises(ConsistencyError, match="negative h1 accounting for x"):
+        _h1("x", dims)
 
 
 def test_solutions_satisfy_the_recursion():
@@ -199,3 +208,34 @@ def test_stabilization_flag_consistency():
     r2 = kernel_dimension(conn, "two_sided", 36)
     assert r1.stabilized and r2.stabilized
     assert r1.dimension == r2.dimension
+
+
+_EDGE_CASES = [
+    (MatrixConnection({0: [[-3]], 1: [[1]], 2: [[1]]}, "theta - 3 + t + t^2"),
+     2),
+    (MatrixConnection({0: [[0, 0], [1, 0]], 1: [[0, 1], [0, 0]],
+                       2: [[1, 0], [0, -1]]}, "2x2 of degree 2"), 4),
+    (MatrixConnection({0: [[-2, 0], [1, 0]], 1: [[0, 1], [0, 0]],
+                       3: [[0, 0], [1, 1]]},
+                      "2x2 of degree 3, A(0) eigenvalue -2"), 4),
+]
+
+
+@pytest.mark.parametrize("conn,two_sided",
+                         [pytest.param(c, two, id=c.label)
+                          for base, two in _EDGE_CASES
+                          for c in (base, base.dual())])
+def test_solver_higher_degree_and_singular_levels(conn, two_sided):
+    """A(t) of degree 2 or 3 (several seed layers, a closed top edge of
+    several levels) and n Id + A(0) singular at levels n != 0."""
+    trunc = 12
+    big_k = max(conn.coeffs)
+    want = {"taylor0": 1, "taylor_inf": 0, "two_sided": two_sided,
+            "laurent_polys": 0}
+    for space, dim in want.items():
+        report = kernel_dimension(conn, space, trunc)
+        assert (report.dimension, report.stabilized) == (dim, True), space
+        for window in report.basis:
+            image = apply_connection(conn, window)
+            for n in range(-trunc + big_k, trunc + 1):
+                assert not any(image.coefficient(n)), (space, n)
