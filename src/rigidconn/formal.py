@@ -102,20 +102,14 @@ def _solve_space(conn, space, m_window, buffer_depth):
             phi.pop(n - big_k - 1, None)
         # above the window v_n = 0, so the block has no v_n columns
         w = d if n <= m_window else 0
-        c = zeros(d, p)
-        for k in ks:
-            prev = phi.get(n - k)
-            if prev is None:
-                continue
-            for i, arow in enumerate(a[k]):
-                row = c[i]
-                for s, coef in enumerate(arow):
-                    if coef:
-                        prev_row = prev[s]
-                        for q in range(p):
-                            row[q] += coef * prev_row[q]
-        block = [[a0[i][j] + (n if i == j else 0) for j in range(w)] + c[i]
-                 for i in range(d)]
+        feed = [k for k in ks if n - k in phi]
+        if feed:
+            c = mat_mul([[x for k in feed for x in a[k][i]] for i in range(d)],
+                        [row for k in feed for row in phi[n - k]])
+        else:
+            c = zeros(d, p)
+        block = [[a0[i][j] + n if i == j else a0[i][j] for j in range(w)]
+                 + c[i] for i in range(d)]
         kern = nullspace(block)
         p2 = len(kern)
         pmap = [[kern[col][w + q] for col in range(p2)] for q in range(p)]
@@ -125,16 +119,16 @@ def _solve_space(conn, space, m_window, buffer_depth):
         if w:
             phi[n] = [[kern[col][i] for col in range(p2)] for i in range(d)]
         p = p2
-    if p == 0:
-        return 0, []
+    stacked = [row for n in range(-m_window, m_window + 1) for row in phi[n]]
+    return phi, _row_reduce(stacked)
+
+
+def _basis(d, phi, pivots, m_window):
+    """One SeriesWindow over the core window per pivot parameter column."""
     core = range(-m_window, m_window + 1)
-    stacked = [row[:] for n in core for row in phi[n]]
-    pivots = _row_reduce(stacked)
-    basis = []
-    for col in pivots:
-        window = {n: [phi[n][i][col] for i in range(d)] for n in core}
-        basis.append(SeriesWindow(d, window))
-    return len(pivots), basis
+    return [SeriesWindow(d, {n: [phi[n][i][col] for i in range(d)]
+                             for n in core})
+            for col in pivots]
 
 
 def kernel_dimension(conn, space, truncation, enforce_floor=True):
@@ -152,10 +146,11 @@ def kernel_dimension(conn, space, truncation, enforce_floor=True):
         raise ValidationError("truncation %d is below the floor %d for %s; "
                               "pass enforce_floor=False to override"
                               % (truncation, floor, conn.label))
-    dim1, basis = _solve_space(conn, space, truncation, truncation + h_step)
+    phi, pivots = _solve_space(conn, space, truncation, truncation + h_step)
     m2 = truncation + h_step
-    dim2, _ = _solve_space(conn, space, m2, m2 + h_step)
-    return KernelReport(space, dim1, truncation, dim1 == dim2, basis)
+    stable = len(_solve_space(conn, space, m2, m2 + h_step)[1]) == len(pivots)
+    return KernelReport(space, len(pivots), truncation, stable,
+                        _basis(conn.dim, phi, pivots, truncation))
 
 
 def _h1(label, dims):

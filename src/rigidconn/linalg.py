@@ -1,11 +1,18 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of row lists with Fraction or int entries (ints mix
-freely and stay exact).  Everything is classical Gaussian elimination
-with exact pivots; there is no floating point in this module.
+freely and stay exact).  The two kernels, _row_reduce and mat_mul, work
+on Python ints inside: a row (or a column) is cleared of denominators
+once, elimination is fraction-free Gauss-Jordan on integer rows, and a
+product entry is one integer dot product over one denominator.  What
+rank, nullspace, solve, inverse and mat_mul return is made of
+Fractions, divided out only for the entries returned.  There is no
+floating point in this module.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import ConsistencyError
 
@@ -33,13 +40,29 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def _scaled(vec):
+    """(ints, den): ints[i] / den == vec[i], den the lcm of the denominators.
+
+    vec holds ints and Fractions; each row or column is cleared once.
+    """
+    den = lcm(*[x.denominator for x in vec])
+    if den == 1:
+        return [x.numerator for x in vec], 1
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    bt = transpose(b)
+    """The product a b, each entry one integer dot product over da * db.
+
+    The rows of a and the columns of b are cleared of denominators once
+    (_scaled); every entry of the result is a Fraction.
+    """
+    cols = [_scaled(col) for col in zip(*b)]
     out = []
-    for i in range(n):
-        row = a[i]
-        out.append([sum(row[s] * col[s] for s in range(k)) for col in bt])
+    for row in a:
+        ints, da = _scaled(row)
+        out.append([Fraction(sum(map(mul, ints, col)), da * db)
+                    for col, db in cols])
     return out
 
 
@@ -63,27 +86,41 @@ def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
 
 
-def hstack(a, b):
-    return [ra + rb for ra, rb in zip(a, b)]
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _row_reduce(m):
-    """Reduced row echelon form in place; returns the pivot columns."""
+    """Fraction-free Gauss-Jordan elimination of m; returns the pivot columns.
+
+    The rows of m are replaced by new int lists (the row lists passed in
+    are not modified).  The pivot of column c is the first nonzero entry
+    at or below row r; every other row_i with a nonzero in column c
+    becomes a row_i - b row_r, with a / b = m[r][c] / m[i][c] in lowest
+    terms, divided by the gcd of its entries.  On return row r is a
+    nonzero multiple of row r of the reduced row echelon form, so the
+    RREF entry is m[r][j] / m[r][pivots[r]]; rows below the rank are zero.
+    """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    for i in range(nrows):
+        m[i] = _primitive(_scaled(m[i])[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / Fraction(m[r][c])
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+            e = m[i][c]
+            if i != r and e:
+                g = gcd(p, e)
+                a, b = p // g, e // g
+                m[i] = _primitive([a * x - b * y for x, y in zip(m[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -92,29 +129,21 @@ def _row_reduce(m):
 
 
 def rank(m):
-    if not m or not m[0]:
-        return 0
-    work = frac_matrix(m)
-    return len(_row_reduce(work))
+    return len(_row_reduce(list(m)))
 
 
 def nullspace(m):
     """Basis of the right kernel of m, as a list of vectors."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
-    work = frac_matrix(m)
+    ncols = len(m[0]) if m else 0
+    work = list(m)
     pivots = _row_reduce(work)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -work[r][f]
+        for row, c in zip(work, pivots):
+            v[c] = Fraction(-row[f], row[c])
         basis.append(v)
     return basis
 
@@ -122,24 +151,26 @@ def nullspace(m):
 def solve(m, rhs):
     """One solution of m x = rhs, or None if the system is inconsistent."""
     nrows = len(m)
-    aug = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(m)]
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(m)]
     pivots = _row_reduce(aug)
     ncols = len(m[0]) if nrows else 0
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][ncols]
+    for row, c in zip(aug, pivots):
+        x[c] = Fraction(row[ncols], row[c])
     return x
 
 
 def inverse(m):
     n = len(m)
-    aug = hstack(frac_matrix(m), identity(n))
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(m)]
     pivots = _row_reduce(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in aug]
+    return [[Fraction(x, row[r]) for x in row[n:]]
+            for r, row in enumerate(aug)]
 
 
 def _hessenberg(m):

@@ -11,8 +11,8 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (frac_matrix, identity, inverse, is_zero_matrix, mat_mul,
-                     mat_sub, mat_vec, poly_at_matrix)
+from .linalg import (identity, inverse, is_zero_matrix, mat_mul, mat_sub,
+                     mat_vec, poly_at_matrix)
 from .poly import cyclotomic, pbezout, pdeg, pdivmod, pmul
 
 SUPPORTED = {"A": (1, 8), "B": (2, 9), "C": (2, 8), "D": (4, 8),
@@ -74,7 +74,7 @@ class RootSystem:
         self.type_label = type_label
         self.rank = rank
         self.cartan = cartan_matrix(type_label, rank)
-        self.cartan_inv = inverse(frac_matrix(self.cartan))
+        self.cartan_inv = inverse(self.cartan)
         self.simple_roots = [tuple(self.cartan[k][j] for k in range(rank))
                              for j in range(rank)]
         self._build_positive_roots()
@@ -247,7 +247,10 @@ def cyclotomic_factorization(p, h):
                 break
             factors[d] = factors.get(d, 0) + 1
             rest = quot
-    assert pdeg(rest) == 0, "BUG: charpoly has a non-root-of-unity factor"
+    if pdeg(rest) != 0:
+        raise ConsistencyError("cyclotomic factorization: the charpoly has a "
+                               "factor that is not cyclotomic with d | h = %d"
+                               % h)
     return factors
 
 
@@ -258,19 +261,32 @@ def coxeter_primitive_projector(w, h):
 
     chi = charpoly(w)
     factors = cyclotomic_factorization(chi, h)
-    assert h in factors, "BUG: Coxeter element without primitive eigenvalue"
+    if h not in factors:
+        raise ConsistencyError("Coxeter projector: the Coxeter element has no "
+                               "primitive h-th root of unity as eigenvalue, "
+                               "h = %d" % h)
     rest = [Fraction(1)]
     for d in factors:
         if d != h:
             rest = pmul(rest, list(cyclotomic(d)))
     if pdeg(rest) == 0:
-        return identity(len(w))
-    u, _v, g = pbezout(rest, list(cyclotomic(h)))
-    assert g == [Fraction(1)], "BUG: cyclotomic factors not coprime"
-    proj = poly_at_matrix(pmul(u, rest), w)
-    assert is_zero_matrix(mat_sub(mat_mul(proj, proj), proj)), "BUG: not idempotent"
-    assert is_zero_matrix(mat_sub(mat_mul(proj, w), mat_mul(w, proj)))
-    assert is_zero_matrix(mat_mul(poly_at_matrix(list(cyclotomic(h)), w), proj))
+        proj = identity(len(w))
+    else:
+        u, _v, g = pbezout(rest, list(cyclotomic(h)))
+        if g != [Fraction(1)]:
+            raise ConsistencyError("Coxeter projector: the cyclotomic factors "
+                                   "of the charpoly are not coprime, h = %d"
+                                   % h)
+        proj = poly_at_matrix(pmul(u, rest), w)
+    if not is_zero_matrix(mat_sub(mat_mul(proj, proj), proj)):
+        raise ConsistencyError("Coxeter projector: the projector is not "
+                               "idempotent, h = %d" % h)
+    if not (is_zero_matrix(mat_sub(mat_mul(proj, w), mat_mul(w, proj)))
+            and is_zero_matrix(
+                mat_mul(poly_at_matrix(list(cyclotomic(h)), w), proj))):
+        raise ConsistencyError("Coxeter projector: the projector does not "
+                               "commute with w or is not killed by Phi_h(w), "
+                               "h = %d" % h)
     return proj
 
 

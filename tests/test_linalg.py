@@ -8,14 +8,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidconn.connection import (adjoint_connection, g2_seven_dim,
                                   sl_standard, slope_at_infinity,
                                   so_odd_standard, sp_standard)
 from rigidconn.errors import ConsistencyError
-from rigidconn.linalg import (charpoly, graded_cycle_check, identity, inverse,
-                              is_nilpotent, is_semisimple, mat_mul, mat_vec,
-                              nullspace, rank, solve)
+from rigidconn.linalg import (_row_reduce, charpoly, graded_cycle_check,
+                              identity, inverse, is_nilpotent, is_semisimple,
+                              mat_mul, mat_vec, nullspace, rank, solve)
 
 
 def rand_matrix(rng, n, m, density=0.7):
@@ -164,3 +166,168 @@ def test_graded_cycle_check_rejects_wrong_grading_under_optimize():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
     assert proc.returncode == 3
+
+
+# -- the integer kernels against a Fraction Gauss-Jordan reference ----------
+#
+# The reference is classical Gauss-Jordan on Fractions with the same pivot
+# rule (first nonzero at or below the current row), and the schoolbook
+# product.  The RREF is unique, so the integer kernels must return exactly
+# the same values, as Fractions.
+
+
+def ref_rref(m):
+    """(pivots, RREF) of m by Fraction Gauss-Jordan."""
+    m = [[Fraction(x) for x in row] for row in m]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, m
+
+
+def ref_nullspace(m):
+    ncols = len(m[0]) if m else 0
+    if ncols == 0:
+        return []
+    pivots, work = ref_rref(m)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        basis.append(v)
+    return basis
+
+
+def ref_solve(m, rhs):
+    ncols = len(m[0]) if m else 0
+    pivots, work = ref_rref([list(row) + [b] for row, b in zip(m, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = work[r][ncols]
+    return x
+
+
+def ref_mat_mul(a, b):
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+ENTRIES = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(max_denominator=10 ** 18))
+
+
+@st.composite
+def matrices(draw, nrows=None, ncols=None, max_dim=7):
+    """Mixed int/Fraction matrices; some are products through a narrow
+    middle (rank deficient), some get a zero row or column."""
+    if nrows is None:
+        nrows = draw(st.integers(0, max_dim))
+    if ncols is None:
+        ncols = draw(st.integers(0, max_dim))
+    inner = draw(st.integers(0, max(nrows, ncols)))
+    if 0 < inner < min(nrows, ncols):
+        m = ref_mat_mul(draw(matrices(nrows, inner)),
+                        draw(matrices(inner, ncols)))
+    else:
+        m = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                          min_size=nrows, max_size=nrows))
+    if nrows and ncols and draw(st.booleans()):
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        m[i] = [0] * ncols
+        for row in m:
+            row[j] = Fraction(0)
+    return m
+
+
+def all_fractions(rows):
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_row_reduce_gives_integer_multiples_of_rref(m):
+    before = [row[:] for row in m]
+    work = list(m)
+    pivots = _row_reduce(work)
+    ref_pivots, ref = ref_rref(m)
+    assert pivots == ref_pivots
+    assert m == before
+    assert all(type(x) is int for row in work for x in row)
+    for r, row in enumerate(work):
+        if r < len(pivots):
+            assert [Fraction(x, row[pivots[r]]) for x in row] == ref[r]
+        else:
+            assert not any(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rank_and_nullspace_match_reference(m):
+    assert rank(m) == len(ref_rref(m)[0])
+    got = nullspace(m)
+    assert got == ref_nullspace(m)
+    assert all_fractions(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_matches_reference(data):
+    m = data.draw(matrices())
+    rhs = data.draw(st.lists(ENTRIES, min_size=len(m), max_size=len(m)))
+    got = solve(m, rhs)
+    assert got == ref_solve(m, rhs)
+    if got is not None:
+        assert all_fractions([got])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: matrices(n, n)))
+def test_inverse_matches_reference(m):
+    n = len(m)
+    pivots, work = ref_rref([list(row) + [int(i == j) for j in range(n)]
+                             for i, row in enumerate(m)])
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            inverse(m)
+        return
+    got = inverse(m)
+    assert got == [row[n:] for row in work]
+    assert all_fractions(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 6), st.integers(1, 6),
+                 st.integers(0, 6)).flatmap(
+    lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]))))
+def test_mat_mul_matches_reference(ab):
+    """Includes a zero-width right factor, as the formal solver has when
+    its parameter space dies."""
+    a, b = ab
+    got = mat_mul(a, b)
+    assert got == ref_mat_mul(a, b)
+    assert all_fractions(got)
+    assert len(got) == len(a)

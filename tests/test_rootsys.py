@@ -7,12 +7,16 @@ implementation takes.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rigidconn.errors import ValidationError
+from rigidconn import cli
+from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import identity, mat_mul, mat_pow, mat_vec, rank
 from rigidconn.rootsys import (SUPPORTED, build_root_system, coxeter_element,
                                coxeter_primitive_projector,
@@ -175,6 +179,63 @@ def test_primitive_projector_rank_numeric_oracle():
                 if any(abs(z - p) < 1e-9 for p in primitive))
     assert count == 2
     assert rank(coxeter_primitive_projector(w, 4)) == count
+
+
+def _identity_poly_at_matrix(coeffs, m):
+    """A wrong polynomial evaluation: the identity matrix for any input."""
+    return identity(len(m))
+
+
+@pytest.mark.parametrize("type_label,rank_", [("A", 2), ("A", 3), ("E", 8)])
+def test_projector_checks_raise_on_wrong_matrix(monkeypatch, type_label,
+                                                rank_):
+    """A2 and E8 take the identity projector, A3 a polynomial in w; a wrong
+    poly_at_matrix is caught on every route."""
+    rs = build_root_system(type_label, rank_)
+    h = rs.coxeter_number
+    monkeypatch.setattr("rigidconn.rootsys.poly_at_matrix",
+                        _identity_poly_at_matrix)
+    with pytest.raises(ConsistencyError,
+                       match=r"Coxeter projector: .* h = %d$" % h):
+        coxeter_primitive_projector(coxeter_element(rs), h)
+
+
+def test_projector_checks_raise_on_bad_factorization(monkeypatch):
+    with pytest.raises(ConsistencyError, match=r"not cyclotomic .* h = 3$"):
+        cyclotomic_factorization([Fraction(-2), Fraction(1)], 3)
+    with pytest.raises(ConsistencyError,
+                       match=r"no primitive h-th root .* h = 3$"):
+        coxeter_primitive_projector(identity(2), 3)
+    monkeypatch.setattr("rigidconn.rootsys.pbezout",
+                        lambda a, b: ([Fraction(1)], [Fraction(0)],
+                                      [Fraction(2)]))
+    w = coxeter_element(build_root_system("A", 3))
+    with pytest.raises(ConsistencyError, match=r"not coprime, h = 4$"):
+        coxeter_primitive_projector(w, 4)
+
+
+def test_projector_checks_survive_optimize():
+    code = ("from rigidconn import rootsys\n"
+            "from rigidconn.errors import ConsistencyError\n"
+            "from rigidconn.linalg import identity\n"
+            "rootsys.poly_at_matrix = lambda c, m: identity(len(m))\n"
+            "w = rootsys.coxeter_element(rootsys.build_root_system('A', 3))\n"
+            "try:\n"
+            "    rootsys.coxeter_primitive_projector(w, 4)\n"
+            "except ConsistencyError:\n"
+            "    raise SystemExit(3)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 3
+
+
+def test_projector_check_is_cli_exit_3(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr("rigidconn.rootsys.poly_at_matrix",
+                        _identity_poly_at_matrix)
+    monkeypatch.setenv("RIGIDCONN_CACHE_DIR", str(tmp_path))
+    assert cli.main(["cohomology", "--group", "a2"]) == 3
+    assert "Coxeter projector" in capsys.readouterr().err
 
 
 def test_unsupported_types_rejected():
