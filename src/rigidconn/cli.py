@@ -194,12 +194,16 @@ def _job_dict(args, group=None, **extra):
 
 
 def _emit(args, payload, lines):
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2))
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write("\n".join(lines))
-        sys.stdout.write("\n")
+    text = (json.dumps(payload, sort_keys=True, indent=2)
+            if args.format == "json" else "\n".join(lines))
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the null device takes the rest, so the final
+        # flush cannot raise again; 141 is the shell's status after SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 0
 
 

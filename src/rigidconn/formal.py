@@ -115,6 +115,7 @@ def _solve_space(conn, space, m_window, buffer_depth):
         pmap = [[kern[col][w + q] for col in range(p2)] for q in range(p)]
         if p2 != p or pmap != identity(p):
             for m in phi:
+                # with p = 0, mat_mul would drop the width p2
                 phi[m] = mat_mul(phi[m], pmap) if p else zeros(d, p2)
         if w:
             phi[n] = [[kern[col][i] for col in range(p2)] for i in range(d)]

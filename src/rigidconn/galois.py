@@ -1,17 +1,20 @@
 """Differential Galois data and cohomology dimensions from weight data.
 
 Everything here is weight combinatorics: the irregularity comes from
-counting weights killed by the Coxeter primitive projector, the inertia
-invariants from the principal a-grading, and the fixed space of the
-differential Galois group from branching through the folded subgroup
-when the group has a nontrivial diagram automorphism fixing the
-connection.
+counting weights killed by the Coxeter primitive projector, by their
+pairings with its integer rows, the inertia invariants from the principal
+a-grading, and the fixed space of the differential Galois group from
+branching through the folded subgroup when the group has a nontrivial
+diagram automorphism fixing the connection.
 """
 
+from functools import lru_cache
+from operator import mul
+
 from .errors import ConsistencyError, ValidationError
-from .linalg import mat_vec
+from .linalg import _row_reduce
 from .rootsys import (build_root_system, coxeter_element,
-                      coxeter_primitive_projector)
+                      coxeter_primitive_projector, primitive_rank)
 from .weights import Sl2Decomposition, epsilon_on, weight_system
 
 
@@ -158,21 +161,38 @@ def _restrict_to_galois(ws, profile):
     return rs_t, table, comps, sum(c for mu, c in comps if not any(mu))
 
 
+@lru_cache(maxsize=None)
+def _torus_rows(rs, w):
+    """Integer rows cutting out the weights in V^S: the nonzero rows of the
+    row-reduced primitive projector of w (a tuple of rows, None for
+    coxeter_element(rs)).  For rs's Coxeter element they must number
+    primitive_rank(rs), which the root heights give (Kostant)."""
+    cox = tuple(map(tuple, coxeter_element(rs)))
+    rows = coxeter_primitive_projector([list(row) for row in w or cox],
+                                       rs.coxeter_number)
+    rows = rows[:len(_row_reduce(rows))]
+    if w in (None, cox) and len(rows) != primitive_rank(rs):
+        raise ConsistencyError(
+            "Coxeter torus: the primitive projector of %s has rank %d, but %d "
+            "exponents are coprime to h = %d"
+            % (rs.label(), len(rows), primitive_rank(rs), rs.coxeter_number))
+    return tuple(map(tuple, rows))
+
+
 def _local_invariants(rs, table, epsilon, label, w=None):
     """Local invariants of a module with weight multiset table under rs.
 
     dim V^S counts the weights killed by the primitive projector of the
-    Coxeter element w (by default coxeter_element(rs)); the irregularity
-    is (dim V - dim V^S)/h; the principal SL2 gives dim V^{I_0}; the
-    weights with a = 0 mod 2h span V^{<n>}; and dim V^{I_infinity} is
+    Coxeter element w (default coxeter_element(rs)), via _torus_rows; the
+    irregularity is (dim V - dim V^S)/h; the principal SL2 gives dim
+    V^{I_0}; the weights with a = 0 mod 2h span V^{<n>}; dim V^{I_inf} is
     n-fixed - irr when epsilon = +1, else 0.  label names V in errors.
     """
     dim = sum(table.values())
     h = rs.coxeter_number
-    proj = coxeter_primitive_projector(
-        coxeter_element(rs) if w is None else w, h)
+    rows = _torus_rows(rs, None if w is None else tuple(map(tuple, w)))
     v_s = sum(mult for mu, mult in table.items()
-              if all(x == 0 for x in mat_vec(proj, list(mu))))
+              if not any(sum(map(mul, row, mu)) for row in rows))
     if (dim - v_s) % h:
         raise ConsistencyError("irregularity: (dim - dim V^S)/h = "
                                "(%d - %d)/%d is not an integer for %s"

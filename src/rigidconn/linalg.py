@@ -17,10 +17,6 @@ from operator import mul
 from .errors import ConsistencyError
 
 
-def frac_matrix(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def zeros(nrows, ncols):
     return [[Fraction(0)] * ncols for _ in range(nrows)]
 
@@ -30,10 +26,6 @@ def identity(n):
     for i in range(n):
         m[i][i] = Fraction(1)
     return m
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def mat_sub(a, b):
@@ -55,7 +47,11 @@ def mat_mul(a, b):
     """The product a b, each entry one integer dot product over da * db.
 
     The rows of a and the columns of b are cleared of denominators once
-    (_scaled); every entry of the result is a Fraction.
+    (_scaled); every entry of the result is a Fraction.  When b has no
+    rows (a is n x 0) the result is n empty rows, not an n x m zero
+    matrix: a list of no rows cannot carry its width m.  The formal
+    solver's reparametrisation in formal._solve_space relies on this and
+    uses zeros(d, p2) when its parameter space is empty.
     """
     cols = [_scaled(col) for col in zip(*b)]
     out = []
@@ -68,18 +64,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def mat_pow(a, k):
-    n = len(a)
-    out = identity(n)
-    base = [row[:] for row in a]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
 
 
 def is_zero_matrix(a):
@@ -174,7 +158,7 @@ def inverse(m):
 
 
 def _hessenberg(m):
-    h = frac_matrix(m)
+    h = [[Fraction(x) for x in row] for row in m]
     n = len(h)
     for c in range(n - 2):
         pivot = next((i for i in range(c + 1, n) if h[i][c] != 0), None)

@@ -8,11 +8,12 @@ equal to the j-th column of A in these coordinates.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (identity, inverse, is_zero_matrix, mat_mul, mat_sub,
-                     mat_vec, poly_at_matrix)
+from .linalg import (charpoly, identity, inverse, is_zero_matrix, mat_mul,
+                     mat_sub, mat_vec, poly_at_matrix)
 from .poly import cyclotomic, pbezout, pdeg, pdivmod, pmul
 
 SUPPORTED = {"A": (1, 8), "B": (2, 9), "C": (2, 8), "D": (4, 8),
@@ -79,6 +80,7 @@ class RootSystem:
                              for j in range(rank)]
         self._build_positive_roots()
         self._build_lengths()
+        self._build_gram()
         self._build_exponents()
         self._build_a_coeffs()
 
@@ -89,7 +91,6 @@ class RootSystem:
         simples = self.simple_roots
         height = {beta: 1 for beta in simples}
         layer = list(simples)
-        pos = list(simples)
         ht = 1
         while layer:
             nxt = []
@@ -99,20 +100,14 @@ class RootSystem:
                     if gamma in height:
                         continue
                     p = 0
-                    down = beta
-                    while True:
+                    down = tuple(b - a for b, a in zip(beta, simples[i]))
+                    while down in height:
+                        p += 1
                         down = tuple(b - a for b, a in zip(down, simples[i]))
-                        if down in height or down == (0,) * n:
-                            if down == (0,) * n:
-                                break
-                            p += 1
-                        else:
-                            break
                     # alpha_i string through beta: q = p - <beta, alpha_i-check>
                     if p - beta[i] > 0:
                         height[gamma] = ht + 1
                         nxt.append(gamma)
-                        pos.append(gamma)
             layer = nxt
             ht += 1
         self.height = height
@@ -121,7 +116,9 @@ class RootSystem:
         self.root_set.update(tuple(-x for x in b) for b in self.pos_roots)
         self.max_height = max(height.values())
         tops = [b for b, h in height.items() if h == self.max_height]
-        assert len(tops) == 1, "BUG: highest root is not unique"
+        if len(tops) != 1:
+            raise ConsistencyError("root system: %s has %d highest roots"
+                                   % (self.label(), len(tops)))
         self.theta = tops[0]
 
     def _build_lengths(self):
@@ -136,10 +133,10 @@ class RootSystem:
                 if i != j and a[i][j] != 0 and ell[j] is None:
                     ell[j] = ell[i] * Fraction(a[i][j], a[j][i])
                     todo.append(j)
-        assert all(x is not None for x in ell), "BUG: Dynkin diagram disconnected"
-        scale = Fraction(2) / max(ell)
-        self.length_sq = [x * scale for x in ell]
-        self.d = [x / 2 for x in self.length_sq]
+        if None in ell:
+            raise ConsistencyError("root system: the Dynkin diagram of %s is "
+                                   "not connected" % self.label())
+        self.d = [x / max(ell) for x in ell]  # (alpha_i, alpha_i) / 2
 
     def _build_exponents(self):
         counts = {}
@@ -148,16 +145,24 @@ class RootSystem:
         exps = []
         for k in range(1, self.max_height + 1):
             mult = counts.get(k, 0) - counts.get(k + 1, 0)
-            assert mult >= 0, "BUG: height histogram not unimodal"
+            if mult < 0:
+                raise ConsistencyError("root system: the height histogram "
+                                       "of %s rises at %d"
+                                       % (self.label(), k + 1))
             exps.extend([k] * mult)
-        assert len(exps) == self.rank
+        if len(exps) != self.rank:
+            raise ConsistencyError("root system: %s has %d exponents"
+                                   % (self.label(), len(exps)))
         self.exponents = exps
         self.coxeter_number = self.max_height + 1
         self.degrees = [m + 1 for m in exps]
-        order = 1
-        for deg in self.degrees:
-            order *= deg
-        self.weyl_order = order
+        self.weyl_order = prod(self.degrees)
+
+    def _build_gram(self):
+        form = [[row[k] * dj for row, dj in zip(self.cartan_inv, self.d)]
+                for k in range(self.rank)]
+        self.gram_den = lcm(*[x.denominator for row in form for x in row])
+        self.gram = [[int(x * self.gram_den) for x in row] for row in form]
 
     def _build_a_coeffs(self):
         # 2 rho-check is twice the sum of the fundamental coweights, whose
@@ -177,24 +182,28 @@ class RootSystem:
     def simple_coords(self, mu):
         return mat_vec(self.cartan_inv, list(mu))
 
+    def gram_pair(self, mu, nu):
+        """gram_den * (mu, nu) = mu^T gram nu, with gram an integer matrix."""
+        return sum(m * sum(map(mul, row, nu))
+                   for m, row in zip(mu, self.gram) if m)
+
     def form(self, mu, nu):
         """W-invariant symmetric form with (theta, theta) = 2."""
-        c = self.simple_coords(mu)
-        return sum(cj * dj * vj for cj, dj, vj in zip(c, self.d, nu))
+        return Fraction(self.gram_pair(mu, nu), self.gram_den)
 
     def root_length_sq(self, beta):
         return self.form(beta, beta)
 
     def coroot_coeffs(self, beta):
-        """Coordinates of beta-check in the simple coroot basis (integers)."""
-        k = self.simple_coords(beta)
-        dbeta = self.root_length_sq(beta) / 2
-        out = []
-        for ki, di in zip(k, self.d):
-            c = ki * di / dbeta
-            assert c.denominator == 1, "BUG: coroot coordinates not integral"
-            out.append(int(c))
-        return out
+        """Coordinates of beta-check in the simple coroot basis (integers):
+        <omega_i, beta-check> = 2 (omega_i, beta) / (beta, beta)."""
+        g_beta = [sum(map(mul, row, beta)) for row in self.gram]
+        norm = sum(map(mul, beta, g_beta))
+        out = [divmod(2 * g, norm) for g in g_beta]
+        if any(rem for _c, rem in out):
+            raise ConsistencyError("root system: the coroot of %s in %s is "
+                                   "not integral" % (list(beta), self.label()))
+        return [c for c, _rem in out]
 
     def a_value(self, mu):
         """Pairing <mu, 2 rho-check>; the principal grading of the weight mu."""
@@ -257,8 +266,6 @@ def cyclotomic_factorization(p, h):
 def coxeter_primitive_projector(w, h):
     """Projector onto the primitive h-th root-of-unity eigenspaces of w,
     as a polynomial in w over Q."""
-    from .linalg import charpoly
-
     chi = charpoly(w)
     factors = cyclotomic_factorization(chi, h)
     if h not in factors:

@@ -1,13 +1,18 @@
 """Weight multiplicities, the a-grading, and principal SL2 decompositions.
 
-Multiplicities come from the Freudenthal recursion on dominant weights
-followed by Weyl-orbit expansion.  The a-grading a(mu) = <mu, 2rho-check>
-is stored eagerly as exact integers; it drives the decomposition of V
-under the principal SL2 and the sign epsilon = (-1)^{a(lambda)}.
+The weights of V are the W-orbits of the dominant weights below lambda,
+each orbit generated by simple reflections where a coordinate is
+positive.  Multiplicities come from the Freudenthal recursion on the
+dominant weights, in integers over the root system's integer Gram form.
+The a-grading a(mu) = <mu, 2rho-check> is stored eagerly as exact
+integers; it drives the decomposition of V under the principal SL2 and
+the sign epsilon = (-1)^{a(lambda)}.
 """
 
 from fractions import Fraction
 import json
+from math import prod
+from operator import mul
 import os
 import tempfile
 
@@ -31,90 +36,69 @@ class WeightSystem:
 
     def _build(self):
         rs = self.rs
-        r = rs.rank
-        simple = rs.simple_roots
-        # saturate: fill every root string from each weight toward its
-        # reflections; the closure is the full weight set
-        weights = {self.highest}
-        frontier = [self.highest]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for i in range(r):
-                    if mu[i] > 0:
-                        cur = mu
-                        for _ in range(mu[i]):
-                            cur = tuple(c - s for c, s in zip(cur, simple[i]))
-                            if cur not in weights:
-                                weights.add(cur)
-                                nxt.append(cur)
-            frontier = nxt
-        self.weights = weights
-
-        lam_rho = tuple(x + 1 for x in self.highest)
-        norm_top = rs.form(lam_rho, lam_rho)
-        dominant = [mu for mu in weights if all(x >= 0 for x in mu)]
-
-        def depth(mu):
-            coords = rs.simple_coords(tuple(l - m for l, m in
-                                            zip(self.highest, mu)))
-            return sum(coords)
-
-        dominant.sort(key=depth)
-        self._dominant_rep_cache = {}
-        dom_mult = {}
+        lam = self.highest
+        # every dominant mu < lambda is reached from lambda through dominant
+        # weights by subtracting positive roots (Stembridge); depth[mu] is
+        # the height of lambda - mu
+        depth = {lam: 0}
+        dominant = [lam]
         for mu in dominant:
-            if mu == self.highest:
-                dom_mult[mu] = 1
-                continue
-            total = Fraction(0)
             for beta in rs.pos_roots:
-                nu = mu
-                while True:
+                nu = tuple(a - b for a, b in zip(mu, beta))
+                if min(nu) >= 0 and nu not in depth:
+                    depth[nu] = depth[mu] + rs.height[beta]
+                    dominant.append(nu)
+        dominant.sort(key=lambda mu: (depth[mu], mu))
+        # their W-orbits (Snow, ACM TOMS 16, 1990): s_j nu with nu[j] > 0 is
+        # kept only when j is its first negative coordinate, so it has one
+        # parent and every orbit element comes once
+        rep = {}
+        for mu in dominant:
+            orbit = [mu]
+            for nu in orbit:
+                rep[nu] = mu
+                for j, c in enumerate(nu):
+                    if c > 0:
+                        child = tuple(x - c * s
+                                      for x, s in zip(nu, rs.simple_roots[j]))
+                        if min(child[:j], default=0) >= 0:
+                            orbit.append(child)
+        # Freudenthal in integers: gram_den * (nu, beta) grows by
+        # gram_den * (beta, beta) along each root string
+        strings = [(beta, rs.gram_pair(beta, beta),
+                    [sum(map(mul, row, beta)) for row in rs.gram])
+                   for beta in rs.pos_roots]
+        lam_rho = tuple(x + 1 for x in lam)
+        norm_top = rs.gram_pair(lam_rho, lam_rho)
+        dom_mult = {lam: 1}
+        for mu in dominant[1:]:
+            total = 0
+            for beta, step, g_beta in strings:
+                pair = sum(map(mul, mu, g_beta))
+                nu = tuple(a + b for a, b in zip(mu, beta))
+                while nu in rep:
+                    pair += step
+                    total += pair * dom_mult[rep[nu]]
                     nu = tuple(a + b for a, b in zip(nu, beta))
-                    if nu not in weights:
-                        break
-                    total += rs.form(nu, beta) * self._mult_of(nu, dom_mult)
             mu_rho = tuple(x + 1 for x in mu)
-            denom = norm_top - rs.form(mu_rho, mu_rho)
-            m = 2 * total / denom
-            if m.denominator != 1 or m <= 0:
-                raise ConsistencyError("Freudenthal: %s gives weight %s the "
-                                       "multiplicity %s, not a positive "
-                                       "integer" % (self.label(), mu, m))
-            dom_mult[mu] = int(m)
-        self._dominant_mult = dom_mult
-
-        self.table = {mu: self._mult_of(mu, dom_mult) for mu in weights}
+            denom = norm_top - rs.gram_pair(mu_rho, mu_rho)
+            m, rem = divmod(2 * total, denom)
+            if rem or m <= 0:
+                raise ConsistencyError(
+                    "Freudenthal: %s gives weight %s the multiplicity %s, not "
+                    "a positive integer"
+                    % (self.label(), mu, Fraction(2 * total, denom)))
+            dom_mult[mu] = m
+        self.table = {nu: dom_mult[mu] for nu, mu in rep.items()}
+        self.weights = self.table.keys()
         self.dim = sum(self.table.values())
         coeffs = rs.a_coeffs
-        self.a_of = {mu: sum(x * c for x, c in zip(mu, coeffs)) for mu in weights}
-        parity = self.a_of[self.highest] % 2
+        self.a_of = {mu: sum(x * c for x, c in zip(mu, coeffs))
+                     for mu in self.table}
+        parity = self.a_of[lam] % 2
         if any(a % 2 != parity for a in self.a_of.values()):
             raise ConsistencyError("a-grading parity is not constant on the "
-                                   "weights of %r" % (self.highest,))
-
-    def _mult_of(self, mu, dom_mult):
-        got = dom_mult.get(mu)
-        if got is not None:
-            return got
-        return dom_mult[self._dominant_rep(mu)]
-
-    def _dominant_rep(self, mu):
-        got = self._dominant_rep_cache.get(mu)
-        if got is not None:
-            return got
-        rs = self.rs
-        cur = mu
-        while True:
-            i = next((k for k, x in enumerate(cur) if x < 0), None)
-            if i is None:
-                break
-            s = rs.simple_roots[i]
-            c = cur[i]
-            cur = tuple(x - c * y for x, y in zip(cur, s))
-        self._dominant_rep_cache[mu] = cur
-        return cur
+                                   "weights of %r" % (lam,))
 
     def multiplicity(self, mu):
         return self.table.get(tuple(mu), 0)
@@ -185,9 +169,8 @@ def weyl_dim(rs, highest):
     highest = tuple(int(x) for x in highest)
     rho = (1,) * rs.rank
     lam_rho = tuple(x + 1 for x in highest)
-    out = Fraction(1)
-    for beta in rs.pos_roots:
-        out *= rs.form(lam_rho, beta) / rs.form(rho, beta)
+    out = Fraction(prod(rs.gram_pair(lam_rho, b) for b in rs.pos_roots),
+                   prod(rs.gram_pair(rho, b) for b in rs.pos_roots))
     if out.denominator != 1:
         raise ConsistencyError("weyl_dim: %s, lambda=%s has Weyl dimension "
                                "%s, not an integer"

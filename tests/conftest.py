@@ -50,3 +50,17 @@ def loop_bracket(alg, x, y):
                 else:
                     out.pop(key, None)
     return out
+
+
+def mat_pow(a, k):
+    """a^k by repeated squaring (k >= 0)."""
+    from rigidconn.linalg import identity, mat_mul
+
+    out = identity(len(a))
+    base = [row[:] for row in a]
+    while k:
+        if k & 1:
+            out = mat_mul(out, base)
+        base = mat_mul(base, base)
+        k >>= 1
+    return out

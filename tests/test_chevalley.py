@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import jacobi_scan, loop_bracket
+from conftest import jacobi_scan, loop_bracket, mat_pow
 from rigidconn.chevalley import (build_chevalley, heisenberg_pairing_check,
                                  kac_decomposition, kostant_check,
                                  principal_triple)
 from rigidconn.errors import ValidationError
-from rigidconn.linalg import (is_semisimple, is_zero_matrix, mat_pow,
-                              mat_vec, nullspace, rank)
+from rigidconn.linalg import (is_semisimple, is_zero_matrix, mat_vec,
+                              nullspace, rank)
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("G", 2)]

@@ -233,3 +233,25 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "theta^7 - 2*t*theta - t" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--group", "e6", "--rep", "adjoint", "--format", "json"],
+    ["subregular"]])
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_141_without_traceback(tmp_path, argv,
+                                                   unbuffered):
+    """The reader of stdout is gone before the report is written, as in
+    ``rigidconn cohomology ... | head -c 20``.  With buffered stdout the
+    error would come from the interpreter's final flush."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered,
+               RIGIDCONN_CACHE_DIR=str(tmp_path))
+    proc = subprocess.Popen([sys.executable, "-m", "rigidconn"] + argv,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

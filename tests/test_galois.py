@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from rigidconn import galois
 from rigidconn.connection import build_connection
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.formal import h1_middle_via_solver
@@ -16,8 +17,8 @@ from rigidconn.galois import (cohomology_dims, coxeter_torus_invariants,
                               inertia_invariants, irregularity,
                               peel_components, subregular_table)
 from rigidconn.linalg import mat_vec
-from rigidconn.rootsys import (build_root_system, coxeter_element,
-                               coxeter_primitive_projector)
+from rigidconn.rootsys import (SUPPORTED, build_root_system,
+                               coxeter_element, coxeter_primitive_projector)
 from rigidconn.weights import epsilon_on, weight_system, weyl_dim
 
 
@@ -364,6 +365,49 @@ def test_folded_invariants_match_source_route(type_label, rank):
                                           "Iinf": rep.inv_Iinf}, coords
         checked += 1
     assert checked >= 4
+
+
+def ref_torus_invariants(ws, w):
+    """dim V^S by applying the primitive projector of w to every weight,
+    the Fraction route the package took before its integer rows."""
+    proj = coxeter_primitive_projector(w, ws.rs.coxeter_number)
+    return sum(mult for mu, mult in ws.table.items()
+               if all(x == 0 for x in mat_vec(proj, list(mu))))
+
+
+@pytest.mark.parametrize("type_label,rank",
+                         [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
+                          for n in range(lo, min(hi, 8) + 1)])
+def test_torus_invariants_match_projector_reference(type_label, rank):
+    """On the adjoint and the fundamental weights of Weyl dimension
+    <= 5000, for the Coxeter element given and by default."""
+    rs = build_root_system(type_label, rank)
+    w = coxeter_element(rs)
+    highest = {rs.theta}
+    highest.update(mu for mu in map(rs.fundamental_weight, range(rank))
+                   if weyl_dim(rs, mu) <= 5000)
+    for mu in sorted(highest):
+        ws = weight_system(rs, mu)
+        want = ref_torus_invariants(ws, w)
+        assert coxeter_torus_invariants(ws, w) == want, mu
+        inv = galois._local_invariants(rs, ws.table, epsilon_on(ws),
+                                       ws.label())
+        assert inv["V_S"] == want, mu
+
+
+def test_torus_row_count_is_checked(monkeypatch):
+    """The rows of the Coxeter element's projector must number
+    primitive_rank(rs), which the root heights give independently."""
+    galois._torus_rows.cache_clear()
+    monkeypatch.setattr("rigidconn.galois.primitive_rank", lambda rs: 1)
+    with pytest.raises(ConsistencyError,
+                       match=r"^Coxeter torus: the primitive projector of A2 "
+                             r"has rank 2, but 1 exponents are coprime to "
+                             r"h = 3$"):
+        cohomology_dims("A", 2, (1, 1))
+    rs = build_root_system("A", 3)
+    with pytest.raises(ConsistencyError, match=r"projector of A3 has rank 2"):
+        irregularity(adjoint_ws("A", 3), coxeter_element(rs))
 
 
 # ------------------------------------------------ orbit-size criterion

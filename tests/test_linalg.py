@@ -331,3 +331,11 @@ def test_mat_mul_matches_reference(ab):
     assert got == ref_mat_mul(a, b)
     assert all_fractions(got)
     assert len(got) == len(a)
+
+
+@pytest.mark.parametrize("nrows", [1, 3])
+def test_mat_mul_with_empty_inner_dimension_gives_empty_rows(nrows):
+    """An n x 0 left factor gives n empty rows, whatever the width of the
+    0 x m right factor would be: a list of no rows cannot carry m, so
+    formal._solve_space uses zeros(d, p2) there instead of mat_mul."""
+    assert mat_mul([[] for _ in range(nrows)], []) == [[]] * nrows

@@ -15,11 +15,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidconn import cli
+from conftest import mat_pow
+from rigidconn import cli, galois
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.linalg import identity, mat_mul, mat_pow, mat_vec, rank
-from rigidconn.rootsys import (SUPPORTED, build_root_system, coxeter_element,
-                               coxeter_primitive_projector,
+from rigidconn.linalg import identity, mat_mul, mat_vec, rank
+from rigidconn.rootsys import (SUPPORTED, RootSystem, build_root_system,
+                               coxeter_element, coxeter_primitive_projector,
                                cyclotomic_factorization, primitive_rank)
 
 ALL_TYPES = ([("A", n) for n in range(1, 9)]
@@ -231,11 +232,73 @@ def test_projector_checks_survive_optimize():
 
 
 def test_projector_check_is_cli_exit_3(monkeypatch, tmp_path, capsys):
+    # the V^S rows are kept per root system; start without A2's
+    galois._torus_rows.cache_clear()
     monkeypatch.setattr("rigidconn.rootsys.poly_at_matrix",
                         _identity_poly_at_matrix)
     monkeypatch.setenv("RIGIDCONN_CACHE_DIR", str(tmp_path))
     assert cli.main(["cohomology", "--group", "a2"]) == 3
     assert "Coxeter projector" in capsys.readouterr().err
+
+
+def _disconnected_cartan(type_label, rank_):
+    """A1 x A1 for any input: two highest roots, no connecting bond."""
+    return [[2, 0], [0, 2]]
+
+
+def _bare_root_system(**attrs):
+    """A RootSystem with only the given attributes, for one build step."""
+    rs = RootSystem.__new__(RootSystem)
+    rs.type_label, rs.rank = "A", 2
+    rs.__dict__.update(attrs)
+    return rs
+
+
+def test_root_system_checks_raise(monkeypatch):
+    with pytest.raises(ConsistencyError,
+                       match=r"^root system: the coroot of \[0, 2\] in A2 "
+                             r"is not integral$"):
+        build_root_system("A", 2).coroot_coeffs((0, 2))
+    rs = _bare_root_system(cartan=[[2, 0], [0, 2]])
+    with pytest.raises(ConsistencyError,
+                       match=r"^root system: the Dynkin diagram of A2 is not "
+                             r"connected$"):
+        rs._build_lengths()
+    rs = _bare_root_system(height={(1, 0): 1, (0, 1): 2, (1, 1): 2},
+                           max_height=2)
+    with pytest.raises(ConsistencyError,
+                       match=r"^root system: the height histogram of A2 "
+                             r"rises at 2$"):
+        rs._build_exponents()
+    rs = _bare_root_system(height={(2, -1): 1}, max_height=1)
+    with pytest.raises(ConsistencyError,
+                       match=r"^root system: A2 has 1 exponents$"):
+        rs._build_exponents()
+    monkeypatch.setattr("rigidconn.rootsys.cartan_matrix",
+                        _disconnected_cartan)
+    with pytest.raises(ConsistencyError,
+                       match=r"^root system: A2 has 2 highest roots$"):
+        RootSystem("A", 2)
+
+
+def test_root_system_checks_survive_optimize():
+    code = ("from rigidconn import rootsys\n"
+            "from rigidconn.errors import ConsistencyError\n"
+            "try:\n"
+            "    rootsys.build_root_system('A', 2).coroot_coeffs((0, 2))\n"
+            "except ConsistencyError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit(1)\n"
+            "rootsys.cartan_matrix = lambda t, n: [[2, 0], [0, 2]]\n"
+            "try:\n"
+            "    rootsys.RootSystem('A', 2)\n"
+            "except ConsistencyError:\n"
+            "    raise SystemExit(3)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 3
 
 
 def test_unsupported_types_rejected():

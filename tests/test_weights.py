@@ -1,4 +1,8 @@
-"""Weight multiplicities, the principal SL2 decomposition, and the cache."""
+"""Weight multiplicities, the principal SL2 decomposition, and the cache.
+
+The reflection-based build the package used before its orbit expansion
+and integer Freudenthal sums is kept here as the reference.
+"""
 
 import itertools
 import json
@@ -6,13 +10,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.rootsys import build_root_system
+from rigidconn.rootsys import SUPPORTED, build_root_system
 from rigidconn.weights import (Sl2Decomposition, epsilon_on,
                                load_weight_system,
                                principal_sl2_decomposition,
@@ -192,3 +198,92 @@ def test_a_parity_is_constant(case):
     parity = rs.a_value(lam) % 2
     assert all(a % 2 == parity for a in ws.a_of.values())
     assert epsilon_on(ws) == (1 if parity == 0 else -1)
+
+
+# ------------------------------------ reference: the reflection-based build
+
+def ref_form(rs, mu, nu):
+    """(mu, nu) in Fractions, through the simple-root coordinates of mu."""
+    c = rs.simple_coords(mu)
+    return sum(cj * dj * vj for cj, dj, vj in zip(c, rs.d, nu))
+
+
+def ref_dominant_rep(rs, mu):
+    """The dominant weight in mu's W-orbit, one simple reflection at a time."""
+    while True:
+        i = next((k for k, x in enumerate(mu) if x < 0), None)
+        if i is None:
+            return mu
+        mu = tuple(x - mu[i] * y for x, y in zip(mu, rs.simple_roots[i]))
+
+
+def ref_weight_table(rs, highest):
+    """{weight: multiplicity} with the weight set saturated along root
+    strings from highest and Freudenthal's recursion summed in Fractions,
+    reading non-dominant multiplicities through ref_dominant_rep."""
+    weights = {highest}
+    frontier = [highest]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(rs.rank):
+                cur = mu
+                for _ in range(mu[i]):
+                    cur = tuple(c - s for c, s in zip(cur, rs.simple_roots[i]))
+                    if cur not in weights:
+                        weights.add(cur)
+                        nxt.append(cur)
+        frontier = nxt
+    lam_rho = tuple(x + 1 for x in highest)
+    norm_top = ref_form(rs, lam_rho, lam_rho)
+    dominant = sorted((mu for mu in weights if min(mu) >= 0),
+                      key=lambda mu: sum(rs.simple_coords(
+                          tuple(l - m for l, m in zip(highest, mu)))))
+    dom = {}
+    for mu in dominant:
+        if mu == highest:
+            dom[mu] = 1
+            continue
+        total = Fraction(0)
+        for beta in rs.pos_roots:
+            nu = tuple(a + b for a, b in zip(mu, beta))
+            while nu in weights:
+                total += ref_form(rs, nu, beta) * dom[ref_dominant_rep(rs, nu)]
+                nu = tuple(a + b for a, b in zip(nu, beta))
+        mu_rho = tuple(x + 1 for x in mu)
+        dom[mu] = 2 * total / (norm_top - ref_form(rs, mu_rho, mu_rho))
+    return {mu: dom[ref_dominant_rep(rs, mu)] for mu in weights}
+
+
+def reference_sweep(type_label, rank):
+    """The adjoint and the fundamental weights of Weyl dimension <= 5000."""
+    rs = build_root_system(type_label, rank)
+    out = {rs.theta}
+    out.update(w for w in map(rs.fundamental_weight, range(rank))
+               if weyl_dim(rs, w) <= 5000)
+    return sorted(out)
+
+
+SWEEP_TYPES = [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
+               for n in range(lo, min(hi, 8) + 1)]
+
+
+@pytest.mark.parametrize("type_label,rank", SWEEP_TYPES)
+def test_weight_system_matches_reflection_reference(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    a_coeffs = [0] * rank
+    for beta in rs.pos_roots:
+        for i, c in enumerate(rs.coroot_coeffs(beta)):
+            a_coeffs[i] += c
+    for mu in rs.simple_roots + [rs.theta]:
+        for nu in rs.simple_roots:
+            assert rs.form(mu, nu) == ref_form(rs, mu, nu)
+    for highest in reference_sweep(type_label, rank):
+        ws = weight_system(rs, highest)
+        want = ref_weight_table(rs, highest)
+        assert ws.table == want, highest
+        assert all(type(m) is int for m in ws.table.values())
+        assert ({mu: m for mu, m in ws.table.items() if min(mu) >= 0}
+                == {mu: m for mu, m in want.items() if min(mu) >= 0})
+        assert ws.a_of == {mu: sum(map(mul, mu, a_coeffs)) for mu in want}
+        assert ws.dim == weyl_dim(rs, highest)
