@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+from rigidconn.linalg import identity, mat_mul
+
 
 def jacobi_scan(alg):
     """Count violations of antisymmetry (all index pairs) and the Jacobi
@@ -54,8 +56,6 @@ def loop_bracket(alg, x, y):
 
 def mat_pow(a, k):
     """a^k by repeated squaring (k >= 0)."""
-    from rigidconn.linalg import identity, mat_mul
-
     out = identity(len(a))
     base = [row[:] for row in a]
     while k:
