@@ -10,7 +10,7 @@ sparse dicts {basis index: Fraction}.
 
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .linalg import graded_cycle_check, nullspace, rank, zeros
 from .rootsys import RootSystem, build_root_system
 
@@ -76,7 +76,9 @@ class ChevalleyAlgebra:
             if beta in order and order[alpha] < order[beta]:
                 pair = (alpha, beta)
                 break
-        assert pair is not None, "BUG: no special pair for a non-simple root"
+        if pair is None:
+            raise ConsistencyError("chevalley: no special pair for the root "
+                                   "%s of %s" % (gamma, self.rs.label()))
         self._extraspecial[gamma] = pair
         return pair
 
@@ -255,7 +257,9 @@ class ChevalleyAlgebra:
             put(fi, ei, tr)
         theta_e = r + self._order[rs.theta]
         scale = gram[theta_e][r + self.npos + self._order[rs.theta]]
-        assert scale != 0
+        if scale == 0:
+            raise ConsistencyError("chevalley: the Killing form of %s vanishes "
+                                   "on (e_theta, f_theta)" % rs.label())
         self._kappa = {i: {j: v / scale for j, v in row.items()}
                        for i, row in gram.items()}
 

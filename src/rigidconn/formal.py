@@ -5,20 +5,22 @@ at a time, with a running parameter space.  Each level takes the kernel
 of one block [n Id + A(0) | sum_{k>=1} A_k v_{n-k}]: a kernel vector
 holds v_n in its first entries and the old parameters, in terms of the
 new ones, in the rest.  Parameters enter where n Id + A(0) is singular
-(n = 0 for the built connections) or, for spaces with an infinite tail
-at t = 0, as free seed layers placed a buffer below the reported
-window.  Above a closed top edge v_n = 0, so the block has no v_n
-columns and only cuts the parameter space down.  Levels below the
-window are dropped once they feed no equation.  Reported dimensions are
-ranks over the core window [-M, M], which makes them independent of the
-seed placement.
+or, for spaces with an infinite tail at t = 0, as seed layers a buffer
+below the window.  Above a closed top edge v_n = 0, so the block only
+cuts the parameter space down.  Levels below the window are dropped once
+they feed no equation.  Dimensions are ranks over the core window
+[-M, M], independent of the seed placement.  A level is an integer
+matrix over one denominator, v_n = M_n / D_n in lowest terms; the block
+times den(A) and the lcm of the fed D_{n-k} is an integer matrix with
+the same kernel.  Fractions are built only for the reported basis.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (_row_reduce, identity, inverse, mat_mul, nullspace,
-                     rank, zeros)
+from .linalg import (_int_mul, _kernel, _row_reduce, identity, inverse,
+                     mat_mul, rank, zeros)
 
 SPACES = ("taylor0", "taylor_inf", "two_sided", "laurent_polys")
 
@@ -69,7 +71,16 @@ class KernelReport:
                                     self.truncation, self.stabilized))
 
 
+def _lowest(mat, den):
+    """(mat, den) divided by the gcd of den and every entry of mat."""
+    g = gcd(den, *[gcd(*row) for row in mat])
+    if g == 1:
+        return mat, den
+    return [[x // g for x in row] for row in mat], den // g
+
+
 def _solve_space(conn, space, m_window, buffer_depth):
+    """The levels {n: (M_n, D_n)} and the pivot parameters of the window."""
     if not conn.is_polynomial():
         raise ValidationError("formal solving needs polynomial A(t); %s has "
                               "poles at t = 0" % conn.label)
@@ -77,17 +88,17 @@ def _solve_space(conn, space, m_window, buffer_depth):
     ks = [k for k in conn.coeffs if k >= 1]
     big_k = max(ks, default=0)
     seed_layers = max(big_k, 1)
-    a0 = conn.coefficient(0)
-    a = {k: conn.coefficient(k) for k in ks}
+    den_a = lcm(*[x.denominator for mat in conn.coeffs.values()
+                  for row in mat for x in row])
+    a = {k: [[x.numerator * (den_a // x.denominator) for x in row]
+             for row in conn.coefficient(k)] for k in [0] + ks}
     phi = {}
     if space in ("taylor_inf", "two_sided"):
         start = -m_window - buffer_depth
         p = seed_layers * d
         for j in range(seed_layers):
-            block = zeros(d, p)
-            for i in range(d):
-                block[i][j * d + i] = Fraction(1)
-            phi[start + j] = block
+            phi[start + j] = ([[int(q == j * d + i) for q in range(p)]
+                               for i in range(d)], 1)
         start += seed_layers
     else:
         start = -m_window
@@ -102,33 +113,39 @@ def _solve_space(conn, space, m_window, buffer_depth):
             phi.pop(n - big_k - 1, None)
         # above the window v_n = 0, so the block has no v_n columns
         w = d if n <= m_window else 0
-        feed = [k for k in ks if n - k in phi]
-        if feed:
-            c = mat_mul([[x for k in feed for x in a[k][i]] for i in range(d)],
-                        [row for k in feed for row in phi[n - k]])
-        else:
-            c = zeros(d, p)
-        block = [[a0[i][j] + n if i == j else a0[i][j] for j in range(w)]
-                 + c[i] for i in range(d)]
-        kern = nullspace(block)
-        p2 = len(kern)
-        pmap = [[kern[col][w + q] for col in range(p2)] for q in range(p)]
-        if p2 != p or pmap != identity(p):
-            for m in phi:
-                # with p = 0, mat_mul would drop the width p2
-                phi[m] = mat_mul(phi[m], pmap) if p else zeros(d, p2)
+        # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] is an integer block
+        feed = [(a[k], phi[n - k]) for k in ks if n - k in phi]
+        big_l = lcm(*[dk for _, (_, dk) in feed])
+        scaled = [(ak, big_l // dk) for ak, (_, dk) in feed]
+        c = _int_mul([[x * s for ak, s in scaled for x in ak[i]]
+                      for i in range(d)],
+                     list(zip(*[row for _, (mk, _) in feed for row in mk]))
+                     or [[]] * p)
+        block = [[x + n * den_a if i == j else x
+                  for j, x in enumerate(a[0][i][:w])] + c[i]
+                 for i in range(d)]
+        vecs, den, free = _kernel(block)
+        # (x, y) in its kernel is (x, big_l y) in the true one: normalised at
+        # the free entry, y / den and x / (den big_l), times big_l if f < w
+        scale = [big_l if f < w else 1 for f in free]
+        pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, scale)]
+        p2 = len(vecs)
+        if pmap != [[den * (q == j) for q in range(p)] for j in range(p)]:
+            for m, (mat, dm) in phi.items():
+                phi[m] = _lowest(_int_mul(mat, pmap), dm * den)
         if w:
-            phi[n] = [[kern[col][i] for col in range(p2)] for i in range(d)]
+            phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
+                              for i in range(d)], den * big_l)
         p = p2
-    stacked = [row for n in range(-m_window, m_window + 1) for row in phi[n]]
-    return phi, _row_reduce(stacked)
+    return phi, _row_reduce([row for n in range(-m_window, m_window + 1)
+                             for row in phi[n][0]])
 
 
 def _basis(d, phi, pivots, m_window):
     """One SeriesWindow over the core window per pivot parameter column."""
-    core = range(-m_window, m_window + 1)
-    return [SeriesWindow(d, {n: [phi[n][i][col] for i in range(d)]
-                             for n in core})
+    core = [(n,) + phi[n] for n in range(-m_window, m_window + 1)]
+    return [SeriesWindow(d, {n: [Fraction(mat[i][col], den) for i in range(d)]
+                             for n, mat, den in core})
             for col in pivots]
 
 

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of row lists with Fraction or int entries (ints mix
-freely and stay exact).  The two kernels, _row_reduce and mat_mul, work
-on Python ints inside: a row (or a column) is cleared of denominators
-once, elimination is fraction-free Gauss-Jordan on integer rows, and a
-product entry is one integer dot product over one denominator.  What
-rank, nullspace, solve, inverse and mat_mul return is made of
-Fractions, divided out only for the entries returned.  There is no
-floating point in this module.
+freely and stay exact).  The two kernels work on Python ints:
+_row_reduce is fraction-free Gauss-Jordan on rows cleared of
+denominators once, and _int_mul takes integer dot products.  _kernel
+reads a kernel basis over one denominator off the reduced rows.  The
+formal solver keeps integer matrices and calls these directly; rank,
+nullspace, solve, inverse and mat_mul return Fractions, divided out only
+for the entries returned.  There is no floating point in this module.
 """
 
 from fractions import Fraction
@@ -43,23 +43,23 @@ def _scaled(vec):
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
-def mat_mul(a, b):
-    """The product a b, each entry one integer dot product over da * db.
+def _int_mul(rows, cols):
+    """Integer rows times a right factor given by its columns, so that a
+    factor of no rows keeps its width: d x 0 times 0 x m is d x m zeros."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
-    The rows of a and the columns of b are cleared of denominators once
-    (_scaled); every entry of the result is a Fraction.  When b has no
-    rows (a is n x 0) the result is n empty rows, not an n x m zero
-    matrix: a list of no rows cannot carry its width m.  The formal
-    solver's reparametrisation in formal._solve_space relies on this and
-    uses zeros(d, p2) when its parameter space is empty.
-    """
+
+def mat_mul(a, b):
+    """The product a b as Fractions: _int_mul of the rows of a and the
+    columns of b, each cleared of denominators once, over da * db.  When
+    b has no rows (a is n x 0) the result is n empty rows, not an n x m
+    zero matrix: a list of no rows cannot carry its width m."""
     cols = [_scaled(col) for col in zip(*b)]
-    out = []
-    for row in a:
-        ints, da = _scaled(row)
-        out.append([Fraction(sum(map(mul, ints, col)), da * db)
-                    for col, db in cols])
-    return out
+    rows = [_scaled(row) for row in a]
+    prod = _int_mul([r for r, _ in rows], [c for c, _ in cols])
+    return [[Fraction(x, da * db) if da * db > 1 else Fraction(x)
+             for x, (_, db) in zip(prow, cols)]
+            for prow, (_, da) in zip(prod, rows)]
 
 
 def mat_vec(a, v):
@@ -116,20 +116,28 @@ def rank(m):
     return len(_row_reduce(list(m)))
 
 
-def nullspace(m):
-    """Basis of the right kernel of m, as a list of vectors."""
+def _kernel(m):
+    """(vecs, den, free): the nullspace vectors of m are vecs[j] / den, one
+    per free column free[j], with den the lcm of the pivots, so that each
+    entry -row[f] den / row[c] is an int."""
     ncols = len(m[0]) if m else 0
     work = list(m)
     pivots = _row_reduce(work)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, c in zip(work, pivots):
-            v[c] = Fraction(-row[f], row[c])
-        basis.append(v)
-    return basis
+    den = lcm(*[row[c] for row, c in zip(work, pivots)])
+    rows = [(row, c, -den // row[c]) for row, c in zip(work, pivots)]
+    free = [f for f in range(ncols) if f not in pivots]
+    vecs = [[0] * ncols for _ in free]
+    for v, f in zip(vecs, free):
+        v[f] = den
+        for row, c, s in rows:
+            v[c] = row[f] * s
+    return vecs, den, free
+
+
+def nullspace(m):
+    """Basis of the right kernel of m, as a list of vectors."""
+    vecs, den, _ = _kernel(m)
+    return [[Fraction(x, den) for x in v] for v in vecs]
 
 
 def solve(m, rhs):

@@ -8,6 +8,8 @@ lists with a monic denominator, used for the variable t.
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ConsistencyError, ValidationError
+
 
 def ptrim(p):
     while p and p[-1] == 0:
@@ -68,7 +70,8 @@ def pmonic(p):
 
 
 def pdivmod(p, q):
-    assert q, "division by the zero polynomial"
+    if not q:
+        raise ValidationError("division by the zero polynomial")
     p = [Fraction(c) for c in p]
     quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
     inv = Fraction(1) / Fraction(q[-1])
@@ -112,7 +115,9 @@ def cyclotomic(d):
     for e in range(1, d):
         if d % e == 0:
             num, rem = pdivmod(num, cyclotomic(e))
-            assert not rem
+            if rem:
+                raise ConsistencyError("cyclotomic: Phi_%d does not divide "
+                                       "the numerator of Phi_%d" % (e, d))
     return tuple(num)
 
 
@@ -123,7 +128,8 @@ class RatFun:
 
     def __init__(self, num, den=None):
         if isinstance(num, RatFun):
-            assert den is None
+            if den is not None:
+                raise ValidationError("a RatFun numerator takes no denominator")
             self.num, self.den = num.num, num.den
             return
         if not isinstance(num, list):
@@ -136,7 +142,8 @@ class RatFun:
             den = [Fraction(den)]
         else:
             den = ptrim([Fraction(c) for c in den])
-        assert den, "zero denominator"
+        if not den:
+            raise ValidationError("zero denominator")
         if num:
             g = pgcd(num, den)
             if pdeg(g) > 0:
@@ -183,7 +190,8 @@ class RatFun:
 
     def __truediv__(self, other):
         other = other if isinstance(other, RatFun) else RatFun(other)
-        assert other.num, "division by zero rational function"
+        if not other.num:
+            raise ValidationError("division by zero rational function")
         return RatFun(pmul(self.num, other.den), pmul(self.den, other.num))
 
     def __rtruediv__(self, other):

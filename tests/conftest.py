@@ -64,3 +64,53 @@ def mat_pow(a, k):
         base = mat_mul(base, base)
         k >>= 1
     return out
+
+
+# -- Fraction references for the integer kernels ---------------------------
+
+
+def ref_rref(m):
+    """(pivots, RREF) of m by Fraction Gauss-Jordan."""
+    m = [[Fraction(x) for x in row] for row in m]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots, m
+
+
+def ref_nullspace(m):
+    ncols = len(m[0]) if m else 0
+    if ncols == 0:
+        return []
+    pivots, work = ref_rref(m)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -work[r][f]
+        basis.append(v)
+    return basis
+
+
+def ref_mat_mul(a, b):
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import jacobi_scan, loop_bracket, mat_pow
-from rigidconn.chevalley import (build_chevalley, heisenberg_pairing_check,
-                                 kac_decomposition, kostant_check,
-                                 principal_triple)
-from rigidconn.errors import ValidationError
+from rigidconn.chevalley import (ChevalleyAlgebra, build_chevalley,
+                                 heisenberg_pairing_check, kac_decomposition,
+                                 kostant_check, principal_triple)
+from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import (is_semisimple, is_zero_matrix, mat_vec,
                               nullspace, rank)
+from rigidconn.rootsys import build_root_system
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("G", 2)]
@@ -188,3 +189,16 @@ def test_window_depth_floor():
 def test_unsupported_type_rejected():
     with pytest.raises(ValidationError):
         build_chevalley("D", 3)
+
+
+def test_chevalley_checks_raise(monkeypatch):
+    alg = ChevalleyAlgebra(build_root_system("A", 2))
+    with pytest.raises(ConsistencyError,
+                       match=r"^chevalley: no special pair for the root "
+                             r"\(1, 0\) of A2$"):
+        alg.extraspecial_pair((1, 0))
+    monkeypatch.setattr(alg, "bracket", lambda x, y: {})
+    with pytest.raises(ConsistencyError,
+                       match=r"^chevalley: the Killing form of A2 vanishes on "
+                             r"\(e_theta, f_theta\)$"):
+        alg._build_kappa()

@@ -14,8 +14,9 @@ from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   scalar_reduction, sl2_sym, sl_standard,
                                   slope_at_infinity, so_odd_standard,
                                   sp_standard)
-from rigidconn.errors import (CyclicVectorError, SlopeVerificationError,
-                              ValidationError)
+from rigidconn import poly
+from rigidconn.errors import (ConsistencyError, CyclicVectorError,
+                              SlopeVerificationError, ValidationError)
 from rigidconn.formal import kernel_dimension
 from rigidconn.linalg import nullspace, rank, zeros
 from rigidconn.poly import RatFun
@@ -257,3 +258,58 @@ def test_scalar_operator_json():
     assert data["order"] == 4
     assert data["theta_coefficients"][0] == {"1": "-1"}
     assert data["theta_coefficients"][1] == {}
+
+
+def _remainder_one(p, q):
+    return [], [Fraction(1)]
+
+
+def test_poly_checks_raise(monkeypatch):
+    with pytest.raises(ValidationError, match="by the zero polynomial"):
+        poly.pdivmod([Fraction(1)], [])
+    with pytest.raises(ValidationError, match="zero denominator"):
+        RatFun([Fraction(1)], [Fraction(0)])
+    with pytest.raises(ValidationError, match="numerator takes no denominator"):
+        RatFun(RatFun(2), [Fraction(1)])
+    with pytest.raises(ValidationError, match="by zero rational function"):
+        RatFun(2) / RatFun(0)
+    poly.cyclotomic.cache_clear()
+    monkeypatch.setattr(poly, "pdivmod", _remainder_one)
+    try:
+        with pytest.raises(ConsistencyError,
+                           match=r"^cyclotomic: Phi_1 does not divide the "
+                                 r"numerator of Phi_2$"):
+            poly.cyclotomic(2)
+    finally:
+        poly.cyclotomic.cache_clear()
+
+
+def test_poly_and_chevalley_checks_survive_optimize():
+    """The seven checks that were asserts raise under python -O."""
+    code = ("from fractions import Fraction\n"
+            "from rigidconn import chevalley, poly\n"
+            "from rigidconn.errors import ConsistencyError, ValidationError\n"
+            "from rigidconn.rootsys import build_root_system\n"
+            "def raises(exc, fn, *args):\n"
+            "    try:\n"
+            "        fn(*args)\n"
+            "    except exc:\n"
+            "        return 1\n"
+            "    return 0\n"
+            "one = [Fraction(1)]\n"
+            "got = raises(ValidationError, poly.pdivmod, one, [])\n"
+            "got += raises(ValidationError, poly.RatFun, one, [0])\n"
+            "got += raises(ValidationError, poly.RatFun, poly.RatFun(2), one)\n"
+            "got += raises(ValidationError, poly.RatFun(2).__truediv__, "
+            "poly.RatFun(0))\n"
+            "poly.pdivmod = lambda p, q: ([], one)\n"
+            "got += raises(ConsistencyError, poly.cyclotomic, 7)\n"
+            "alg = chevalley.ChevalleyAlgebra(build_root_system('A', 2))\n"
+            "got += raises(ConsistencyError, alg.extraspecial_pair, (1, 0))\n"
+            "alg.bracket = lambda x, y: {}\n"
+            "got += raises(ConsistencyError, alg._build_kappa)\n"
+            "raise SystemExit(3 if got == 7 else 1)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 3

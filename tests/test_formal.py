@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import loop_bracket
+from conftest import loop_bracket, ref_mat_mul, ref_nullspace, ref_rref
 from rigidconn.chevalley import build_chevalley, kac_decomposition
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   sl2_sym, sl_standard, so_odd_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.formal import (SeriesWindow, _h1, apply_connection,
+from rigidconn.formal import (SPACES, SeriesWindow, _h1, apply_connection,
                               check_rigidity, h1_middle_via_solver,
                               kernel_dimension, residue_pair,
                               sl2_double_cover_h1)
@@ -239,3 +241,120 @@ def test_solver_higher_degree_and_singular_levels(conn, two_sided):
             image = apply_connection(conn, window)
             for n in range(-trunc + big_k, trunc + 1):
                 assert not any(image.coefficient(n)), (space, n)
+
+
+# -- the integer-level solver against the Fraction solver -------------------
+#
+# ref_solve_space and ref_basis are the solver as it was with every level a
+# Fraction matrix, on the Fraction references of conftest.py.
+
+
+def ref_solve_space(conn, space, m_window, buffer_depth):
+    d = conn.dim
+    ks = [k for k in conn.coeffs if k >= 1]
+    big_k = max(ks, default=0)
+    seed_layers = max(big_k, 1)
+    a0 = conn.coefficient(0)
+    a = {k: conn.coefficient(k) for k in ks}
+    phi = {}
+    if space in ("taylor_inf", "two_sided"):
+        start = -m_window - buffer_depth
+        p = seed_layers * d
+        for j in range(seed_layers):
+            phi[start + j] = [[Fraction(int(q == j * d + i)) for q in range(p)]
+                              for i in range(d)]
+        start += seed_layers
+    else:
+        start = -m_window
+        p = 0
+    top = m_window
+    if space in ("taylor_inf", "laurent_polys"):
+        top += big_k
+    for n in range(start, top + 1):
+        if n - big_k - 1 < -m_window:
+            phi.pop(n - big_k - 1, None)
+        w = d if n <= m_window else 0
+        feed = [k for k in ks if n - k in phi]
+        if feed:
+            c = ref_mat_mul([[x for k in feed for x in a[k][i]]
+                             for i in range(d)],
+                            [row for k in feed for row in phi[n - k]])
+        else:
+            c = [[Fraction(0)] * p for _ in range(d)]
+        block = [[a0[i][j] + n if i == j else a0[i][j] for j in range(w)]
+                 + c[i] for i in range(d)]
+        kern = ref_nullspace(block)
+        p2 = len(kern)
+        pmap = [[kern[col][w + q] for col in range(p2)] for q in range(p)]
+        if p2 != p or pmap != [[int(i == j) for j in range(p)]
+                               for i in range(p)]:
+            for m in phi:
+                phi[m] = (ref_mat_mul(phi[m], pmap) if p
+                          else [[Fraction(0)] * p2 for _ in range(d)])
+        if w:
+            phi[n] = [[kern[col][i] for col in range(p2)] for i in range(d)]
+        p = p2
+    stacked = [row for n in range(-m_window, m_window + 1) for row in phi[n]]
+    return phi, ref_rref(stacked)[0]
+
+
+def ref_kernel_dimension(conn, space, truncation):
+    """(dimension, stabilized, basis) as kernel_dimension computes them."""
+    h_step = conn.h if conn.h else conn.dim + 1
+    phi, pivots = ref_solve_space(conn, space, truncation,
+                                  truncation + h_step)
+    m2 = truncation + h_step
+    stable = len(ref_solve_space(conn, space, m2, m2 + h_step)[1]) == len(
+        pivots)
+    core = range(-truncation, truncation + 1)
+    basis = [SeriesWindow(conn.dim, {n: [phi[n][i][col]
+                                         for i in range(conn.dim)]
+                                     for n in core})
+             for col in pivots]
+    return len(pivots), stable, basis
+
+
+SMALL = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                  st.fractions(-5, 5, max_denominator=12))
+BIG = st.fractions(-5, 5, max_denominator=10 ** 6)
+
+
+@st.composite
+def polynomial_connections(draw):
+    """theta + A(t), dim <= 4, deg <= 3; A(0) is a permuted triangular
+    matrix with integer eigenvalues, so n Id + A(0) is singular at some
+    levels inside the window.  Up to three entries off the diagonal of
+    A(0) get denominators up to 10^6 (more make the Fraction reference
+    slow)."""
+    d = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 3))
+    perm = draw(st.permutations(range(d)))
+    eig = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    coeffs = {k: [[Fraction(eig[i]) if (k, i) == (0, j) else
+                   draw(SMALL) if k or i < j else Fraction(0)
+                   for j in range(d)] for i in range(d)]
+              for k in range(degree + 1)}
+    spots = [(k, i, j) for k in coeffs for i in range(d) for j in range(d)
+             if k or i < j]
+    for k, i, j in draw(st.lists(st.sampled_from(spots), max_size=3)
+                        if spots else st.just([])):
+        coeffs[k][i][j] = draw(BIG)
+    coeffs[0] = [[coeffs[0][perm[i]][perm[j]] for j in range(d)]
+                 for i in range(d)]
+    # h = 1 keeps the stabilization window, and so the test, short
+    return MatrixConnection(coeffs, "random", h=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_connections(), st.integers(2, 4))
+def test_integer_levels_match_the_fraction_solver(conn, truncation):
+    # the zero connection has no dual: MatrixConnection needs a coefficient
+    assume(conn.coeffs)
+    for c in (conn, conn.dual()):
+        for space in SPACES:
+            got = kernel_dimension(c, space, truncation, enforce_floor=False)
+            dim, stable, basis = ref_kernel_dimension(c, space, truncation)
+            assert (got.dimension, got.stabilized) == (dim, stable), space
+            assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
+            assert all(type(x) is Fraction for w in got.basis
+                       for vec in w.coeffs.values() for x in vec)

@@ -11,13 +11,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_mat_mul, ref_nullspace, ref_rref
+
 from rigidconn.connection import (adjoint_connection, g2_seven_dim,
                                   sl_standard, slope_at_infinity,
                                   so_odd_standard, sp_standard)
 from rigidconn.errors import ConsistencyError
-from rigidconn.linalg import (_row_reduce, charpoly, graded_cycle_check,
-                              identity, inverse, is_nilpotent, is_semisimple,
-                              mat_mul, mat_vec, nullspace, rank, solve)
+from rigidconn.linalg import (_int_mul, _kernel, _row_reduce, charpoly,
+                              graded_cycle_check, identity, inverse,
+                              is_nilpotent, is_semisimple, mat_mul, mat_vec,
+                              nullspace, rank, solve)
 
 
 def rand_matrix(rng, n, m, density=0.7):
@@ -172,50 +175,9 @@ def test_graded_cycle_check_rejects_wrong_grading_under_optimize():
 #
 # The reference is classical Gauss-Jordan on Fractions with the same pivot
 # rule (first nonzero at or below the current row), and the schoolbook
-# product.  The RREF is unique, so the integer kernels must return exactly
-# the same values, as Fractions.
-
-
-def ref_rref(m):
-    """(pivots, RREF) of m by Fraction Gauss-Jordan."""
-    m = [[Fraction(x) for x in row] for row in m]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots, m
-
-
-def ref_nullspace(m):
-    ncols = len(m[0]) if m else 0
-    if ncols == 0:
-        return []
-    pivots, work = ref_rref(m)
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -work[r][f]
-        basis.append(v)
-    return basis
+# product (ref_rref, ref_nullspace and ref_mat_mul in conftest.py, which the
+# formal solver's reference shares).  The RREF is unique, so the integer
+# kernels must return exactly the same values, as Fractions.
 
 
 def ref_solve(m, rhs):
@@ -227,11 +189,6 @@ def ref_solve(m, rhs):
     for r, c in enumerate(pivots):
         x[c] = work[r][ncols]
     return x
-
-
-def ref_mat_mul(a, b):
-    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
-             for col in zip(*b)] for row in a]
 
 
 ENTRIES = st.one_of(
@@ -293,6 +250,20 @@ def test_rank_and_nullspace_match_reference(m):
     assert all_fractions(got)
 
 
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_integer_kernel_over_its_denominator_is_the_nullspace(m):
+    """Shapes include no rows, n x 0, 1 x n and rank-deficient products."""
+    before = [row[:] for row in m]
+    vecs, den, free = _kernel(m)
+    assert m == before
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for v in vecs for x in v)
+    assert [[Fraction(x, den) for x in v] for v in vecs] == ref_nullspace(m)
+    ncols = len(m[0]) if m else 0
+    assert free == [f for f in range(ncols) if f not in ref_rref(m)[0]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_solve_matches_reference(data):
@@ -324,8 +295,7 @@ def test_inverse_matches_reference(m):
                  st.integers(0, 6)).flatmap(
     lambda s: st.tuples(matrices(s[0], s[1]), matrices(s[1], s[2]))))
 def test_mat_mul_matches_reference(ab):
-    """Includes a zero-width right factor, as the formal solver has when
-    its parameter space dies."""
+    """Includes a zero-width right factor."""
     a, b = ab
     got = mat_mul(a, b)
     assert got == ref_mat_mul(a, b)
@@ -336,6 +306,8 @@ def test_mat_mul_matches_reference(ab):
 @pytest.mark.parametrize("nrows", [1, 3])
 def test_mat_mul_with_empty_inner_dimension_gives_empty_rows(nrows):
     """An n x 0 left factor gives n empty rows, whatever the width of the
-    0 x m right factor would be: a list of no rows cannot carry m, so
-    formal._solve_space uses zeros(d, p2) there instead of mat_mul."""
+    0 x m right factor would be: a list of no rows cannot carry m.
+    _int_mul takes the right factor by columns and keeps the width, as the
+    formal solver needs when its parameter space is empty."""
     assert mat_mul([[] for _ in range(nrows)], []) == [[]] * nrows
+    assert _int_mul([[] for _ in range(nrows)], [[]] * 2) == [[0, 0]] * nrows
