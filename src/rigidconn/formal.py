@@ -10,9 +10,10 @@ below the window.  Above a closed top edge v_n = 0, so the block only
 cuts the parameter space down.  Levels below the window are dropped once
 they feed no equation.  Dimensions are ranks over the core window
 [-M, M], independent of the seed placement.  A level is an integer
-matrix over one denominator, v_n = M_n / D_n in lowest terms; the block
-times den(A) and the lcm of the fed D_{n-k} is an integer matrix with
-the same kernel.  Fractions are built only for the reported basis.
+matrix over one denominator, v_n = M_n / D_n in lowest terms; den(A)
+[n Id + A(0) | L sum A_k v_{n-k}], L the lcm of the fed D_{n-k}, is an
+integer block whose kernel vectors (x, y) give (x, L y) in the wanted
+one.  Fractions are built only for the reported basis.
 """
 
 from fractions import Fraction
