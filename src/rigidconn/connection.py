@@ -12,7 +12,8 @@ from .chevalley import build_chevalley, principal_triple
 from .errors import (ConsistencyError, CyclicVectorError,
                      SlopeVerificationError, ValidationError)
 from .linalg import graded_cycle_check, zeros
-from .poly import RatFun
+from .poly import (RatFun, padd, pdivmod, pgcd, pmul, pneg, pscale, psub,
+                   ptrim, render_poly)
 from .rootsys import build_root_system
 
 
@@ -73,6 +74,8 @@ class MatrixConnection:
         coeffs = {k: [[-mat[j][i] for j in range(self.dim)]
                       for i in range(self.dim)]
                   for k, mat in self.coeffs.items()}
+        # the zero connection keeps no coefficient but still has a size
+        coeffs = coeffs or {0: zeros(self.dim, self.dim)}
         rw = None if self.rho_weights is None else [-w for w in self.rho_weights]
         return MatrixConnection(coeffs, self.label + " dual", h=self.h,
                                 rho_weights=rw, group=self.group)
@@ -333,70 +336,95 @@ class ScalarOperator:
                                                 for c in self.coeffs]}
 
 
-def _theta_compose(op):
-    """theta composed with sum op_j theta^j, as operator coefficients."""
-    out = [RatFun(0)] * (len(op) + 1)
-    for j, c in enumerate(op):
-        out[j] = out[j] + c.theta()
-        out[j + 1] = out[j + 1] + c
-    return out
+def _exact_div(p, q, label):
+    """p / q for polynomials where q divides p."""
+    quot, rem = pdivmod(p, q)
+    if rem:
+        raise ConsistencyError("scalar_reduction: dividing %s by %s leaves "
+                               "the remainder %s for %s"
+                               % (render_poly(p), render_poly(q),
+                                  render_poly(rem), label))
+    return quot
 
 
-def connection_apply(conn_matrix, vec):
-    """(theta + A) acting on a column of rational functions."""
-    n = len(vec)
-    return [vec[i].theta() + sum((conn_matrix[i][j] * vec[j]
-                                  for j in range(n)), RatFun(0))
-            for i in range(n)]
+def _theta_poly(p, shift=0):
+    """(theta - shift) p for a polynomial p in t."""
+    return ptrim([(i - shift) * c for i, c in enumerate(p)])
 
 
-def scalar_reduction(conn, cyclic_vector=None):
-    n = conn.dim
-    a = conn.ratfun_matrix()
-    if cyclic_vector is None:
-        vec = [RatFun(1 if i == 0 else 0) for i in range(n)]
-    else:
-        if len(cyclic_vector) != n:
-            raise ValidationError("cyclic vector length %d does not match "
-                                  "dimension %d" % (len(cyclic_vector), n))
-        vec = [x if isinstance(x, RatFun) else RatFun(x)
-               for x in cyclic_vector]
-    frame = [vec]
-    for _ in range(n):
-        frame.append(connection_apply(a, frame[-1]))
-    # solve [v, Dv, ..., D^{n-1}v] d = D^n v over the rational-function field
-    work = [[frame[j][i] for j in range(n)] + [frame[n][i]] for i in range(n)]
-    pivots = []
+def scalar_reduction(conn):
+    """The scalar operator in theta satisfied through the frame of e_0.
+
+    With A = t^{-s} P, P polynomial, D^k e_0 = t^{-ks} p_k where
+    p_{k+1} = t^s (theta - ks) p_k + P p_k.  Fraction-free Gauss-Jordan
+    over Q[t] (each update divided exactly by the previous pivot; Bareiss,
+    Math. Comp. 22, 1968) solves sum_j e_j p_j = p_n, and D^n e_0 =
+    sum_j d_j D^j e_0 with d_j = e_j t^{-(n-j)s}.  The result is
+    theta^n - sum_j (-1)^{n-j} theta^j o d_j, (-1)^n times the formal
+    adjoint of theta^n - sum_j d_j theta^j; it is built on numerators
+    over q^m, q the lcm of the denominators of the d_j, so each
+    coefficient is reduced once.
+    """
+    n, label = conn.dim, conn.label
+    s = -min(0, min(conn.coeffs, default=0))
+    mats = [conn.coefficient(k)
+            for k in range(-s, max(conn.coeffs, default=0) + 1)]
+    p_mat = [[ptrim([m[i][j] for m in mats]) for j in range(n)]
+             for i in range(n)]
+    frame = [[[Fraction(1)]] + [[] for _ in range(n - 1)]]
+    for k in range(n):
+        vec, nxt = frame[-1], []
+        for i in range(n):
+            acc = [Fraction(0)] * s + _theta_poly(vec[i], k * s)
+            for j in range(n):  # padd trims acc
+                acc = padd(acc, pmul(p_mat[i][j], vec[j]))
+            nxt.append(acc)
+        frame.append(nxt)
+    work = [[frame[j][i] for j in range(n + 1)] for i in range(n)]
+    prev = [Fraction(1)]
     r = 0
     for c in range(n):
-        pivot = next((i for i in range(r, n) if not work[i][c].is_zero()), None)
+        pivot = next((i for i in range(r, n) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = RatFun(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
+        top = work[r]
         for i in range(n):
-            if i != r and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
+            if i != r:
+                row = work[i]
+                work[i] = row[:c] + [[]] + [
+                    _exact_div(psub(pmul(top[c], x), pmul(row[c], y)),
+                               prev, label)
+                    for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = top[c]
         r += 1
     if r < n:
         raise CyclicVectorError(rank_found=r, needed=n)
-    d = [work[i][n] for i in range(n)]
-    op = [RatFun(1)]
-    for i in range(n - 2, -1, -1):
-        op = [-x for x in _theta_compose(op)]
-        op[0] = op[0] - d[i + 1]
-    op = _theta_compose(op)
-    op[0] = op[0] + d[0]
-    sign = RatFun(1 if (n - 1) % 2 == 0 else -1)
-    op = [sign * x for x in op]
-    if op[n] != RatFun(1):
+    d = [RatFun(work[j][n], [Fraction(0)] * ((n - j) * s) + prev)
+         for j in range(n)]
+    q = [Fraction(1)]
+    for x in d:
+        q = pmul(q, _exact_div(x.den, pgcd(q, x.den), label))
+    theta_q = _theta_poly(q)
+    # op <- -theta o op - d_j for j = n-1, ..., 0, numerators over q^m:
+    # theta(N / q^m) = (theta(N) q - m N theta(q)) / q^{m+1}
+    op, qm = [[Fraction(1)]], [Fraction(1)]
+    for m, x in enumerate(reversed(d)):
+        qm = pmul(qm, q)
+        out = [pneg(pmul(x.num, _exact_div(qm, x.den, label)))]
+        out += [[] for _ in op]
+        for j, y in enumerate(op):
+            out[j] = padd(out[j], psub(pscale(pmul(y, theta_q), m),
+                                       pmul(_theta_poly(y), q)))
+            out[j + 1] = psub(out[j + 1], pmul(y, q))
+        op = out
+    if n % 2:
+        op = [pneg(x) for x in op]
+    if op[n] != qm:
         raise ConsistencyError("scalar_reduction: the operator of %s is not "
                                "monic, leading coefficient %r"
-                               % (conn.label, op[n]))
-    return ScalarOperator(op[:n], h=conn.h)
+                               % (label, RatFun(op[n], qm)))
+    return ScalarOperator([RatFun(x, qm) for x in op[:n]], h=conn.h)
 
 
 def companion_connection(op):

@@ -3,7 +3,10 @@
 import itertools
 from fractions import Fraction
 
+from rigidconn.connection import ScalarOperator
+from rigidconn.errors import ConsistencyError, CyclicVectorError
 from rigidconn.linalg import identity, mat_mul
+from rigidconn.poly import RatFun
 
 
 def jacobi_scan(alg):
@@ -114,3 +117,58 @@ def ref_nullspace(m):
 def ref_mat_mul(a, b):
     return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
              for col in zip(*b)] for row in a]
+
+
+# -- RatFun reference for the scalar reduction -----------------------------
+
+
+def _ref_theta_compose(op):
+    """theta composed with sum op_j theta^j, as operator coefficients."""
+    out = [RatFun(0)] * (len(op) + 1)
+    for j, c in enumerate(op):
+        out[j] = out[j] + c.theta()
+        out[j + 1] = out[j + 1] + c
+    return out
+
+
+def ref_scalar_reduction(conn):
+    """The scalar operator of conn by Gauss-Jordan over Q(t) in RatFun
+    arithmetic: solve [v, Dv, ..., D^{n-1}v] d = D^n v for v = e_0, then
+    build the adjoint by theta-compositions."""
+    n = conn.dim
+    a = conn.ratfun_matrix()
+    frame = [[RatFun(1 if i == 0 else 0) for i in range(n)]]
+    for _ in range(n):
+        vec = frame[-1]
+        frame.append([vec[i].theta() + sum((a[i][j] * vec[j]
+                                            for j in range(n)), RatFun(0))
+                      for i in range(n)])
+    work = [[frame[j][i] for j in range(n + 1)] for i in range(n)]
+    r = 0
+    for c in range(n):
+        pivot = next((i for i in range(r, n) if not work[i][c].is_zero()),
+                     None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = RatFun(1) / work[r][c]
+        work[r] = [x * inv for x in work[r]]
+        for i in range(n):
+            if i != r and not work[i][c].is_zero():
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    if r < n:
+        raise CyclicVectorError(rank_found=r, needed=n)
+    d = [work[i][n] for i in range(n)]
+    op = [RatFun(1)]
+    for i in range(n - 2, -1, -1):
+        op = [-x for x in _ref_theta_compose(op)]
+        op[0] = op[0] - d[i + 1]
+    op = _ref_theta_compose(op)
+    op[0] = op[0] + d[0]
+    sign = RatFun(1 if (n - 1) % 2 == 0 else -1)
+    op = [sign * x for x in op]
+    if op[n] != RatFun(1):
+        raise ConsistencyError("reference scalar operator is not monic")
+    return ScalarOperator(op[:n], h=conn.h)

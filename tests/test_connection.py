@@ -7,14 +7,18 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ref_scalar_reduction
+from rigidconn import connection, poly
+from rigidconn.cli import main
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   build_connection, companion_connection,
                                   g2_seven_dim, gauge_transform,
                                   scalar_reduction, sl2_sym, sl_standard,
                                   slope_at_infinity, so_odd_standard,
                                   sp_standard)
-from rigidconn import poly
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               SlopeVerificationError, ValidationError)
 from rigidconn.formal import kernel_dimension
@@ -204,6 +208,139 @@ def test_non_cyclic_vector_reported():
         scalar_reduction(conn)
     assert info.value.rank_found == 2
     assert info.value.needed == 4
+
+
+def test_zero_connections():
+    """__init__ keeps no coefficient of a zero connection."""
+    one = MatrixConnection({0: [[0]]}, "zero 1x1")
+    assert one.coeffs == {}
+    assert scalar_reduction(one).render() == "theta^1"
+    assert one.dual().coeffs == {}
+    assert one.dual().dim == 1
+    two = MatrixConnection({0: zeros(2, 2), 1: zeros(2, 2)}, "zero 2x2", h=2)
+    dual = two.dual()
+    assert (dual.dim, dual.coeffs, dual.label) == (2, {}, "zero 2x2 dual")
+    with pytest.raises(CyclicVectorError) as info:
+        scalar_reduction(two)
+    assert (info.value.rank_found, info.value.needed) == (1, 2)
+
+
+def _assert_same_operator(conn):
+    got = scalar_reduction(conn)
+    want = ref_scalar_reduction(conn)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.render() == want.render()
+    assert got.h == want.h
+
+
+BUILT_MODELS = ([sl_standard(n) for n in range(2, 9)]
+                + [so_odd_standard(n) for n in (3, 5, 7, 9)]
+                + [sp_standard(n) for n in (2, 4, 6, 8)]
+                + [g2_seven_dim()] + [sl2_sym(k) for k in range(1, 13)]
+                + [adjoint_connection("A", 2)])
+
+
+@pytest.mark.parametrize("conn", BUILT_MODELS, ids=lambda c: c.label)
+def test_scalar_reduction_matches_ratfun_reference(conn):
+    _assert_same_operator(conn)
+
+
+def _t(k):
+    return RatFun([Fraction(0)] * k + [Fraction(1)], [Fraction(1)])
+
+
+def _inv_t():
+    return RatFun([Fraction(1)], [Fraction(0), Fraction(1)])
+
+
+def _gauge(n, entries):
+    """The identity of size n with {(i, j): RatFun} entries put in."""
+    return [[entries.get((i, j), RatFun(1 if i == j else 0))
+             for j in range(n)] for i in range(n)]
+
+
+GAUGED = [
+    (sl_standard(3), {(0, 0): _t(1)}),
+    (sl_standard(3), {(1, 1): _inv_t()}),
+    (sl_standard(3), {(0, 1): _inv_t()}),
+    (sl_standard(3), {(1, 0): _inv_t(), (0, 0): _t(1)}),
+    (sl_standard(3), {(0, 0): _t(1), (2, 2): _inv_t()}),
+    (so_odd_standard(5), {(0, 0): _t(1)}),
+    (so_odd_standard(5), {(2, 2): _inv_t(), (0, 4): _t(1)}),
+    (so_odd_standard(5), {(1, 3): _inv_t()}),
+]
+
+
+@pytest.mark.parametrize("conn,entries", GAUGED,
+                         ids=[str(i) for i in range(len(GAUGED))])
+def test_gauged_scalar_reduction_matches_ratfun_reference(conn, entries):
+    gauged = gauge_transform(conn, _gauge(conn.dim, entries))
+    assert min(gauged.support()) < 0
+    _assert_same_operator(gauged)
+
+
+SMALL_Q = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                    st.integers(-2, 2).map(Fraction),
+                    st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def laurent_connections(draw):
+    """theta + sum_{k=-1..1} A_k t^k, dim 2 or 3, mostly sparse so that
+    e_0 often fails to generate."""
+    d = draw(st.integers(2, 3))
+    powers = draw(st.lists(st.integers(-1, 1), min_size=1, max_size=3,
+                           unique=True))
+    coeffs = {k: [[draw(SMALL_Q) for _ in range(d)] for _ in range(d)]
+              for k in powers}
+    return MatrixConnection(coeffs, "random Laurent")
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_connections())
+def test_scalar_reduction_matches_reference_on_laurent_connections(conn):
+    try:
+        want = ref_scalar_reduction(conn)
+    except CyclicVectorError as exc:
+        with pytest.raises(CyclicVectorError) as info:
+            scalar_reduction(conn)
+        assert ((info.value.rank_found, info.value.needed)
+                == (exc.rank_found, exc.needed))
+        return
+    got = scalar_reduction(conn)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.render() == want.render()
+
+
+def test_scalar_reduction_remainder_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(connection, "pdivmod", _remainder_one)
+    with pytest.raises(ConsistencyError,
+                       match=r"^scalar_reduction: dividing .* leaves the "
+                             r"remainder 1 for sl3 standard$"):
+        scalar_reduction(sl_standard(3))
+
+
+def test_scalar_reduction_remainder_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(connection, "pdivmod", _remainder_one)
+    assert main(["scalar", "--group", "sl3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency failure: scalar_reduction:")
+    assert "sl3 standard" in err
+
+
+def test_scalar_reduction_remainder_survives_optimize():
+    code = ("from fractions import Fraction\n"
+            "from rigidconn import connection\n"
+            "from rigidconn.errors import ConsistencyError\n"
+            "connection.pdivmod = lambda p, q: ([], [Fraction(1)])\n"
+            "try:\n"
+            "    connection.scalar_reduction(connection.sl_standard(3))\n"
+            "except ConsistencyError as exc:\n"
+            "    raise SystemExit(3 if 'sl3 standard' in str(exc) else 1)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 3
 
 
 KERNEL_CASES = [
