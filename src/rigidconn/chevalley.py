@@ -11,7 +11,7 @@ sparse dicts {basis index: Fraction}.
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import graded_cycle_check, nullspace, rank, zeros
+from .linalg import _row_reduce, graded_cycle_check, nullspace, rank, zeros
 from .rootsys import RootSystem, build_root_system
 
 
@@ -227,41 +227,19 @@ class ChevalleyAlgebra:
         return total
 
     def _build_kappa(self):
-        rs = self.rs
-        r = self.rank
-        gram = {}
-
-        def put(i, j, v):
-            gram.setdefault(i, {})[j] = v
-
-        for i in range(r):
-            for j in range(r):
-                v = Fraction(0)
-                for beta in self.pos:
-                    v += 2 * Fraction(beta[i] * beta[j])
-                if v:
-                    put(i, j, v)
+        """The form with (theta, theta) = 2: (h_i, h_j) = (alpha_i-check,
+        alpha_j-check) and (e_beta, f_beta) = (f_beta, e_beta) = 2 /
+        (beta, beta), since [e_beta, f_beta] = beta-check."""
+        rs, r = self.rs, self.rank
+        kappa = {i: {j: Fraction(c) / rs.d[j]
+                     for j, c in enumerate(rs.cartan[i]) if c}
+                 for i in range(r)}
         for k, beta in enumerate(self.pos):
-            ei = r + k
-            fi = r + self.npos + k
-            tr = Fraction(0)
-            e = {ei: Fraction(1)}
-            f = {fi: Fraction(1)}
-            for j in range(self.dim):
-                y = self.bracket(f, {j: Fraction(1)})
-                z = self.bracket(e, y)
-                c = z.get(j)
-                if c:
-                    tr += c
-            put(ei, fi, tr)
-            put(fi, ei, tr)
-        theta_e = r + self._order[rs.theta]
-        scale = gram[theta_e][r + self.npos + self._order[rs.theta]]
-        if scale == 0:
-            raise ConsistencyError("chevalley: the Killing form of %s vanishes "
-                                   "on (e_theta, f_theta)" % rs.label())
-        self._kappa = {i: {j: v / scale for j, v in row.items()}
-                       for i, row in gram.items()}
+            ei, fi = r + k, r + self.npos + k
+            v = 2 / rs.root_length_sq(beta)
+            kappa[ei] = {fi: v}
+            kappa[fi] = {ei: v}
+        self._kappa = kappa
 
 
 def build_chevalley(rs_or_type, rank=None):
@@ -302,7 +280,8 @@ class KacWindow:
     """Principal-grading slices of the loop algebra on degrees |n| <= D.
 
     Loop elements are dicts over (basis index, t-power); the degree of
-    b t^k is h k - e(b) with e the ad rho-check eigenvalue.
+    b t^k is h k - e(b) with e the ad rho-check eigenvalue.  ad p1 is
+    read off ad N (same t-power) and ad E (t-power one higher).
     """
 
     def __init__(self, alg, depth):
@@ -313,45 +292,33 @@ class KacWindow:
         self.alg = alg
         self.depth = depth
         self.h = h
-        self._n, self._e, _ = principal_triple(alg)
-        self._slices = {}
+        n, e, _ = principal_triple(alg)
+        self._ad = (alg.ad_matrix(n), alg.ad_matrix(e))
+        self._degrees = [alg.weight_of_index(i) for i in range(alg.dim)]
         self._a = {}
         self._c = {}
 
     def slice_basis(self, n):
-        key = self._slices.get(n)
-        if key is None:
-            alg, h = self.alg, self.h
-            key = []
-            for i in range(alg.dim):
-                e = alg.weight_of_index(i)
-                if (n + e) % h == 0:
-                    key.append((i, (n + e) // h))
-            self._slices[n] = key
-        return key
+        h = self.h
+        return [(i, (n + e) // h) for i, e in enumerate(self._degrees)
+                if (n + e) % h == 0]
 
     def ad_p1(self, elem):
         """Bracket with p1 = N + E t on a loop element."""
-        alg = self.alg
         out = {}
         for (i, k), v in elem.items():
-            for j, c in alg.bracket(self._n, {i: Fraction(1)}).items():
-                _add_into(out, (j, k), v * c)
-            for j, c in alg.bracket(self._e, {i: Fraction(1)}).items():
-                _add_into(out, (j, k + 1), v * c)
+            for shift, ad in enumerate(self._ad):
+                for j, row in enumerate(ad):
+                    _add_into(out, (j, k + shift), v * row[i])
         return out
 
     def ad_p1_matrix(self, n):
-        """Matrix of ad p1 from slice n to slice n+1."""
-        src = self.slice_basis(n)
-        dst = self.slice_basis(n + 1)
-        dst_index = {key: i for i, key in enumerate(dst)}
-        m = zeros(len(dst), len(src))
-        for col, key in enumerate(src):
-            image = self.ad_p1({key: Fraction(1)})
-            for out_key, v in image.items():
-                m[dst_index[out_key]][col] += v
-        return m
+        """Matrix of ad p1 from slice n to slice n+1: the entry at
+        [(j, l), (i, k)] is ad N[j][i] when l = k, ad E[j][i] when l = k+1."""
+        ad = self._ad
+        return [[ad[l - k][j][i] if 0 <= l - k <= 1 else Fraction(0)
+                 for i, k in self.slice_basis(n)]
+                for j, l in self.slice_basis(n + 1)]
 
     def a_slice(self, n):
         """Basis of the commuting part: Ker(ad p1) inside slice n."""
@@ -362,15 +329,12 @@ class KacWindow:
         return got
 
     def c_slice(self, n):
-        """Basis of the complement: Im(ad p1: slice n-1 -> slice n)."""
+        """Basis of the complement: Im(ad p1: slice n-1 -> slice n), the
+        columns at the pivots of one row reduction."""
         got = self._c.get(n)
         if got is None:
             m = self.ad_p1_matrix(n - 1)
-            cols = [[row[j] for row in m] for j in range(len(m[0]) if m else 0)]
-            got = []
-            for v in cols:
-                if rank(got + [v]) > len(got):
-                    got.append(v)
+            got = [[row[j] for row in m] for j in _row_reduce(list(m))]
             self._c[n] = got
         return got
 
@@ -379,24 +343,17 @@ class KacWindow:
 
     def loop_pairing(self, x, y):
         """kappa(x, y) delta_{a+b,0} extended to loop elements."""
-        alg = self.alg
+        kappa = self.alg.kappa
         total = Fraction(0)
         for (i, k), xv in x.items():
             for (j, l), yv in y.items():
                 if k + l == 0:
-                    total += xv * yv * alg.kappa({i: Fraction(1)}, {j: Fraction(1)})
+                    total += xv * yv * kappa({i: 1}, {j: 1})
         return total
 
     def heisenberg_cocycle(self, x, y):
         """omega(x t^a, y t^b) = a kappa(x, y) delta_{a+b,0}."""
-        alg = self.alg
-        total = Fraction(0)
-        for (i, k), xv in x.items():
-            for (j, l), yv in y.items():
-                if k + l == 0:
-                    total += k * xv * yv * alg.kappa({i: Fraction(1)},
-                                                     {j: Fraction(1)})
-        return total
+        return self.loop_pairing({(i, k): k * v for (i, k), v in x.items()}, y)
 
 
 def kac_decomposition(alg, depth):

@@ -324,7 +324,7 @@ def cmd_subregular(args):
 def cmd_kac(args):
     group = parse_group(args.group, args.rank)
     alg = build_chevalley(group.type_label, group.rank)
-    depth = args.depth if args.depth else 2 * alg.rs.coxeter_number
+    depth = 2 * alg.rs.coxeter_number if args.depth is None else args.depth
     window = kac_decomposition(alg, depth)
     a_dims = [len(window.a_slice(n)) for n in range(1, depth + 1)]
     c_dims = [len(window.c_slice(n)) for n in range(1, depth + 1)]

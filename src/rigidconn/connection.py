@@ -13,7 +13,7 @@ from .errors import (ConsistencyError, CyclicVectorError,
                      SlopeVerificationError, ValidationError)
 from .linalg import graded_cycle_check, zeros
 from .poly import (RatFun, padd, pdivmod, pgcd, pmul, pneg, pscale, psub,
-                   ptrim, render_poly)
+                   ptrim, render_poly, render_terms)
 from .rootsys import build_root_system
 
 
@@ -91,25 +91,8 @@ class MatrixConnection:
         return {"dimension": self.dim, "label": self.label, "entries": entries}
 
     def render_entry(self, i, j, var="t"):
-        terms = self.entry_terms(i, j)
-        if not terms:
-            return "0"
-        parts = []
-        for k, c in terms.items():
-            if k == 0:
-                parts.append(str(c))
-            else:
-                mon = var if k == 1 else "%s^%d" % (var, k)
-                if c == 1:
-                    parts.append(mon)
-                elif c == -1:
-                    parts.append("-" + mon)
-                else:
-                    parts.append("%s*%s" % (c, mon))
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        return render_terms(((k, str(c))
+                             for k, c in self.entry_terms(i, j).items()), var)
 
 
 def _subdiagonal(n):
@@ -301,30 +284,10 @@ class ScalarOperator:
         return out
 
     def render(self, symbol="theta"):
-        parts = ["%s^%d" % (symbol, self.order)]
-        for i in range(self.order - 1, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            if i == 0:
-                mon = ""
-            elif i == 1:
-                mon = symbol
-            else:
-                mon = "%s^%d" % (symbol, i)
-            text = c.render()
-            if text == "1" and mon:
-                parts.append(mon)
-            elif text == "-1" and mon:
-                parts.append("-" + mon)
-            elif ("+" in text or ("-" in text[1:])) and mon:
-                parts.append("(%s)*%s" % (text, mon))
-            else:
-                parts.append(("%s*%s" % (text, mon)) if mon else text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-        return out
+        return render_terms(((i, self.coeffs[i].render())
+                             for i in range(self.order - 1, -1, -1)
+                             if not self.coeffs[i].is_zero()),
+                            symbol, head="%s^%d" % (symbol, self.order))
 
     def to_json_dict(self):
         maps = self.laurent_coefficients()

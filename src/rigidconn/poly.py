@@ -217,27 +217,37 @@ class RatFun:
         return render_poly_fraction(self.num, self.den, var)
 
 
-def render_poly(p, var="t"):
-    if not p:
-        return "0"
-    terms = []
-    for i, c in enumerate(p):
-        if c == 0:
+def render_terms(terms, var="t", head=None):
+    """The sum of (exponent, coefficient text) terms in var, or "0".
+
+    Exponents may be negative.  A coefficient 1 or -1 drops before a power
+    of var and one that is itself a sum is parenthesised; head, when
+    given, is a first term already rendered.
+    """
+    parts = [] if head is None else [head]
+    for k, text in terms:
+        if k == 0:
+            parts.append(text)
             continue
-        if i == 0:
-            terms.append(str(c))
-            continue
-        mon = var if i == 1 else "%s^%d" % (var, i)
-        if c == 1:
-            terms.append(mon)
-        elif c == -1:
-            terms.append("-" + mon)
+        mon = var if k == 1 else "%s^%d" % (var, k)
+        if text == "1":
+            parts.append(mon)
+        elif text == "-1":
+            parts.append("-" + mon)
+        elif "+" in text or "-" in text[1:]:
+            parts.append("(%s)*%s" % (text, mon))
         else:
-            terms.append("%s*%s" % (c, mon))
-    out = terms[0]
-    for term in terms[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
+            parts.append("%s*%s" % (text, mon))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
+
+
+def render_poly(p, var="t"):
+    return render_terms(((i, str(c)) for i, c in enumerate(p) if c != 0), var)
 
 
 def render_poly_fraction(num, den, var="t"):

@@ -172,3 +172,36 @@ def ref_scalar_reduction(conn):
     if op[n] != RatFun(1):
         raise ConsistencyError("reference scalar operator is not monic")
     return ScalarOperator(op[:n], h=conn.h)
+
+
+# -- Killing-form reference for the closed-form invariant form -------------
+
+
+def ref_killing_form(alg):
+    """The Killing form by traces, divided by its value at (e_theta,
+    f_theta), as {i: {j: value}} over the nonzero entries.
+
+    On the Cartan block kappa(h_i, h_j) is the sum over all roots of
+    beta(h_i) beta(h_j); kappa(e_beta, f_beta) = kappa(f_beta, e_beta) is
+    the trace of ad e_beta ad f_beta, found one basis bracket at a time.
+    """
+    r = alg.rank
+    one = Fraction(1)
+    gram = {}
+    for i in range(r):
+        for j in range(r):
+            v = sum(2 * Fraction(beta[i] * beta[j]) for beta in alg.pos)
+            if v:
+                gram.setdefault(i, {})[j] = v
+    for k in range(alg.npos):
+        ei, fi = r + k, r + alg.npos + k
+        tr = Fraction(0)
+        for j in range(alg.dim):
+            inner = alg.bracket({fi: one}, {j: one})
+            tr += alg.bracket({ei: one}, inner).get(j, 0)
+        gram.setdefault(ei, {})[fi] = tr
+        gram.setdefault(fi, {})[ei] = tr
+    theta = alg.index_of_root[alg.rs.theta]
+    scale = gram[theta][theta + alg.npos]
+    return {i: {j: v / scale for j, v in row.items()}
+            for i, row in gram.items()}

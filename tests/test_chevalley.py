@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import jacobi_scan, loop_bracket, mat_pow
+from conftest import jacobi_scan, loop_bracket, mat_pow, ref_killing_form
 from rigidconn.chevalley import (ChevalleyAlgebra, build_chevalley,
                                  heisenberg_pairing_check, kac_decomposition,
                                  kostant_check, principal_triple)
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import (is_semisimple, is_zero_matrix, mat_vec,
                               nullspace, rank)
-from rigidconn.rootsys import build_root_system
+from rigidconn.rootsys import SUPPORTED, build_root_system
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("G", 2)]
@@ -56,6 +56,19 @@ def test_kappa_invariance_and_normalization(key):
         x, y, z = {i: one}, {j: one}, {k: one}
         assert (alg.kappa(alg.bracket(x, y), z)
                 + alg.kappa(y, alg.bracket(x, z))) == 0
+
+
+ALL_TYPES = [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
+             for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("key", ALL_TYPES, ids=lambda key: "%s%d" % key)
+def test_kappa_closed_form_matches_killing_traces(key):
+    """The closed form read off the Cartan matrix and the root lengths is
+    the Killing form by traces of ad e_beta ad f_beta, normalised at theta."""
+    alg = build_chevalley(*key)
+    alg._build_kappa()
+    assert alg._kappa == ref_killing_form(alg)
 
 
 @pytest.mark.parametrize("key", SMALL)
@@ -111,9 +124,10 @@ def test_kostant_blocked_path_agrees_with_direct():
 
 
 KAC_CASES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("D", 4)]
+EXCEPTIONAL = [("F", 4), ("E", 6), ("E", 8)]
 
 
-@pytest.mark.parametrize("key", KAC_CASES)
+@pytest.mark.parametrize("key", KAC_CASES + EXCEPTIONAL)
 def test_kac_slice_dimensions(key):
     alg = build_chevalley(*key)
     h = alg.rs.coxeter_number
@@ -123,6 +137,29 @@ def test_kac_slice_dimensions(key):
         a_dim = len(win.a_slice(n))
         assert a_dim == sum(1 for m in exps if (n - m) % h == 0)
         assert len(win.c_slice(n)) == alg.rank
+
+
+@pytest.mark.parametrize("key", [("B", 2), ("G", 2)])
+def test_kac_window_reads_ad_n_and_ad_e(key, monkeypatch):
+    """ad_p1 on each slice basis element is the matching column of
+    ad_p1_matrix, and neither reaches the dict bracket."""
+    alg = build_chevalley(*key)
+    h = alg.rs.coxeter_number
+    win = kac_decomposition(alg, 2 * h)
+
+    def no_bracket(x, y):
+        raise AssertionError("KacWindow called alg.bracket")
+
+    monkeypatch.setattr(alg, "bracket", no_bracket)
+    for n in range(-2 * h, 2 * h):
+        mat = win.ad_p1_matrix(n)
+        dst = win.slice_basis(n + 1)
+        for col, key_in in enumerate(win.slice_basis(n)):
+            image = win.ad_p1({key_in: Fraction(1)})
+            assert image == {k: row[col] for k, row in zip(dst, mat)
+                             if row[col] != 0}
+        win.c_slice(n + 1)
+        win.a_slice(n)
 
 
 def test_kac_d4_exponent_multiplicity():
@@ -174,7 +211,7 @@ def test_kac_a_slices_commute(key):
         assert loop_bracket(alg, x, y) == {}
 
 
-@pytest.mark.parametrize("key", KAC_CASES)
+@pytest.mark.parametrize("key", KAC_CASES + EXCEPTIONAL)
 def test_heisenberg_nondegenerate(key):
     alg = build_chevalley(*key)
     assert heisenberg_pairing_check(alg, 2 * alg.rs.coxeter_number)
@@ -191,14 +228,9 @@ def test_unsupported_type_rejected():
         build_chevalley("D", 3)
 
 
-def test_chevalley_checks_raise(monkeypatch):
+def test_chevalley_checks_raise():
     alg = ChevalleyAlgebra(build_root_system("A", 2))
     with pytest.raises(ConsistencyError,
                        match=r"^chevalley: no special pair for the root "
                              r"\(1, 0\) of A2$"):
         alg.extraspecial_pair((1, 0))
-    monkeypatch.setattr(alg, "bracket", lambda x, y: {})
-    with pytest.raises(ConsistencyError,
-                       match=r"^chevalley: the Killing form of A2 vanishes on "
-                             r"\(e_theta, f_theta\)$"):
-        alg._build_kappa()

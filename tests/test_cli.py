@@ -193,6 +193,14 @@ def test_kac_default_depth(capsys):
     assert payload["c_dims"] == [2] * 8
 
 
+def test_kac_depth_zero_is_rejected(capsys):
+    """--depth 0 is a depth below h, not a request for the default."""
+    code, out, err = run_cli(capsys, "kac", "--group", "b2", "--depth", "0")
+    assert code == 2
+    assert out == ""
+    assert "window depth 0 below the Coxeter number 4" in err
+
+
 # --------------------------------------------------------- exit codes
 
 def test_bad_group_is_a_validation_error(capsys):

@@ -1,6 +1,8 @@
 """Matrix connections: the six case constructors, gauge moves, scalar
 reduction, and the slope at infinity."""
 
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -422,7 +424,7 @@ def test_poly_checks_raise(monkeypatch):
 
 
 def test_poly_and_chevalley_checks_survive_optimize():
-    """The seven checks that were asserts raise under python -O."""
+    """The six checks that were asserts raise under python -O."""
     code = ("from fractions import Fraction\n"
             "from rigidconn import chevalley, poly\n"
             "from rigidconn.errors import ConsistencyError, ValidationError\n"
@@ -443,10 +445,22 @@ def test_poly_and_chevalley_checks_survive_optimize():
             "got += raises(ConsistencyError, poly.cyclotomic, 7)\n"
             "alg = chevalley.ChevalleyAlgebra(build_root_system('A', 2))\n"
             "got += raises(ConsistencyError, alg.extraspecial_pair, (1, 0))\n"
-            "alg.bracket = lambda x, y: {}\n"
-            "got += raises(ConsistencyError, alg._build_kappa)\n"
-            "raise SystemExit(3 if got == 7 else 1)\n")
+            "raise SystemExit(3 if got == 6 else 1)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
     assert proc.returncode == 3
+
+
+def test_src_has_no_assert():
+    """Internal checks raise, so none is lost under python -O."""
+    pkg = os.path.dirname(connection.__file__)
+    paths = sorted(glob.glob(os.path.join(pkg, "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
