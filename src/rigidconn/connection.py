@@ -7,6 +7,7 @@ has 1's below the diagonal and E(V) is the minimal raising term.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 from .chevalley import build_chevalley, principal_triple
 from .errors import (ConsistencyError, CyclicVectorError,
@@ -14,7 +15,6 @@ from .errors import (ConsistencyError, CyclicVectorError,
 from .linalg import graded_cycle_check, zeros
 from .poly import (RatFun, padd, pdivmod, pgcd, pmul, pneg, pscale, psub,
                    ptrim, render_poly, render_terms)
-from .rootsys import build_root_system
 
 
 class MatrixConnection:
@@ -51,20 +51,6 @@ class MatrixConnection:
 
     def is_polynomial(self):
         return all(k >= 0 for k in self.coeffs)
-
-    def ratfun_matrix(self):
-        shift = min((k for k in self.coeffs if k < 0), default=0)
-        den = [Fraction(0)] * (-shift) + [Fraction(1)]
-        out = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                num = [Fraction(0)] * (max(self.coeffs, default=0) - shift + 1)
-                for k, mat in self.coeffs.items():
-                    num[k - shift] = mat[i][j]
-                row.append(RatFun(num, den[:]))
-            out.append(row)
-        return out
 
     def entry_terms(self, i, j):
         return {k: mat[i][j] for k, mat in sorted(self.coeffs.items())
@@ -161,68 +147,87 @@ def sl2_sym(k):
                             h=2, rho_weights=weights, group=("A", 1))
 
 
-_CASES = {
-    "sl": (sl_standard, "matrix size n >= 2"),
-    "sp": (sp_standard, "even matrix size"),
-    "so": (so_odd_standard, "odd matrix size"),
-    "g2_dim7": (g2_seven_dim, "no arguments"),
-    "adjoint": (adjoint_connection, "type label and rank"),
-    "sym": (sl2_sym, "symmetric power k >= 1"),
-}
+_CASES = {"sl": sl_standard, "sp": sp_standard, "so": so_odd_standard,
+          "g2_dim7": g2_seven_dim, "adjoint": adjoint_connection,
+          "sym": sl2_sym}
 
 
 def build_connection(case, *args):
-    entry = _CASES.get(case)
-    if entry is None:
+    make = _CASES.get(case)
+    if make is None:
         raise ValidationError("unknown case %r; supported: %s"
                               % (case, ", ".join(sorted(_CASES))))
-    return entry[0](*args)
+    return make(*args)
+
+
+# -- elimination over Q[t] ----------------------------------------------------
+
+
+def _poly_matrix(coeffs, n):
+    """(P, s) with sum_k coeffs[k] t^k = t^{-s} P, P an n x n matrix of
+    polynomials and s >= 0."""
+    s = -min(0, min(coeffs, default=0))
+    zero = zeros(n, n)
+    mats = [coeffs.get(k, zero)
+            for k in range(-s, max(coeffs, default=0) + 1)]
+    return [[ptrim([m[i][j] for m in mats]) for j in range(n)]
+            for i in range(n)], s
+
+
+def _exact_div(p, q, stage, label):
+    """p / q for polynomials where q divides p."""
+    quot, rem = pdivmod(p, q)
+    if rem:
+        raise ConsistencyError("%s: dividing %s by %s leaves the remainder "
+                               "%s for %s"
+                               % (stage, render_poly(p), render_poly(q),
+                                  render_poly(rem), label))
+    return quot
+
+
+def _theta_poly(p, shift=0):
+    """(theta - shift) p for a polynomial p in t."""
+    return ptrim([(i - shift) * c for i, c in enumerate(p)])
+
+
+def _bareiss(work, ncols, stage, label):
+    """Fraction-free Gauss-Jordan over Q[t] on the first ncols columns.
+
+    Each update top[c] x - row[c] y is divided exactly by the previous
+    pivot (Bareiss, Math. Comp. 22, 1968).  Returns (rank, last pivot d).
+    At full rank the columns past ncols hold d times the reduced row
+    echelon form; the entries left of them are not rewritten.
+    """
+    prev = [Fraction(1)]
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        for i in range(len(work)):
+            if i != r:
+                row = work[i]
+                work[i] = row[:c] + [[]] + [
+                    _exact_div(psub(pmul(top[c], x), pmul(row[c], y)),
+                               prev, stage, label)
+                    for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = top[c]
+        r += 1
+    return r, prev
+
+
+def _pmat_mul(a, b):
+    return [[reduce(padd, map(pmul, row, col), []) for col in zip(*b)]
+            for row in a]
 
 
 # -- gauge transformations ----------------------------------------------------
 
 
-def _as_ratfun_matrix(g, n):
-    if len(g) != n or any(len(row) != n for row in g):
-        raise ValidationError("gauge matrix size does not match the connection")
-    return [[x if isinstance(x, RatFun) else RatFun(x) for x in row]
-            for row in g]
-
-
-def _rf_invert(g):
-    """Inverse and determinant of a RatFun matrix via Gauss-Jordan."""
-    n = len(g)
-    work = [row[:] for row in g]
-    aug = [[RatFun(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    det = RatFun(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if not work[i][c].is_zero()), None)
-        if pivot is None:
-            raise ValidationError("gauge matrix is singular")
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            det = -det
-        det = det * work[c][c]
-        inv = RatFun(1) / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not work[i][c].is_zero():
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return aug, det
-
-
 def _is_monomial(p):
     return sum(1 for c in p if c != 0) == 1
-
-
-def _rf_matmul(a, b):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), RatFun(0))
-             for j in range(n)] for i in range(n)]
 
 
 def _laurent_terms(f):
@@ -235,28 +240,44 @@ def _laurent_terms(f):
 
 
 def gauge_transform(conn, g):
-    """theta + A conjugated by g: A -> g A g^{-1} - theta(g) g^{-1}."""
+    """theta + A conjugated by g: A -> g A g^{-1} - theta(g) g^{-1}.
+
+    With g = t^{-a} G and A = t^{-s} P, G and P polynomial, _bareiss takes
+    [G | Id] to [d Id | B] with G B = d Id, and the new matrix is
+    t^{-s} (G P - t^s (theta - a) G) B / d.  g is a unit over the Laurent
+    polynomials exactly when d = c t^m.
+    """
     n = conn.dim
-    g = _as_ratfun_matrix(g, n)
-    for row in g:
-        for x in row:
-            if not _is_monomial(x.den) and not x.is_zero():
-                raise ValidationError("gauge entries must be Laurent "
-                                      "polynomials")
-    g_inv, det = _rf_invert(g)
-    if not (_is_monomial(det.num) and _is_monomial(det.den)):
-        raise ValidationError("gauge determinant %s is not a unit"
-                              % det.render())
-    a = conn.ratfun_matrix()
-    theta_g = [[x.theta() for x in row] for row in g]
-    new = _rf_matmul(g, _rf_matmul(a, g_inv))
-    correction = _rf_matmul(theta_g, g_inv)
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValidationError("gauge matrix size does not match the connection")
+    g = [[x if isinstance(x, RatFun) else RatFun(x) for x in row]
+         for row in g]
+    if not all(_is_monomial(x.den) for row in g for x in row):
+        raise ValidationError("gauge entries must be Laurent polynomials")
+    a = max(len(x.den) - 1 for row in g for x in row)
+    big_g = [[ptrim([Fraction(0)] * (a + 1 - len(x.den)) + x.num)
+              for x in row] for row in g]
+    work = [row + [[Fraction(1)] if j == i else [] for j in range(n)]
+            for i, row in enumerate(big_g)]
+    rank, d = _bareiss(work, n, "gauge_transform", conn.label)
+    if rank < n:
+        raise ValidationError("gauge matrix is singular")
+    if not _is_monomial(d):
+        raise ValidationError("gauge determinant is not a unit: up to sign "
+                              "it is %s" % render_terms(
+                                  (k - n * a, str(x))
+                                  for k, x in enumerate(d) if x))
+    p_mat, s = _poly_matrix(conn.coeffs, n)
+    left = [[psub(x, [Fraction(0)] * s + _theta_poly(y, a))
+             for x, y in zip(gp_row, g_row)]
+            for gp_row, g_row in zip(_pmat_mul(big_g, p_mat), big_g)]
+    shift, c = s + len(d) - 1, d[-1]
     coeffs = {}
-    for i in range(n):
-        for j in range(n):
-            entry = new[i][j] - correction[i][j]
-            for k, c in _laurent_terms(entry).items():
-                coeffs.setdefault(k, zeros(n, n))[i][j] = c
+    for i, row in enumerate(_pmat_mul(left, [r[n:] for r in work])):
+        for j, p in enumerate(row):
+            for k, x in enumerate(p):
+                if x:
+                    coeffs.setdefault(k - shift, zeros(n, n))[i][j] = x / c
     return MatrixConnection(coeffs, conn.label + " gauged", h=conn.h,
                             rho_weights=None, group=conn.group)
 
@@ -299,41 +320,20 @@ class ScalarOperator:
                                                 for c in self.coeffs]}
 
 
-def _exact_div(p, q, label):
-    """p / q for polynomials where q divides p."""
-    quot, rem = pdivmod(p, q)
-    if rem:
-        raise ConsistencyError("scalar_reduction: dividing %s by %s leaves "
-                               "the remainder %s for %s"
-                               % (render_poly(p), render_poly(q),
-                                  render_poly(rem), label))
-    return quot
-
-
-def _theta_poly(p, shift=0):
-    """(theta - shift) p for a polynomial p in t."""
-    return ptrim([(i - shift) * c for i, c in enumerate(p)])
-
-
 def scalar_reduction(conn):
     """The scalar operator in theta satisfied through the frame of e_0.
 
     With A = t^{-s} P, P polynomial, D^k e_0 = t^{-ks} p_k where
-    p_{k+1} = t^s (theta - ks) p_k + P p_k.  Fraction-free Gauss-Jordan
-    over Q[t] (each update divided exactly by the previous pivot; Bareiss,
-    Math. Comp. 22, 1968) solves sum_j e_j p_j = p_n, and D^n e_0 =
+    p_{k+1} = t^s (theta - ks) p_k + P p_k.  _bareiss solves
+    sum_j e_j p_j = p_n over Q[t], and D^n e_0 =
     sum_j d_j D^j e_0 with d_j = e_j t^{-(n-j)s}.  The result is
     theta^n - sum_j (-1)^{n-j} theta^j o d_j, (-1)^n times the formal
     adjoint of theta^n - sum_j d_j theta^j; it is built on numerators
     over q^m, q the lcm of the denominators of the d_j, so each
     coefficient is reduced once.
     """
-    n, label = conn.dim, conn.label
-    s = -min(0, min(conn.coeffs, default=0))
-    mats = [conn.coefficient(k)
-            for k in range(-s, max(conn.coeffs, default=0) + 1)]
-    p_mat = [[ptrim([m[i][j] for m in mats]) for j in range(n)]
-             for i in range(n)]
+    n, label, stage = conn.dim, conn.label, "scalar_reduction"
+    p_mat, s = _poly_matrix(conn.coeffs, n)
     frame = [[[Fraction(1)]] + [[] for _ in range(n - 1)]]
     for k in range(n):
         vec, nxt = frame[-1], []
@@ -344,37 +344,21 @@ def scalar_reduction(conn):
             nxt.append(acc)
         frame.append(nxt)
     work = [[frame[j][i] for j in range(n + 1)] for i in range(n)]
-    prev = [Fraction(1)]
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, n) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
-        for i in range(n):
-            if i != r:
-                row = work[i]
-                work[i] = row[:c] + [[]] + [
-                    _exact_div(psub(pmul(top[c], x), pmul(row[c], y)),
-                               prev, label)
-                    for x, y in zip(row[c + 1:], top[c + 1:])]
-        prev = top[c]
-        r += 1
+    r, prev = _bareiss(work, n, stage, label)
     if r < n:
         raise CyclicVectorError(rank_found=r, needed=n)
     d = [RatFun(work[j][n], [Fraction(0)] * ((n - j) * s) + prev)
          for j in range(n)]
     q = [Fraction(1)]
     for x in d:
-        q = pmul(q, _exact_div(x.den, pgcd(q, x.den), label))
+        q = pmul(q, _exact_div(x.den, pgcd(q, x.den), stage, label))
     theta_q = _theta_poly(q)
     # op <- -theta o op - d_j for j = n-1, ..., 0, numerators over q^m:
     # theta(N / q^m) = (theta(N) q - m N theta(q)) / q^{m+1}
     op, qm = [[Fraction(1)]], [Fraction(1)]
     for m, x in enumerate(reversed(d)):
         qm = pmul(qm, q)
-        out = [pneg(pmul(x.num, _exact_div(qm, x.den, label)))]
+        out = [pneg(pmul(x.num, _exact_div(qm, x.den, stage, label)))]
         out += [[] for _ in op]
         for j, y in enumerate(op):
             out[j] = padd(out[j], psub(pscale(pmul(y, theta_q), m),
@@ -384,9 +368,9 @@ def scalar_reduction(conn):
     if n % 2:
         op = [pneg(x) for x in op]
     if op[n] != qm:
-        raise ConsistencyError("scalar_reduction: the operator of %s is not "
-                               "monic, leading coefficient %r"
-                               % (label, RatFun(op[n], qm)))
+        raise ConsistencyError("%s: the operator of %s is not monic, "
+                               "leading coefficient %r"
+                               % (stage, label, RatFun(op[n], qm)))
     return ScalarOperator([RatFun(x, qm) for x in op[:n]], h=conn.h)
 
 

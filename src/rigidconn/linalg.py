@@ -6,8 +6,8 @@ _row_reduce is fraction-free Gauss-Jordan on rows cleared of
 denominators once, and _int_mul takes integer dot products.  _kernel
 reads a kernel basis over one denominator off the reduced rows.  The
 formal solver keeps integer matrices and calls these directly; rank,
-nullspace, solve, inverse and mat_mul return Fractions, divided out only
-for the entries returned.  There is no floating point in this module.
+nullspace, inverse and mat_mul return Fractions, divided out only for
+the entries returned.  There is no floating point in this module.
 """
 
 from fractions import Fraction
@@ -138,20 +138,6 @@ def nullspace(m):
     """Basis of the right kernel of m, as a list of vectors."""
     vecs, den, _ = _kernel(m)
     return [[Fraction(x, den) for x in v] for v in vecs]
-
-
-def solve(m, rhs):
-    """One solution of m x = rhs, or None if the system is inconsistent."""
-    nrows = len(m)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(m)]
-    pivots = _row_reduce(aug)
-    ncols = len(m[0]) if nrows else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(aug, pivots):
-        x[c] = Fraction(row[ncols], row[c])
-    return x
 
 
 def inverse(m):

@@ -7,8 +7,10 @@ lists with a monic denominator, used for the variable t.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .errors import ConsistencyError, ValidationError
+from .linalg import _primitive, _scaled
 
 
 def ptrim(p):
@@ -85,10 +87,27 @@ def pdivmod(p, q):
 
 
 def pgcd(p, q):
-    a, b = list(p), list(q)
+    """Monic gcd by the primitive remainder sequence over Z.
+
+    Both inputs are cleared of denominators, and each pseudo-remainder
+    is cut to its primitive part, so the coefficients stay near the size
+    of the gcd's instead of growing as in Euclid's sequence over Q.
+    """
+    a, b = (_primitive(_scaled(ptrim(list(x)))[0]) for x in (p, q))
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, pdivmod(a, b)[1]
-    return pmonic(a)
+        lead, nb = b[-1], len(b)
+        for i in range(len(a) - nb, -1, -1):
+            f = a.pop()
+            if f:
+                g = gcd(lead, f)
+                u, v = lead // g, f // g
+                a = [u * x for x in a]
+                for j in range(nb - 1):
+                    a[i + j] -= v * b[j]
+        a, b = b, _primitive(ptrim(a))
+    return [Fraction(x, a[-1]) for x in a]
 
 
 def pbezout(p, q):

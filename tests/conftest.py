@@ -3,10 +3,11 @@
 import itertools
 from fractions import Fraction
 
-from rigidconn.connection import ScalarOperator
-from rigidconn.errors import ConsistencyError, CyclicVectorError
-from rigidconn.linalg import identity, mat_mul
-from rigidconn.poly import RatFun
+from rigidconn.connection import MatrixConnection, ScalarOperator
+from rigidconn.errors import (ConsistencyError, CyclicVectorError,
+                              ValidationError)
+from rigidconn.linalg import identity, mat_mul, zeros
+from rigidconn.poly import RatFun, pdivmod, pmonic
 
 
 def jacobi_scan(alg):
@@ -119,7 +120,99 @@ def ref_mat_mul(a, b):
              for col in zip(*b)] for row in a]
 
 
-# -- RatFun reference for the scalar reduction -----------------------------
+# -- RatFun references for the gauge and the scalar reduction -------------
+
+
+def ref_pgcd(p, q):
+    """Monic gcd by Euclid's remainder sequence over Q."""
+    a, b = list(p), list(q)
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return pmonic(a)
+
+
+def ref_ratfun_matrix(conn):
+    """The matrix A(t) of conn with RatFun entries over t^s."""
+    shift = min((k for k in conn.coeffs if k < 0), default=0)
+    den = [Fraction(0)] * (-shift) + [Fraction(1)]
+    out = []
+    for i in range(conn.dim):
+        row = []
+        for j in range(conn.dim):
+            num = [Fraction(0)] * (max(conn.coeffs, default=0) - shift + 1)
+            for k, mat in conn.coeffs.items():
+                num[k - shift] = mat[i][j]
+            row.append(RatFun(num, den[:]))
+        out.append(row)
+    return out
+
+
+def _ref_rf_matmul(a, b):
+    n = len(a)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), RatFun(0))
+             for j in range(n)] for i in range(n)]
+
+
+def _ref_rf_invert(g):
+    """Inverse and determinant of a RatFun matrix via Gauss-Jordan."""
+    n = len(g)
+    work = [row[:] for row in g]
+    aug = [[RatFun(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    det = RatFun(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if not work[i][c].is_zero()), None)
+        if pivot is None:
+            raise ValidationError("gauge matrix is singular")
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            aug[c], aug[pivot] = aug[pivot], aug[c]
+            det = -det
+        det = det * work[c][c]
+        inv = RatFun(1) / work[c][c]
+        work[c] = [x * inv for x in work[c]]
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and not work[i][c].is_zero():
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return aug, det
+
+
+def _ref_is_monomial(p):
+    return sum(1 for c in p if c != 0) == 1
+
+
+def _ref_laurent_terms(f):
+    """{exponent: coefficient} for a RatFun whose denominator is t^m."""
+    if not _ref_is_monomial(f.den) and not f.is_zero():
+        raise ValidationError("%s is not a Laurent polynomial" % f.render())
+    shift = len(f.den) - 1
+    return {i - shift: c for i, c in enumerate(f.num) if c != 0}
+
+
+def ref_gauge_transform(conn, g):
+    """g A g^{-1} - theta(g) g^{-1} by Gauss-Jordan inversion of g and
+    matrix products in RatFun arithmetic."""
+    n = conn.dim
+    g = [[x if isinstance(x, RatFun) else RatFun(x) for x in row]
+         for row in g]
+    g_inv, det = _ref_rf_invert(g)
+    if not (_ref_is_monomial(det.num) and _ref_is_monomial(det.den)):
+        raise ValidationError("gauge determinant %s is not a unit"
+                              % det.render())
+    a = ref_ratfun_matrix(conn)
+    theta_g = [[x.theta() for x in row] for row in g]
+    new = _ref_rf_matmul(g, _ref_rf_matmul(a, g_inv))
+    correction = _ref_rf_matmul(theta_g, g_inv)
+    coeffs = {}
+    for i in range(n):
+        for j in range(n):
+            entry = new[i][j] - correction[i][j]
+            for k, c in _ref_laurent_terms(entry).items():
+                coeffs.setdefault(k, zeros(n, n))[i][j] = c
+    return MatrixConnection(coeffs, conn.label + " gauged", h=conn.h,
+                            rho_weights=None, group=conn.group)
 
 
 def _ref_theta_compose(op):
@@ -136,7 +229,7 @@ def ref_scalar_reduction(conn):
     arithmetic: solve [v, Dv, ..., D^{n-1}v] d = D^n v for v = e_0, then
     build the adjoint by theta-compositions."""
     n = conn.dim
-    a = conn.ratfun_matrix()
+    a = ref_ratfun_matrix(conn)
     frame = [[RatFun(1 if i == 0 else 0) for i in range(n)]]
     for _ in range(n):
         vec = frame[-1]

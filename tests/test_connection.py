@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_scalar_reduction
+from conftest import ref_gauge_transform, ref_pgcd, ref_scalar_reduction
 from rigidconn import connection, poly
 from rigidconn.cli import main
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
@@ -105,6 +105,16 @@ def test_gauge_singular_rejected():
     g = [[RatFun([0, 1]), RatFun(0)], [RatFun([0, 1]), RatFun(0)]]
     with pytest.raises(ValidationError):
         gauge_transform(conn, g)
+
+
+def test_gauge_non_unit_rejected():
+    conn = sl_standard(2)
+    with pytest.raises(ValidationError, match="determinant is not a unit"):
+        gauge_transform(conn, [[RatFun([1, 1]), 0], [0, 1]])
+    with pytest.raises(ValidationError, match="Laurent polynomials"):
+        gauge_transform(conn, [[RatFun(1, [1, 1]), 0], [0, 1]])
+    with pytest.raises(ValidationError, match="size does not match"):
+        gauge_transform(conn, [[1]])
 
 
 SLOPE_CASES = [sl_standard(2), sl_standard(5), sp_standard(6),
@@ -345,6 +355,65 @@ def test_scalar_reduction_remainder_survives_optimize():
     assert proc.returncode == 3
 
 
+def _laurent(terms):
+    """The RatFun sum of c t^k over {k: c}, k >= -1."""
+    return RatFun([terms.get(k, 0) for k in range(-1, 2)],
+                  [Fraction(0), Fraction(1)])
+
+
+@st.composite
+def gauged_models(draw):
+    """(conn, g) with conn a built model of dimension 2-4 and g = S U D:
+    S a row permutation, U unitriangular with Laurent entries above the
+    diagonal, D diagonal with entries c t^k."""
+    conn = draw(st.sampled_from([c for c in BUILT_MODELS if c.dim <= 4]))
+    n = conn.dim
+    perm = draw(st.permutations(range(n)))
+    upper = {(i, j): _laurent({k: draw(SMALL_Q) for k in range(-1, 2)})
+             for i in range(n) for j in range(i + 1, n)}
+    diag = [_laurent({draw(st.integers(-1, 1)):
+                      draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))})
+            for _ in range(n)]
+    unit = _gauge(n, upper)
+    return conn, [[unit[perm[i]][j] * diag[j] for j in range(n)]
+                  for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauged_models())
+def test_gauge_transform_matches_ratfun_reference(case):
+    conn, g = case
+    got, want = gauge_transform(conn, g), ref_gauge_transform(conn, g)
+    assert (got.coeffs, got.label, got.h, got.group) == (
+        want.coeffs, want.label, want.h, want.group)
+
+
+def test_gauge_remainder_is_a_consistency_error(monkeypatch):
+    monkeypatch.setattr(connection, "pdivmod", _remainder_one)
+    with pytest.raises(ConsistencyError,
+                       match=r"^gauge_transform: dividing .* leaves the "
+                             r"remainder 1 for so5 standard$"):
+        gauge_transform(so_odd_standard(5), _gauge(5, {(0, 4): _t(1)}))
+
+
+def test_gauge_remainder_survives_optimize():
+    code = ("from fractions import Fraction\n"
+            "from rigidconn import connection\n"
+            "from rigidconn.errors import ConsistencyError\n"
+            "connection.pdivmod = lambda p, q: ([], [Fraction(1)])\n"
+            "conn = connection.sl_standard(3)\n"
+            "g = [[int(i == j) for j in range(3)] for i in range(3)]\n"
+            "try:\n"
+            "    connection.gauge_transform(conn, g)\n"
+            "except ConsistencyError as exc:\n"
+            "    raise SystemExit(3 if str(exc).startswith('gauge_transform:')"
+            " and 'sl3 standard' in str(exc) else 1)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+    assert proc.returncode == 3
+
+
 KERNEL_CASES = [
     (sl_standard(4), "A", 3, (1, 0, 0)),
     (so_odd_standard(7), "B", 3, (1, 0, 0)),
@@ -401,6 +470,21 @@ def test_scalar_operator_json():
 
 def _remainder_one(p, q):
     return [], [Fraction(1)]
+
+
+POLYS = st.lists(SMALL_Q, max_size=6).map(poly.ptrim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(POLYS, POLYS, POLYS)
+def test_pgcd_matches_euclid(p, q, common):
+    """The primitive remainder sequence gives Euclid's monic gcd, also
+    with a common factor put into both."""
+    assert poly.pgcd(p, q) == ref_pgcd(p, q)
+    p, q = poly.pmul(p, common), poly.pmul(q, common)
+    got = poly.pgcd(p, q)
+    assert got == ref_pgcd(p, q)
+    assert all(type(x) is Fraction for x in got)
 
 
 def test_poly_checks_raise(monkeypatch):

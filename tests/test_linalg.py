@@ -20,7 +20,7 @@ from rigidconn.errors import ConsistencyError
 from rigidconn.linalg import (_int_mul, _kernel, _row_reduce, charpoly,
                               graded_cycle_check, identity, inverse,
                               is_nilpotent, is_semisimple, mat_mul, mat_vec,
-                              nullspace, rank, solve)
+                              nullspace, rank)
 
 
 def rand_matrix(rng, n, m, density=0.7):
@@ -85,17 +85,6 @@ def test_inverse_round_trip_and_singular():
         assert mat_mul(a, inverse(a)) == identity(n)
     with pytest.raises(ValueError):
         inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-
-
-def test_solve_reproduces_known_solution():
-    rng = random.Random(3)
-    for _ in range(10):
-        n = rng.randint(1, 5)
-        a = rand_matrix(rng, n, n, density=1.0)
-        if rank(a) < n:
-            continue
-        x = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
-        assert solve(a, mat_vec(a, x)) == x
 
 
 def test_semisimple_and_nilpotent_classification():
@@ -180,17 +169,6 @@ def test_graded_cycle_check_rejects_wrong_grading_under_optimize():
 # kernels must return exactly the same values, as Fractions.
 
 
-def ref_solve(m, rhs):
-    ncols = len(m[0]) if m else 0
-    pivots, work = ref_rref([list(row) + [b] for row, b in zip(m, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = work[r][ncols]
-    return x
-
-
 ENTRIES = st.one_of(
     st.just(0), st.just(Fraction(0)), st.integers(-9, 9),
     st.fractions(min_value=-9, max_value=9, max_denominator=12),
@@ -262,17 +240,6 @@ def test_integer_kernel_over_its_denominator_is_the_nullspace(m):
     assert [[Fraction(x, den) for x in v] for v in vecs] == ref_nullspace(m)
     ncols = len(m[0]) if m else 0
     assert free == [f for f in range(ncols) if f not in ref_rref(m)[0]]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_solve_matches_reference(data):
-    m = data.draw(matrices())
-    rhs = data.draw(st.lists(ENTRIES, min_size=len(m), max_size=len(m)))
-    got = solve(m, rhs)
-    assert got == ref_solve(m, rhs)
-    if got is not None:
-        assert all_fractions([got])
 
 
 @settings(max_examples=200, deadline=None)
