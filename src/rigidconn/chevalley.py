@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
 from .linalg import _row_reduce, graded_cycle_check, nullspace, rank, zeros
-from .rootsys import RootSystem, build_root_system
+from .rootsys import build_root_system
 
 
 def _add_into(acc, key, val):
@@ -242,12 +242,8 @@ class ChevalleyAlgebra:
         self._kappa = kappa
 
 
-def build_chevalley(rs_or_type, rank=None):
-    if isinstance(rs_or_type, RootSystem):
-        rs = rs_or_type
-    else:
-        rs = build_root_system(rs_or_type, rank)
-    return ChevalleyAlgebra(rs)
+def build_chevalley(type_label, rank):
+    return ChevalleyAlgebra(build_root_system(type_label, rank))
 
 
 def principal_triple(alg):
@@ -356,14 +352,9 @@ class KacWindow:
         return self.loop_pairing({(i, k): k * v for (i, k), v in x.items()}, y)
 
 
-def kac_decomposition(alg, depth):
-    return KacWindow(alg, depth)
-
-
-def heisenberg_pairing_check(alg, depth):
+def heisenberg_pairing_check(win):
     """Non-degeneracy of the cocycle on a_n x a_{-n} over the window."""
-    win = kac_decomposition(alg, depth)
-    for n in range(1, depth + 1):
+    for n in range(1, win.depth + 1):
         plus = win.a_slice(n)
         minus = win.a_slice(-n)
         if len(plus) != len(minus):

@@ -12,8 +12,7 @@ import os
 import re
 import sys
 
-from .chevalley import (build_chevalley, heisenberg_pairing_check,
-                        kac_decomposition)
+from .chevalley import KacWindow, build_chevalley, heisenberg_pairing_check
 from .connection import (adjoint_connection, g2_seven_dim, scalar_reduction,
                          sl2_sym, sl_standard, so_odd_standard, sp_standard)
 from .errors import ConsistencyError, ValidationError
@@ -325,10 +324,10 @@ def cmd_kac(args):
     group = parse_group(args.group, args.rank)
     alg = build_chevalley(group.type_label, group.rank)
     depth = 2 * alg.rs.coxeter_number if args.depth is None else args.depth
-    window = kac_decomposition(alg, depth)
+    window = KacWindow(alg, depth)
     a_dims = [len(window.a_slice(n)) for n in range(1, depth + 1)]
     c_dims = [len(window.c_slice(n)) for n in range(1, depth + 1)]
-    heisenberg = heisenberg_pairing_check(alg, depth)
+    heisenberg = heisenberg_pairing_check(window)
     job = _job_dict(args, group, depth=depth)
     payload = {"schema": SCHEMA, "job": job, "a_dims": a_dims,
                "c_dims": c_dims, "heisenberg_nondegenerate": heisenberg}

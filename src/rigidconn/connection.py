@@ -76,9 +76,9 @@ class MatrixConnection:
                                                  for k, v in terms.items()}
         return {"dimension": self.dim, "label": self.label, "entries": entries}
 
-    def render_entry(self, i, j, var="t"):
-        return render_terms(((k, str(c))
-                             for k, c in self.entry_terms(i, j).items()), var)
+    def render_entry(self, i, j):
+        return render_terms((k, str(c))
+                            for k, c in self.entry_terms(i, j).items())
 
 
 def _subdiagonal(n):
@@ -278,8 +278,9 @@ def gauge_transform(conn, g):
             for k, x in enumerate(p):
                 if x:
                     coeffs.setdefault(k - shift, zeros(n, n))[i][j] = x / c
-    return MatrixConnection(coeffs, conn.label + " gauged", h=conn.h,
-                            rho_weights=None, group=conn.group)
+    # a constant gauge keeps the zero connection zero, as in dual()
+    return MatrixConnection(coeffs or {0: zeros(n, n)}, conn.label + " gauged",
+                            h=conn.h, rho_weights=None, group=conn.group)
 
 
 # -- scalar reduction ---------------------------------------------------------
@@ -304,11 +305,11 @@ class ScalarOperator:
                 return None
         return out
 
-    def render(self, symbol="theta"):
+    def render(self):
         return render_terms(((i, self.coeffs[i].render())
                              for i in range(self.order - 1, -1, -1)
                              if not self.coeffs[i].is_zero()),
-                            symbol, head="%s^%d" % (symbol, self.order))
+                            "theta", head="theta^%d" % self.order)
 
     def to_json_dict(self):
         maps = self.laurent_coefficients()
@@ -431,7 +432,7 @@ def _weights_from_sparsity(conn):
     return weights
 
 
-def slope_at_infinity(conn, h=None, details=False):
+def slope_at_infinity(conn, details=False):
     """Slope of the connection at t = infinity, verified to be 1/h.
 
     Substitutes t = u^{-h}, gauges by diag(u^{w_i}) with w the rho-check
@@ -440,8 +441,7 @@ def slope_at_infinity(conn, h=None, details=False):
     Its entries have w_i = w_j - 1 mod h, so graded_cycle_check decides
     both from the blocks of its h-th power on the degree classes of w.
     """
-    if h is None:
-        h = conn.h
+    h = conn.h
     if h is None:
         raise ValidationError("slope needs the Coxeter number h")
     w = conn.rho_weights

@@ -162,16 +162,13 @@ def _restrict_to_galois(ws, profile):
 
 
 @lru_cache(maxsize=None)
-def _torus_rows(rs, w):
+def _torus_rows(rs):
     """Integer rows cutting out the weights in V^S: the nonzero rows of the
-    row-reduced primitive projector of w (a tuple of rows, None for
-    coxeter_element(rs)).  For rs's Coxeter element they must number
-    primitive_rank(rs), which the root heights give (Kostant)."""
-    cox = tuple(map(tuple, coxeter_element(rs)))
-    rows = coxeter_primitive_projector([list(row) for row in w or cox],
-                                       rs.coxeter_number)
+    row-reduced primitive projector of coxeter_element(rs).  They must
+    number primitive_rank(rs), which the root heights give (Kostant)."""
+    rows = coxeter_primitive_projector(coxeter_element(rs), rs.coxeter_number)
     rows = rows[:len(_row_reduce(rows))]
-    if w in (None, cox) and len(rows) != primitive_rank(rs):
+    if len(rows) != primitive_rank(rs):
         raise ConsistencyError(
             "Coxeter torus: the primitive projector of %s has rank %d, but %d "
             "exponents are coprime to h = %d"
@@ -179,18 +176,18 @@ def _torus_rows(rs, w):
     return tuple(map(tuple, rows))
 
 
-def _local_invariants(rs, table, epsilon, label, w=None):
+def _local_invariants(rs, table, epsilon, label):
     """Local invariants of a module with weight multiset table under rs.
 
     dim V^S counts the weights killed by the primitive projector of the
-    Coxeter element w (default coxeter_element(rs)), via _torus_rows; the
-    irregularity is (dim V - dim V^S)/h; the principal SL2 gives dim
-    V^{I_0}; the weights with a = 0 mod 2h span V^{<n>}; dim V^{I_inf} is
-    n-fixed - irr when epsilon = +1, else 0.  label names V in errors.
+    Coxeter element, via _torus_rows; the irregularity is (dim V - dim
+    V^S)/h; the principal SL2 gives dim V^{I_0}; the weights with a = 0
+    mod 2h span V^{<n>}; dim V^{I_inf} is n-fixed - irr when epsilon = +1,
+    else 0.  label names V in errors.
     """
     dim = sum(table.values())
     h = rs.coxeter_number
-    rows = _torus_rows(rs, None if w is None else tuple(map(tuple, w)))
+    rows = _torus_rows(rs)
     v_s = sum(mult for mu, mult in table.items()
               if not any(sum(map(mul, row, mu)) for row in rows))
     if (dim - v_s) % h:
@@ -217,23 +214,11 @@ def _local_invariants(rs, table, epsilon, label, w=None):
             "n_fixed": n_fixed, "Iinf": i_inf}
 
 
-def coxeter_torus_invariants(ws, w):
-    """dim V^S: total multiplicity of weights killed by the primitive
-    projector of the Coxeter element w."""
-    return _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label(),
-                             w)["V_S"]
-
-
-def irregularity(ws, w):
-    """Irr_infinity(V) = (dim V - dim V^S)/h, an integer here."""
-    return _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label(),
-                             w)["irr"]
-
-
-def inertia_invariants(ws):
-    """dims of V^{I_0}, V^{<n>} and V^{I_infinity} from the a-grading."""
-    inv = _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label())
-    return {"I0": inv["I0"], "n": inv["n_fixed"], "Iinf": inv["Iinf"]}
+def local_invariants(ws):
+    """{dim, V_S, irr, I0, n_fixed, Iinf} of the irreducible module ws
+    under its own root system: dim V^S, Irr_infinity(V) = (dim V - dim
+    V^S)/h and the dims of V^{I_0}, V^{<n>} and V^{I_infinity}."""
+    return _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label())
 
 
 class CohomologyReport:
@@ -277,12 +262,6 @@ class CohomologyReport:
             "h2": self.h2,
             "galois_group": self.galois_label,
         }
-
-
-def dim_invariants_under_galois(ws, profile):
-    """Multiplicity of the trivial representation of the differential
-    Galois group in V."""
-    return _restrict_to_galois(ws, profile)[3]
 
 
 def cohomology_dims(type_label, rank, highest):

@@ -232,8 +232,10 @@ class RatFun:
     def __repr__(self):
         return "RatFun(%r, %r)" % (self.num, self.den)
 
-    def render(self, var="t"):
-        return render_poly_fraction(self.num, self.den, var)
+    def render(self):
+        if self.den == [Fraction(1)] or not self.num:
+            return render_poly(self.num)
+        return "(%s)/(%s)" % (render_poly(self.num), render_poly(self.den))
 
 
 def render_terms(terms, var="t", head=None):
@@ -265,11 +267,5 @@ def render_terms(terms, var="t", head=None):
     return out
 
 
-def render_poly(p, var="t"):
-    return render_terms(((i, str(c)) for i, c in enumerate(p) if c != 0), var)
-
-
-def render_poly_fraction(num, den, var="t"):
-    if den == [Fraction(1)] or not num:
-        return render_poly(num, var)
-    return "(%s)/(%s)" % (render_poly(num, var), render_poly(den, var))
+def render_poly(p):
+    return render_terms((i, str(c)) for i, c in enumerate(p) if c != 0)

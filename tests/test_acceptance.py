@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 from conftest import jacobi_scan
-from rigidconn.chevalley import (build_chevalley, heisenberg_pairing_check,
-                                 kac_decomposition, kostant_check)
+from rigidconn.chevalley import (KacWindow, build_chevalley,
+                                 heisenberg_pairing_check, kostant_check)
 from rigidconn.connection import (adjoint_connection, g2_seven_dim,
                                   scalar_reduction, sl2_sym, sl_standard,
                                   slope_at_infinity, so_odd_standard,
@@ -198,7 +198,7 @@ def test_criterion_09_loop_algebra_window():
     for type_label, n in [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("D", 4)]:
         alg = build_chevalley(type_label, n)
         h = alg.rs.coxeter_number
-        win = kac_decomposition(alg, 2 * h)
+        win = KacWindow(alg, 2 * h)
         exps = alg.rs.exponents
         for j in range(1, 2 * h + 1):
             expected = sum(1 for m in exps if (j - m) % h == 0)
@@ -210,9 +210,9 @@ def test_criterion_09_loop_algebra_window():
             assert rank(images) == alg.rank == len(win.c_slice(j + 1))
             assert (rank(images + win.a_slice(j + 1))
                     == alg.rank + len(win.a_slice(j + 1)))
-        assert heisenberg_pairing_check(alg, 2 * h)
+        assert heisenberg_pairing_check(win)
     alg = build_chevalley("D", 4)
-    win = kac_decomposition(alg, 12)
+    win = KacWindow(alg, 12)
     assert len(win.a_slice(3)) == 2
     assert len(win.a_slice(9)) == 2
     assert time.monotonic() - start < 120

@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import jacobi_scan, loop_bracket, mat_pow, ref_killing_form
-from rigidconn.chevalley import (ChevalleyAlgebra, build_chevalley,
-                                 heisenberg_pairing_check, kac_decomposition,
-                                 kostant_check, principal_triple)
+from rigidconn.chevalley import (ChevalleyAlgebra, KacWindow, build_chevalley,
+                                 heisenberg_pairing_check, kostant_check,
+                                 principal_triple)
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import (is_semisimple, is_zero_matrix, mat_vec,
                               nullspace, rank)
@@ -131,7 +131,7 @@ EXCEPTIONAL = [("F", 4), ("E", 6), ("E", 8)]
 def test_kac_slice_dimensions(key):
     alg = build_chevalley(*key)
     h = alg.rs.coxeter_number
-    win = kac_decomposition(alg, 2 * h)
+    win = KacWindow(alg, 2 * h)
     exps = alg.rs.exponents
     for n in range(1, 2 * h + 1):
         a_dim = len(win.a_slice(n))
@@ -145,7 +145,7 @@ def test_kac_window_reads_ad_n_and_ad_e(key, monkeypatch):
     ad_p1_matrix, and neither reaches the dict bracket."""
     alg = build_chevalley(*key)
     h = alg.rs.coxeter_number
-    win = kac_decomposition(alg, 2 * h)
+    win = KacWindow(alg, 2 * h)
 
     def no_bracket(x, y):
         raise AssertionError("KacWindow called alg.bracket")
@@ -164,7 +164,7 @@ def test_kac_window_reads_ad_n_and_ad_e(key, monkeypatch):
 
 def test_kac_d4_exponent_multiplicity():
     alg = build_chevalley("D", 4)
-    win = kac_decomposition(alg, 12)
+    win = KacWindow(alg, 12)
     assert len(win.a_slice(3)) == 2
     assert len(win.a_slice(9)) == 2
     assert len(win.a_slice(1)) == 1
@@ -175,7 +175,7 @@ def test_kac_c_to_c_bijection(key):
     """ad p1 carries c_j onto c_{j+1} isomorphically across the window."""
     alg = build_chevalley(*key)
     h = alg.rs.coxeter_number
-    win = kac_decomposition(alg, 2 * h)
+    win = KacWindow(alg, 2 * h)
     r = alg.rank
     for j in range(1, 2 * h):
         mat = win.ad_p1_matrix(j)
@@ -188,7 +188,7 @@ def test_kac_c_to_c_bijection(key):
 def test_kac_a_perp_c_under_loop_pairing(key):
     alg = build_chevalley(*key)
     h = alg.rs.coxeter_number
-    win = kac_decomposition(alg, 2 * h)
+    win = KacWindow(alg, 2 * h)
     for n in range(1, 2 * h + 1):
         for u in win.a_slice(n):
             for v in win.c_slice(-n):
@@ -200,7 +200,7 @@ def test_kac_a_perp_c_under_loop_pairing(key):
 def test_kac_a_slices_commute(key):
     alg = build_chevalley(*key)
     h = alg.rs.coxeter_number
-    win = kac_decomposition(alg, 2 * h)
+    win = KacWindow(alg, 2 * h)
     elems = []
     for n in range(-2 * h, 2 * h + 1):
         if n == 0:
@@ -214,13 +214,14 @@ def test_kac_a_slices_commute(key):
 @pytest.mark.parametrize("key", KAC_CASES + EXCEPTIONAL)
 def test_heisenberg_nondegenerate(key):
     alg = build_chevalley(*key)
-    assert heisenberg_pairing_check(alg, 2 * alg.rs.coxeter_number)
+    win = KacWindow(alg, 2 * alg.rs.coxeter_number)
+    assert heisenberg_pairing_check(win)
 
 
 def test_window_depth_floor():
     alg = build_chevalley("B", 2)
     with pytest.raises(ValidationError):
-        kac_decomposition(alg, 3)
+        KacWindow(alg, 3)
 
 
 def test_unsupported_type_rejected():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from rigidconn import chevalley
 from rigidconn.cli import main
 
 
@@ -191,6 +192,24 @@ def test_kac_default_depth(capsys):
     assert payload["job"]["depth"] == 8
     assert payload["a_dims"] == [1, 0, 1, 0, 1, 0, 1, 0]
     assert payload["c_dims"] == [2] * 8
+
+
+def test_kac_builds_one_window(capsys, monkeypatch):
+    """The Heisenberg check reads the window the slice dimensions came
+    from, so each a_n with 1 <= |n| <= depth is one kernel."""
+    kernels = []
+
+    def counted(m):
+        kernels.append(len(m))
+        return nullspace(m)
+
+    nullspace = chevalley.nullspace
+    monkeypatch.setattr(chevalley, "nullspace", counted)
+    code, out, _ = run_cli(capsys, "kac", "--group", "d4", "--depth", "12",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["heisenberg_nondegenerate"] is True
+    assert len(kernels) == 24
 
 
 def test_kac_depth_zero_is_rejected(capsys):

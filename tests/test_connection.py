@@ -67,6 +67,11 @@ def test_gauge_identity_fixes_connection():
     conn = sl_standard(3)
     g = [[RatFun(1 if i == j else 0) for j in range(3)] for i in range(3)]
     assert gauge_transform(conn, g).coeffs == conn.coeffs
+    # a constant gauge keeps the zero connection zero, and its size
+    zero = MatrixConnection({0: zeros(2, 2)}, "z")
+    for g in ([[1, 0], [0, 1]], [[1, 2], [0, 1]]):
+        out = gauge_transform(zero, g)
+        assert (out.dim, out.coeffs, out.label) == (2, {}, "z gauged")
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))
@@ -120,11 +125,29 @@ def test_gauge_non_unit_rejected():
 SLOPE_CASES = [sl_standard(2), sl_standard(5), sp_standard(6),
                so_odd_standard(5), so_odd_standard(7), g2_seven_dim(),
                sl2_sym(4)]
+# companion forms carry no rho_weights, so the grading is inferred from A(0)
+COMPANION_SOURCES = [sl_standard(3), sl_standard(5), so_odd_standard(5),
+                     sp_standard(4), g2_seven_dim(), sl2_sym(4)]
 
 
-@pytest.mark.parametrize("conn", SLOPE_CASES, ids=lambda c: c.label)
+@pytest.mark.parametrize(
+    "conn",
+    SLOPE_CASES + [companion_connection(scalar_reduction(c))
+                   for c in COMPANION_SOURCES],
+    ids=([c.label for c in SLOPE_CASES]
+         + ["companion of " + c.label for c in COMPANION_SOURCES]))
 def test_slope_is_one_over_h(conn):
     assert slope_at_infinity(conn) == Fraction(1, conn.h)
+
+
+def test_slope_rejects_inconsistent_inferred_grading():
+    """A(0) ties index 0 to 1 in both directions, so no grading fits."""
+    bad = MatrixConnection({0: [[0, 1], [1, 0]], 1: [[0, 1], [0, 0]]},
+                           "two-way chain", h=2)
+    with pytest.raises(ValidationError,
+                       match=r"^inconsistent grading in two-way chain; "
+                             r"provide rho_weights$"):
+        slope_at_infinity(bad)
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_bracket, ref_mat_mul, ref_nullspace, ref_rref
-from rigidconn.chevalley import build_chevalley, kac_decomposition
+from rigidconn.chevalley import KacWindow, build_chevalley
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   sl2_sym, sl_standard, so_odd_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
@@ -152,7 +152,7 @@ def test_principal_regrading_of_adjoint_solutions():
     recursion N y_N + [rho-check, y_N] + h [p1, y_{N-1}] = 0."""
     alg = build_chevalley("A", 2)
     h = alg.rs.coxeter_number
-    win = kac_decomposition(alg, 2 * h)
+    win = KacWindow(alg, 2 * h)
     conn = adjoint_connection("A", 2)
     report = kernel_dimension(conn, "two_sided", 24)
     assert report.dimension == 2

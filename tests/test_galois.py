@@ -9,13 +9,11 @@ from rigidconn import galois
 from rigidconn.connection import build_connection
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.formal import h1_middle_via_solver
-from rigidconn.galois import (cohomology_dims, coxeter_torus_invariants,
-                              dim_invariants_under_galois,
-                              epsilon_minus_crosscheck,
+from rigidconn.galois import (cohomology_dims, epsilon_minus_crosscheck,
                               epsilon_plus_crosscheck, fold_branching,
                               folding_matrix, folding_target, galois_group,
-                              inertia_invariants, irregularity,
-                              peel_components, subregular_table)
+                              local_invariants, peel_components,
+                              subregular_table)
 from rigidconn.linalg import mat_vec
 from rigidconn.rootsys import (SUPPORTED, build_root_system,
                                coxeter_element, coxeter_primitive_projector)
@@ -147,10 +145,7 @@ def test_invariants_under_galois():
         (("A", 2), (0, 0), 1),         # no folding, trivial weight
     ]
     for source, highest, expected in cases:
-        rs = build_root_system(*source)
-        ws = weight_system(rs, highest)
-        prof = galois_group(*source)
-        assert dim_invariants_under_galois(ws, prof) == expected
+        assert cohomology_dims(*source, highest).inv_galois == expected
 
 
 def test_peel_rejects_impossible_tables():
@@ -171,51 +166,37 @@ ADJOINT_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
 
 @pytest.mark.parametrize("type_label,rank", ADJOINT_TYPES)
 def test_adjoint_coxeter_invariants(type_label, rank):
-    rs = build_root_system(type_label, rank)
-    ws = weight_system(rs, rs.theta)
-    w = coxeter_element(rs)
-    assert coxeter_torus_invariants(ws, w) == rank
-    assert irregularity(ws, w) == rank
-    assert inertia_invariants(ws) == {"I0": rank, "n": rank, "Iinf": 0}
+    ws = adjoint_ws(type_label, rank)
+    assert local_invariants(ws) == {"dim": ws.dim, "V_S": rank, "irr": rank,
+                                    "I0": rank, "n_fixed": rank, "Iinf": 0}
 
 
 def test_irregularity_small_cases():
     for n in range(2, 7):
         rs = build_root_system("A", n - 1)
         ws = weight_system(rs, rs.fundamental_weight(0))
-        assert irregularity(ws, coxeter_element(rs)) == 1
-    rs = build_root_system("G", 2)
-    ws = weight_system(rs, (1, 0))
-    w = coxeter_element(rs)
-    assert coxeter_torus_invariants(ws, w) == 1
-    assert irregularity(ws, w) == 1
-    rs = build_root_system("F", 4)
-    ws = weight_system(rs, (0, 0, 0, 1))
-    w = coxeter_element(rs)
-    assert coxeter_torus_invariants(ws, w) == 2
-    assert irregularity(ws, w) == 2
+        assert local_invariants(ws)["irr"] == 1
+    for key, highest, count in [(("G", 2), (1, 0), 1),
+                                (("F", 4), (0, 0, 0, 1), 2)]:
+        inv = local_invariants(weight_system(build_root_system(*key), highest))
+        assert (inv["V_S"], inv["irr"]) == (count, count)
     for m in (2, 3, 4):
         rs = build_root_system("B", m)
         ws = weight_system(rs, rs.fundamental_weight(0))
-        assert irregularity(ws, coxeter_element(rs)) == 1
+        assert local_invariants(ws)["irr"] == 1
 
 
 def test_trivial_weight_has_no_irregularity():
-    rs = build_root_system("A", 2)
-    ws = weight_system(rs, (0, 0))
-    w = coxeter_element(rs)
-    assert coxeter_torus_invariants(ws, w) == 1
-    assert irregularity(ws, w) == 0
-    assert inertia_invariants(ws) == {"I0": 1, "n": 1, "Iinf": 1}
+    ws = weight_system(build_root_system("A", 2), (0, 0))
+    assert local_invariants(ws) == {"dim": 1, "V_S": 1, "irr": 0, "I0": 1,
+                                    "n_fixed": 1, "Iinf": 1}
 
 
 def test_inertia_invariants_examples():
-    rs = build_root_system("A", 1)
-    assert inertia_invariants(weight_system(rs, (5,))) == \
-        {"I0": 1, "n": 0, "Iinf": 0}
-    rs = build_root_system("F", 4)
-    assert inertia_invariants(weight_system(rs, (0, 0, 0, 1))) == \
-        {"I0": 2, "n": 2, "Iinf": 0}
+    for key, highest, want in [(("A", 1), (5,), (1, 0, 0)),
+                               (("F", 4), (0, 0, 0, 1), (2, 2, 0))]:
+        inv = local_invariants(weight_system(build_root_system(*key), highest))
+        assert (inv["I0"], inv["n_fixed"], inv["Iinf"]) == want
 
 
 # ------------------------------------------------- cohomology dimensions
@@ -349,20 +330,19 @@ FOLDED_TYPES = [("A", 3), ("A", 5), ("B", 3), ("D", 4), ("D", 5), ("E", 6)]
 
 @pytest.mark.parametrize("type_label,rank", FOLDED_TYPES)
 def test_folded_invariants_match_source_route(type_label, rank):
-    # cohomology_dims works in the folded group; irregularity and
-    # inertia_invariants work in the source group with its own Coxeter
-    # element and a-grading.  Both routes must give the same numbers.
+    # cohomology_dims works in the folded group; local_invariants works in
+    # the source group with its own Coxeter element and a-grading.  Both
+    # routes must give the same numbers.
     rs = build_root_system(type_label, rank)
-    w = coxeter_element(rs)
     checked = 0
     for coords in itertools.product(range(2), repeat=rank):
         if coords == rs.theta or weyl_dim(rs, coords) > 700:
             continue
         rep = cohomology_dims(type_label, rank, coords)
         ws = weight_system(rs, coords)
-        assert irregularity(ws, w) == rep.irr, coords
-        assert inertia_invariants(ws) == {"I0": rep.inv_I0, "n": rep.inv_n,
-                                          "Iinf": rep.inv_Iinf}, coords
+        inv = local_invariants(ws)
+        assert (inv["irr"], inv["I0"], inv["n_fixed"], inv["Iinf"]) == \
+            (rep.irr, rep.inv_I0, rep.inv_n, rep.inv_Iinf), coords
         checked += 1
     assert checked >= 4
 
@@ -380,7 +360,7 @@ def ref_torus_invariants(ws, w):
                           for n in range(lo, min(hi, 8) + 1)])
 def test_torus_invariants_match_projector_reference(type_label, rank):
     """On the adjoint and the fundamental weights of Weyl dimension
-    <= 5000, for the Coxeter element given and by default."""
+    <= 5000."""
     rs = build_root_system(type_label, rank)
     w = coxeter_element(rs)
     highest = {rs.theta}
@@ -389,10 +369,7 @@ def test_torus_invariants_match_projector_reference(type_label, rank):
     for mu in sorted(highest):
         ws = weight_system(rs, mu)
         want = ref_torus_invariants(ws, w)
-        assert coxeter_torus_invariants(ws, w) == want, mu
-        inv = galois._local_invariants(rs, ws.table, epsilon_on(ws),
-                                       ws.label())
-        assert inv["V_S"] == want, mu
+        assert local_invariants(ws)["V_S"] == want, mu
 
 
 def test_torus_row_count_is_checked(monkeypatch):
@@ -405,9 +382,8 @@ def test_torus_row_count_is_checked(monkeypatch):
                              r"has rank 2, but 1 exponents are coprime to "
                              r"h = 3$"):
         cohomology_dims("A", 2, (1, 1))
-    rs = build_root_system("A", 3)
     with pytest.raises(ConsistencyError, match=r"projector of A3 has rank 2"):
-        irregularity(adjoint_ws("A", 3), coxeter_element(rs))
+        local_invariants(adjoint_ws("A", 3))
 
 
 # ------------------------------------------------ orbit-size criterion
