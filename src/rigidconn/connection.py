@@ -330,8 +330,8 @@ def scalar_reduction(conn):
     sum_j d_j D^j e_0 with d_j = e_j t^{-(n-j)s}.  The result is
     theta^n - sum_j (-1)^{n-j} theta^j o d_j, (-1)^n times the formal
     adjoint of theta^n - sum_j d_j theta^j; it is built on numerators
-    over q^m, q the lcm of the denominators of the d_j, so each
-    coefficient is reduced once.
+    over q^m, q the monic lcm of the denominators of the d_j; x / q^n
+    sheds only factors of q: gcd(x, q, den) divides out until it is 1.
     """
     n, label, stage = conn.dim, conn.label, "scalar_reduction"
     p_mat, s = _poly_matrix(conn.coeffs, n)
@@ -372,7 +372,13 @@ def scalar_reduction(conn):
         raise ConsistencyError("%s: the operator of %s is not monic, "
                                "leading coefficient %r"
                                % (stage, label, RatFun(op[n], qm)))
-    return ScalarOperator([RatFun(x, qm) for x in op[:n]], h=conn.h)
+    coeffs = []
+    for num in op[:n]:
+        den = qm
+        while num and len(g := pgcd(pgcd(num, q), den)) > 1:
+            num, den = (_exact_div(x, g, stage, label) for x in (num, den))
+        coeffs.append(RatFun._lowest(num, den if num else [Fraction(1)]))
+    return ScalarOperator(coeffs, h=conn.h)
 
 
 def companion_connection(op):

@@ -5,9 +5,10 @@ freely and stay exact).  The two kernels work on Python ints:
 _row_reduce is fraction-free Gauss-Jordan on rows cleared of
 denominators once, and _int_mul takes integer dot products.  _kernel
 reads a kernel basis over one denominator off the reduced rows.  The
-formal solver keeps integer matrices and calls these directly; rank,
-nullspace, inverse and mat_mul return Fractions, divided out only for
-the entries returned.  There is no floating point in this module.
+formal solver and graded_cycle_check call these directly; charpoly and
+poly_at_matrix are fraction-free over one denominator.  rank, nullspace,
+inverse, mat_mul, charpoly and poly_at_matrix return Fractions, divided
+out only for the entries returned.  There is no floating point here.
 """
 
 from fractions import Fraction
@@ -151,65 +152,54 @@ def inverse(m):
             for r, row in enumerate(aug)]
 
 
-def _hessenberg(m):
-    h = [[Fraction(x) for x in row] for row in m]
-    n = len(h)
-    for c in range(n - 2):
-        pivot = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
-        if pivot is None:
-            continue
-        if pivot != c + 1:
-            h[c + 1], h[pivot] = h[pivot], h[c + 1]
-            for row in h:
-                row[c + 1], row[pivot] = row[pivot], row[c + 1]
-        for i in range(c + 2, n):
-            if h[i][c] != 0:
-                f = h[i][c] / h[c + 1][c]
-                h[i] = [x - f * y for x, y in zip(h[i], h[c + 1])]
-                for row in h:
-                    row[c + 1] += f * row[i]
-    return h
-
-
 def charpoly(m):
-    """Coefficients of det(x I - m), ascending degree, exact."""
+    """Coefficients of det(x I - m), ascending degree, exact.
+
+    Faddeev-LeVerrier over Z on a = den m: with M_1 = I, b_n = 1,
+    b_{n-k} = -tr(a M_k) / k and M_{k+1} = a M_k + b_{n-k} I, each
+    division exact, det(x I - a) = sum b_k x^k, so the coefficient of x^k
+    in det(x I - m) is b_k den^(k-n).  M_k is kept by columns.
+    """
     n = len(m)
-    if n == 0:
-        return [Fraction(1)]
-    h = _hessenberg(m)
-    # p[k] is the charpoly of the leading k x k block of h.
-    p = [[Fraction(1)]]
+    ints, den = _scaled([x for row in m for x in row])
+    a = [ints[i * n:i * n + n] for i in range(n)]
+    b = [0] * n + [1]
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        # (x - h[k-1][k-1]) * p[k-1]
-        prev = p[k - 1]
-        term = [Fraction(0)] + prev
-        term = [term[i] - (h[k - 1][k - 1] * prev[i] if i < len(prev) else 0)
-                for i in range(len(term))]
-        sub = Fraction(1)
-        for i in range(k - 2, -1, -1):
-            sub *= h[i + 1][i]
-            coeff = h[i][k - 1] * sub
-            if coeff != 0:
-                q = p[i]
-                for j, c in enumerate(q):
-                    term[j] -= coeff * c
-        p.append(term)
-    return p[n]
+        cols = _int_mul(cols, a)
+        b[n - k], r = divmod(-sum(cols[i][i] for i in range(n)), k)
+        if r:
+            raise ConsistencyError("charpoly: the trace at Faddeev-LeVerrier "
+                                   "step %d is not divisible by %d" % (k, k))
+        for i in range(n):
+            cols[i][i] += b[n - k]
+    return [Fraction(x, den ** (n - k)) for k, x in enumerate(b)]
 
 
 def poly_at_matrix(coeffs, m):
-    """Evaluate a polynomial (ascending coefficients) at a square matrix."""
+    """Evaluate a polynomial (ascending coefficients) at a square matrix.
+
+    Horner's rule over Z on a = den m and the coefficients c_k = u_k / e
+    over one denominator e: with d the degree, the integer matrix
+    sum_k u_k den^(d-k) a^k is e den^d times the value.
+    """
     n = len(m)
-    out = zeros(n, n)
-    for c in reversed(coeffs):
-        out = mat_mul(out, m)
+    ints, den = _scaled([x for row in m for x in row])
+    cols = [ints[j::n] for j in range(n)]
+    u, e = _scaled(list(coeffs))
+    out = [[0] * n for _ in range(n)]
+    for k, c in enumerate(reversed(u)):
+        if k:
+            out = _int_mul(out, cols)
         for i in range(n):
-            out[i][i] += c
-    return out
+            out[i][i] += c * den ** k
+    scale = e * den ** max(len(u) - 1, 0)
+    return [[Fraction(x, scale) for x in row] for row in out]
 
 
 def is_semisimple(m, stage="is_semisimple", label="the matrix"):
-    """True iff the squarefree part of the charpoly annihilates m."""
+    """True iff the squarefree part s of the charpoly annihilates m; the
+    charpoly and s(m) are both computed on integers over one denominator."""
     from .poly import pderiv, pgcd, pdivmod
 
     chi = charpoly(m)
@@ -238,33 +228,40 @@ def graded_cycle_check(m, degrees, h, stage, label):
     block of m^h is.  m is semisimple iff every block of m^h is and
     dim ker m = dim ker m^h: x^h - a is squarefree for a != 0, and m
     vanishes on its generalized kernel exactly when ker m = ker m^h.
+
+    One pass over the nonzero entries checks the grading and finds the lcm
+    den of their denominators; the blocks of den m are ints, and _int_mul
+    takes each h-fold product as its transpose (same rank and charpoly).
     """
     cls = [Fraction(d) % h for d in degrees]
     classes = {}
     for i, c in enumerate(cls):
         classes.setdefault(c, []).append(i)
+    den = 1
     for i, row in enumerate(m):
         for j, x in enumerate(row):
-            if x != 0 and cls[i] != (cls[j] - 1) % h:
-                raise ConsistencyError(
-                    "%s: %s does not lower the degree by one mod %d at "
-                    "entry (%d, %d), degree %s -> %s"
-                    % (stage, label, h, i, j, degrees[j], degrees[i]))
+            if x:
+                if cls[i] != (cls[j] - 1) % h:
+                    raise ConsistencyError(
+                        "%s: %s does not lower the degree by one mod %d at "
+                        "entry (%d, %d), degree %s -> %s"
+                        % (stage, label, h, i, j, degrees[j], degrees[i]))
+                den = lcm(den, x.denominator)
     # blocks[c] maps class c to class c - 1
-    blocks = {c: [[m[i][j] for j in cols]
-                  for i in classes.get((c - 1) % h, [])]
+    blocks = {c: [[m[i][j].numerator * (den // m[i][j].denominator)
+                   for j in cols] for i in classes.get((c - 1) % h, [])]
               for c, cols in classes.items()}
     kernel_dim = kernel_dim_h = 0
     semisimple = nilpotent = True
     for c, cols in classes.items():
         kernel_dim += len(cols) - rank(blocks[c])
-        power = identity(len(cols))
+        power = [[int(i == j) for j in cols] for i in cols]
         cur = c
         for _ in range(h):
             if cur not in blocks:
-                power = zeros(len(cols), len(cols))
+                power = [[0] * len(cols) for _ in cols]
                 break
-            power = mat_mul(blocks[cur], power)
+            power = _int_mul(power, blocks[cur])
             cur = (cur - 1) % h
         kernel_dim_h += len(cols) - rank(power)
         nilpotent = nilpotent and is_nilpotent(power)

@@ -176,6 +176,13 @@ class RatFun:
             den = [c / lead for c in den]
         self.num, self.den = num, den
 
+    @classmethod
+    def _lowest(cls, num, den):
+        """num/den for coprime num and monic den: no gcd is taken."""
+        self = cls.__new__(cls)
+        self.num, self.den = num, den
+        return self
+
     def is_zero(self):
         return not self.num
 

@@ -7,7 +7,7 @@ from rigidconn.connection import MatrixConnection, ScalarOperator
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               ValidationError)
 from rigidconn.linalg import identity, mat_mul, zeros
-from rigidconn.poly import RatFun, pdivmod, pmonic
+from rigidconn.poly import RatFun, pderiv, pdivmod, pmonic
 
 
 def jacobi_scan(alg):
@@ -118,6 +118,104 @@ def ref_nullspace(m):
 def ref_mat_mul(a, b):
     return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
              for col in zip(*b)] for row in a]
+
+
+# -- Fraction references for the charpoly and the graded cycle check -------
+
+
+def _ref_hessenberg(m):
+    h = [[Fraction(x) for x in row] for row in m]
+    n = len(h)
+    for c in range(n - 2):
+        pivot = next((i for i in range(c + 1, n) if h[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != c + 1:
+            h[c + 1], h[pivot] = h[pivot], h[c + 1]
+            for row in h:
+                row[c + 1], row[pivot] = row[pivot], row[c + 1]
+        for i in range(c + 2, n):
+            if h[i][c] != 0:
+                f = h[i][c] / h[c + 1][c]
+                h[i] = [x - f * y for x, y in zip(h[i], h[c + 1])]
+                for row in h:
+                    row[c + 1] += f * row[i]
+    return h
+
+
+def ref_charpoly(m):
+    """det(x I - m), ascending, by a Fraction Hessenberg reduction."""
+    n = len(m)
+    if n == 0:
+        return [Fraction(1)]
+    h = _ref_hessenberg(m)
+    # p[k] is the charpoly of the leading k x k block of h.
+    p = [[Fraction(1)]]
+    for k in range(1, n + 1):
+        prev = p[k - 1]
+        term = [Fraction(0)] + prev
+        term = [term[i] - (h[k - 1][k - 1] * prev[i] if i < len(prev) else 0)
+                for i in range(len(term))]
+        sub = Fraction(1)
+        for i in range(k - 2, -1, -1):
+            sub *= h[i + 1][i]
+            coeff = h[i][k - 1] * sub
+            if coeff != 0:
+                for j, c in enumerate(p[i]):
+                    term[j] -= coeff * c
+        p.append(term)
+    return p[n]
+
+
+def ref_poly_at_matrix(coeffs, m):
+    """A polynomial at a square matrix by Horner's rule on Fractions."""
+    n = len(m)
+    out = zeros(n, n)
+    for c in reversed(coeffs):
+        out = ref_mat_mul(out, m)
+        for i in range(n):
+            out[i][i] += c
+    return out
+
+
+def ref_is_semisimple(m):
+    chi = ref_charpoly(m)
+    s = pdivmod(chi, ref_pgcd(chi, pderiv(chi)))[0]
+    return all(x == 0 for row in ref_poly_at_matrix(s, m) for x in row)
+
+
+def ref_is_nilpotent(m):
+    return not any(ref_charpoly(m)[:-1])
+
+
+def ref_graded_cycle_check(m, degrees, h):
+    """The graded cycle check on Fraction blocks of m, classes of m^h
+    multiplied out around the cycle by ref_mat_mul."""
+    cls = [Fraction(d) % h for d in degrees]
+    classes = {}
+    for i, c in enumerate(cls):
+        classes.setdefault(c, []).append(i)
+    blocks = {c: [[Fraction(m[i][j]) for j in cols]
+                  for i in classes.get((c - 1) % h, [])]
+              for c, cols in classes.items()}
+    kernel_dim = kernel_dim_h = 0
+    semisimple = nilpotent = True
+    for c, cols in classes.items():
+        kernel_dim += len(cols) - len(ref_rref(blocks[c])[0])
+        power = identity(len(cols))
+        cur = c
+        for _ in range(h):
+            if cur not in blocks:
+                power = zeros(len(cols), len(cols))
+                break
+            power = ref_mat_mul(blocks[cur], power)
+            cur = (cur - 1) % h
+        kernel_dim_h += len(cols) - len(ref_rref(power)[0])
+        nilpotent = nilpotent and ref_is_nilpotent(power)
+        semisimple = semisimple and ref_is_semisimple(power)
+    return {"kernel_dim": kernel_dim,
+            "semisimple": semisimple and kernel_dim == kernel_dim_h,
+            "nilpotent": nilpotent}
 
 
 # -- RatFun references for the gauge and the scalar reduction -------------

@@ -6,7 +6,6 @@ the loop-algebra decomposition, the subregular table) and asserts that
 it finishes inside the intended wall-clock budget.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction

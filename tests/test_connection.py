@@ -24,8 +24,9 @@ from rigidconn.connection import (MatrixConnection, adjoint_connection,
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               SlopeVerificationError, ValidationError)
 from rigidconn.formal import kernel_dimension
-from rigidconn.linalg import nullspace, rank, zeros
-from rigidconn.poly import RatFun
+from rigidconn.galois import cohomology_dims
+from rigidconn.linalg import nullspace, zeros
+from rigidconn.poly import RatFun, pdeg, pdivmod
 from rigidconn.weights import (principal_sl2_decomposition, weight_system)
 from rigidconn.rootsys import build_root_system
 
@@ -278,6 +279,81 @@ BUILT_MODELS = ([sl_standard(n) for n in range(2, 9)]
 @pytest.mark.parametrize("conn", BUILT_MODELS, ids=lambda c: c.label)
 def test_scalar_reduction_matches_ratfun_reference(conn):
     _assert_same_operator(conn)
+
+
+# (model, highest weight of its representation, or None for a standard
+# representation, whose irregularity at infinity is 1)
+LOCAL_DATA = ([(sl_standard(n), None) for n in range(2, 9)]
+              + [(so_odd_standard(n), None) for n in (3, 5, 7, 9)]
+              + [(sp_standard(n), None) for n in (2, 4, 6, 8)]
+              + [(g2_seven_dim(), None)]
+              + [(sl2_sym(k), (k,)) for k in range(1, 13)]
+              + [(adjoint_connection(t, r), build_root_system(t, r).theta)
+                 for t, r in (("A", 1), ("A", 2), ("B", 2))])
+
+
+def _newton_at_infinity(op):
+    """(largest slope, irregularity) of op's Newton polygon at t = infinity.
+
+    theta_t = -theta_s for s = 1/t, so c_j theta^j sits at height
+    -v(c_j) = deg num - deg den; with theta^n at height 0 the largest
+    slope is max_j -v(c_j) / (n - j) and the irregularity the largest
+    height, at least 0."""
+    heights = [(j, pdeg(c.num) - pdeg(c.den))
+               for j, c in enumerate(op.coeffs) if not c.is_zero()]
+    return (max(Fraction(g, op.order - j) for j, g in heights),
+            max([0] + [g for _, g in heights]))
+
+
+def _indicial_at_zero(op):
+    """theta^n + sum_j c_j(0) theta^j, ascending, once every c_j is
+    checked to be regular at t = 0 (0 is a regular singular point)."""
+    poly = []
+    for c in op.coeffs:
+        k = next(i for i, x in enumerate(c.den) if x)
+        assert not any(c.num[:k])
+        poly.append(c.num[k] / c.den[k] if len(c.num) > k else Fraction(0))
+    return poly + [Fraction(1)]
+
+
+def _integer_roots(p):
+    """(integer roots with multiplicity, the monic cofactor left)."""
+    roots = []
+    bound = 1 + int(max(map(abs, p[:-1]), default=0))
+    for r in range(-bound, bound + 1):
+        while len(p) > 1:
+            quot, rem = pdivmod(p, [Fraction(-r), Fraction(1)])
+            if rem:
+                break
+            roots.append(r)
+            p = quot
+    return roots, p
+
+
+@pytest.mark.parametrize("conn,highest", LOCAL_DATA,
+                         ids=[c.label for c, _ in LOCAL_DATA])
+def test_scalar_operator_local_data(conn, highest):
+    """A second route to the local data, read off the scalar operator
+    alone: slope 1/h at infinity, the irregularity of the weight formula,
+    and integer exponents at 0 (unipotent monodromy; the apparent
+    singularities of e_0 can add exponents other than 0)."""
+    op = scalar_reduction(conn)
+    slope, irr = _newton_at_infinity(op)
+    assert slope == Fraction(1, conn.h)
+    assert irr == (1 if highest is None
+                   else cohomology_dims(*conn.group, highest).irr)
+    roots, rest = _integer_roots(_indicial_at_zero(op))
+    assert rest == [Fraction(1)] and len(roots) == conn.dim
+
+
+def test_adjoint_a2_indicial_polynomial():
+    """The coefficients of the A2 adjoint operator are not Laurent, and its
+    indicial polynomial at 0 is theta^3 (theta + 1)^4 (theta + 2)."""
+    op = scalar_reduction(adjoint_connection("A", 2))
+    assert op.laurent_coefficients() is None
+    indicial = _indicial_at_zero(op)
+    assert indicial == [0, 0, 0, 2, 9, 16, 14, 6, 1]
+    assert _integer_roots(indicial) == ([-2] + [-1] * 4 + [0] * 3, [1])
 
 
 def _t(k):

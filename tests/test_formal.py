@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_bracket, ref_mat_mul, ref_nullspace, ref_rref
+from conftest import ref_mat_mul, ref_nullspace, ref_rref
 from rigidconn.chevalley import KacWindow, build_chevalley
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   sl2_sym, sl_standard, so_odd_standard)

@@ -11,7 +11,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_mat_mul, ref_nullspace, ref_rref
+from conftest import (ref_charpoly, ref_graded_cycle_check,
+                      ref_is_nilpotent, ref_is_semisimple, ref_mat_mul,
+                      ref_nullspace, ref_poly_at_matrix, ref_rref)
 
 from rigidconn.connection import (adjoint_connection, g2_seven_dim,
                                   sl_standard, slope_at_infinity,
@@ -20,7 +22,7 @@ from rigidconn.errors import ConsistencyError
 from rigidconn.linalg import (_int_mul, _kernel, _row_reduce, charpoly,
                               graded_cycle_check, identity, inverse,
                               is_nilpotent, is_semisimple, mat_mul, mat_vec,
-                              nullspace, rank)
+                              nullspace, poly_at_matrix, rank)
 
 
 def rand_matrix(rng, n, m, density=0.7):
@@ -278,3 +280,85 @@ def test_mat_mul_with_empty_inner_dimension_gives_empty_rows(nrows):
     formal solver needs when its parameter space is empty."""
     assert mat_mul([[] for _ in range(nrows)], []) == [[]] * nrows
     assert _int_mul([[] for _ in range(nrows)], [[]] * 2) == [[0, 0]] * nrows
+
+
+# -- charpoly, poly_at_matrix and the graded cycle check against Fractions --
+#
+# The references (conftest.py) are the Fraction routines these replaced:
+# the Hessenberg charpoly, Horner's rule with Fraction products, and the
+# cycle check on Fraction blocks.  The integer routines clear denominators
+# once, so they must return exactly the same values.
+
+
+SQUARE = st.integers(0, 8).flatmap(lambda n: matrices(n, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(SQUARE)
+def test_charpoly_matches_reference(m):
+    got = charpoly(m)
+    assert got == ref_charpoly(m)
+    assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SQUARE, st.lists(ENTRIES, max_size=7))
+def test_poly_at_matrix_matches_reference(m, coeffs):
+    got = poly_at_matrix(coeffs, m)
+    assert got == ref_poly_at_matrix(coeffs, m)
+    assert all_fractions(got)
+    assert len(got) == len(m)
+
+
+@st.composite
+def graded_cyclic(draw):
+    """(m, degrees, h) with m lowering the degree by one mod h.  Degrees
+    are integers and half-integers in [-h, h], so some classes stay empty;
+    the entries are either 0/1, which gives nilpotent and non-semisimple
+    blocks, or ENTRIES (big denominators included)."""
+    h = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 8))
+    degrees = draw(st.lists(st.integers(-2 * h, 2 * h), min_size=n,
+                            max_size=n))
+    degrees = [Fraction(d, 2) for d in degrees]
+    cls = [d % h for d in degrees]
+    entries = draw(st.sampled_from([st.sampled_from([0, 1]), ENTRIES]))
+    m = [[draw(entries) if cls[i] == (cls[j] - 1) % h else Fraction(0)
+          for j in range(n)] for i in range(n)]
+    return m, degrees, h
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_cyclic())
+def test_graded_cycle_check_matches_reference(case):
+    """Against the Fraction cycle check and against the dense answer."""
+    m, degrees, h = case
+    got = graded_cycle_check(m, degrees, h, "test", "random")
+    assert got == ref_graded_cycle_check(m, degrees, h)
+    assert got == {"kernel_dim": len(ref_nullspace(m)),
+                   "semisimple": ref_is_semisimple(m),
+                   "nilpotent": ref_is_nilpotent(m)}
+
+
+def test_charpoly_inexact_division_survives_optimize():
+    """With every product off by one, tr / 2 is inexact at step 2 of
+    Faddeev-LeVerrier on the 3 x 3 zero matrix."""
+    code = ("from rigidconn import linalg\n"
+            "from rigidconn.errors import ConsistencyError\n"
+            "mul = linalg._int_mul\n"
+            "def off_by_one(rows, cols):\n"
+            "    out = mul(rows, cols)\n"
+            "    out[0][0] += 1\n"
+            "    return out\n"
+            "linalg._int_mul = off_by_one\n"
+            "try:\n"
+            "    linalg.charpoly([[0] * 3 for _ in range(3)])\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n"
+            "    raise SystemExit(3)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert "charpoly: the trace at Faddeev-LeVerrier step 2" in proc.stdout
