@@ -4,10 +4,9 @@ from .chevalley import (ChevalleyAlgebra, KacWindow, build_chevalley,
                         heisenberg_pairing_check, kostant_check,
                         principal_triple)
 from .connection import (MatrixConnection, ScalarOperator, adjoint_connection,
-                         build_connection, companion_connection,
-                         g2_seven_dim, gauge_transform, scalar_reduction,
-                         sl2_sym, sl_standard, slope_at_infinity,
-                         so_odd_standard, sp_standard)
+                         companion_connection, g2_seven_dim, gauge_transform,
+                         scalar_reduction, sl2_sym, sl_standard,
+                         slope_at_infinity, so_odd_standard, sp_standard)
 from .errors import (ConsistencyError, CyclicVectorError,
                      SlopeVerificationError, ValidationError)
 from .formal import (check_rigidity, h1_middle_via_solver, kernel_dimension,
@@ -26,8 +25,8 @@ __all__ = [
     "CyclicVectorError", "KacWindow", "MatrixConnection", "RootSystem",
     "ScalarOperator", "SlopeVerificationError", "ValidationError",
     "WeightSystem", "adjoint_connection", "build_chevalley",
-    "build_connection", "build_root_system", "check_rigidity",
-    "cohomology_dims", "companion_connection", "g2_seven_dim", "galois_group",
+    "build_root_system", "check_rigidity", "cohomology_dims",
+    "companion_connection", "g2_seven_dim", "galois_group",
     "gauge_transform", "h1_middle_via_solver", "heisenberg_pairing_check",
     "kernel_dimension", "kostant_check", "load_weight_system",
     "local_invariants", "principal_sl2_decomposition", "principal_triple",

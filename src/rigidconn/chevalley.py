@@ -11,7 +11,8 @@ sparse dicts {basis index: Fraction}.
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import _row_reduce, graded_cycle_check, nullspace, rank, zeros
+from .linalg import (_cleared, _row_reduce, graded_cycle_check, nullspace,
+                     rank, zeros)
 from .rootsys import build_root_system
 
 
@@ -299,15 +300,6 @@ class KacWindow:
         return [(i, (n + e) // h) for i, e in enumerate(self._degrees)
                 if (n + e) % h == 0]
 
-    def ad_p1(self, elem):
-        """Bracket with p1 = N + E t on a loop element."""
-        out = {}
-        for (i, k), v in elem.items():
-            for shift, ad in enumerate(self._ad):
-                for j, row in enumerate(ad):
-                    _add_into(out, (j, k + shift), v * row[i])
-        return out
-
     def ad_p1_matrix(self, n):
         """Matrix of ad p1 from slice n to slice n+1: the entry at
         [(j, l), (i, k)] is ad N[j][i] when l = k, ad E[j][i] when l = k+1."""
@@ -330,7 +322,7 @@ class KacWindow:
         got = self._c.get(n)
         if got is None:
             m = self.ad_p1_matrix(n - 1)
-            got = [[row[j] for row in m] for j in _row_reduce(list(m))]
+            got = [[row[j] for row in m] for j in _row_reduce(_cleared(m)[0])]
             self._c[n] = got
         return got
 

@@ -105,9 +105,23 @@ def _rep_int(rep, prefix):
                               % (rep, prefix))
 
 
+def _read_rep(group, rep, default):
+    """The --rep token, stripped and lower-cased, and k for sym:k (else
+    None).  dim7 and sym:k are checked against the group here, the same
+    way for every command."""
+    rep = (rep or default).strip().lower()
+    if rep == "dim7" and (group.type_label, group.rank) != ("G", 2):
+        raise ValidationError("--rep dim7 is the G2 case only")
+    if not rep.startswith("sym:"):
+        return rep, None
+    if (group.type_label, group.rank) != ("A", 1):
+        raise ValidationError("--rep sym:k needs an SL2 group token")
+    return rep, _rep_int(rep, "sym:")
+
+
 def resolve_connection(group, rep):
     """MatrixConnection for the matrix-level commands."""
-    rep = (rep or "standard").strip().lower()
+    rep, k = _read_rep(group, rep, "standard")
     if rep == "adjoint":
         return adjoint_connection(group.type_label, group.rank)
     if rep == "standard":
@@ -129,20 +143,16 @@ def resolve_connection(group, rep):
                                                    if group.type_label == "G"
                                                    else ""))
     if rep == "dim7":
-        if (group.type_label, group.rank) != ("G", 2):
-            raise ValidationError("--rep dim7 is the G2 case only")
         return g2_seven_dim()
-    if rep.startswith("sym:"):
-        if (group.type_label, group.rank) != ("A", 1):
-            raise ValidationError("--rep sym:k needs an SL2 group token")
-        return sl2_sym(_rep_int(rep, "sym:"))
+    if k is not None:
+        return sl2_sym(k)
     raise ValidationError("representation %r has no matrix model; expected "
                           "standard, adjoint, sym:k or dim7" % rep)
 
 
 def resolve_weight(group, rep):
     """Highest weight in fundamental-weight coordinates."""
-    rep = (rep or "adjoint").strip().lower()
+    rep, k = _read_rep(group, rep, "adjoint")
     rs = build_root_system(group.type_label, group.rank)
     if rep == "adjoint":
         return rs.theta
@@ -154,18 +164,14 @@ def resolve_weight(group, rep):
         raise ValidationError("no standard representation for %s"
                               % group.label())
     if rep == "dim7":
-        if (group.type_label, group.rank) != ("G", 2):
-            raise ValidationError("--rep dim7 is the G2 case only")
         return (1, 0)
+    if k is not None:
+        return (k,)
     if rep == "spin":
         if group.type_label != "B":
             raise ValidationError("--rep spin needs a type B group")
         return tuple(0 if i < group.rank - 1 else 1
                      for i in range(group.rank))
-    if rep.startswith("sym:"):
-        if (group.type_label, group.rank) != ("A", 1):
-            raise ValidationError("--rep sym:k needs an SL2 group token")
-        return (_rep_int(rep, "sym:"),)
     if rep.startswith("fund:"):
         i = _rep_int(rep, "fund:")
         if not 1 <= i <= group.rank:

@@ -147,19 +147,6 @@ def sl2_sym(k):
                             h=2, rho_weights=weights, group=("A", 1))
 
 
-_CASES = {"sl": sl_standard, "sp": sp_standard, "so": so_odd_standard,
-          "g2_dim7": g2_seven_dim, "adjoint": adjoint_connection,
-          "sym": sl2_sym}
-
-
-def build_connection(case, *args):
-    make = _CASES.get(case)
-    if make is None:
-        raise ValidationError("unknown case %r; supported: %s"
-                              % (case, ", ".join(sorted(_CASES))))
-    return make(*args)
-
-
 # -- elimination over Q[t] ----------------------------------------------------
 
 
@@ -462,31 +449,23 @@ def slope_at_infinity(conn, details=False):
         if (wi * 2 * h).denominator != 1:
             raise ValidationError("rho weight %s at index %d of %s is not "
                                   "in (1/%d) Z" % (wi, i, conn.label, 2 * h))
-    by_exp = {}
-
-    def add(exp, i, j, val):
-        mat = by_exp.get(exp)
-        if mat is None:
-            mat = by_exp[exp] = zeros(n, n)
-        mat[i][j] += val
-
+    # after the gauge, entry (i, j) of -h A_k sits at u^(w_i - w_j - hk)
+    # and -diag(w) at u^0: the lowest exponent gives the pole order, and
+    # the leading term is the part at u^-1
+    leading = zeros(n, n)
+    low = Fraction(0)
     for k, mat in conn.coeffs.items():
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j] != 0:
-                    add(Fraction(-h * k) + w[i] - w[j], i, j,
-                        -h * mat[i][j])
-    for i in range(n):
-        if w[i] != 0:
-            add(Fraction(0), i, i, -w[i])
-    by_exp = {e: m for e, m in by_exp.items()
-              if any(any(x != 0 for x in row) for row in m)}
-    low = min(by_exp, default=Fraction(0))
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if x:
+                    exp = -h * k + w[i] - w[j]
+                    low = min(low, exp)
+                    if exp == -1:
+                        leading[i][j] = -h * x
     if low < -1:
         raise SlopeVerificationError("pole order %s at infinity exceeds 2 "
                                      "for %s" % (1 - low, conn.label))
-    leading = by_exp.get(Fraction(-1))
-    if leading is None:
+    if not any(map(any, leading)):
         raise SlopeVerificationError("no second-order pole at infinity "
                                      "for %s" % conn.label)
     graded = graded_cycle_check(leading, w, h, "slope_at_infinity",
@@ -501,5 +480,4 @@ def slope_at_infinity(conn, details=False):
     slope = Fraction(1, h)
     if not details:
         return slope
-    return {"slope": slope, "pole_order": 2, "leading": leading,
-            "exponents": sorted(by_exp), "gauge_weights": list(w)}
+    return {"slope": slope, "pole_order": 2, "leading": leading}

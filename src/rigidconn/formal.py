@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (_int_mul, _kernel, _row_reduce, identity, inverse,
-                     mat_mul, rank, zeros)
+from .linalg import (_cleared, _int_mul, _kernel, _row_reduce, identity,
+                     inverse, mat_mul, rank, zeros)
 
 SPACES = ("taylor0", "taylor_inf", "two_sided", "laurent_polys")
 
@@ -89,10 +89,9 @@ def _solve_space(conn, space, m_window, buffer_depth):
     ks = [k for k in conn.coeffs if k >= 1]
     big_k = max(ks, default=0)
     seed_layers = max(big_k, 1)
-    den_a = lcm(*[x.denominator for mat in conn.coeffs.values()
-                  for row in mat for x in row])
-    a = {k: [[x.numerator * (den_a // x.denominator) for x in row]
-             for row in conn.coefficient(k)] for k in [0] + ks}
+    rows, den_a = _cleared([row for k in [0] + ks
+                            for row in conn.coefficient(k)])
+    a = {k: rows[i * d:i * d + d] for i, k in enumerate([0] + ks)}
     phi = {}
     if space in ("taylor_inf", "two_sided"):
         start = -m_window - buffer_depth
@@ -155,6 +154,9 @@ def kernel_dimension(conn, space, truncation, enforce_floor=True):
 
     The dimension is recomputed with the window enlarged by one h-period
     and the report is flagged unstabilized if the two values differ.
+    The truncation must reach the floor 2 dim + 2h, with dim + 1 in
+    place of h when the connection has none; enforce_floor=False lifts
+    the floor, for small reference windows in tests.
     """
     if space not in SPACES:
         raise ValidationError("unknown space %r; expected one of %s"
@@ -162,8 +164,7 @@ def kernel_dimension(conn, space, truncation, enforce_floor=True):
     h_step = conn.h if conn.h else conn.dim + 1
     floor = 2 * conn.dim + 2 * h_step
     if enforce_floor and truncation < floor:
-        raise ValidationError("truncation %d is below the floor %d for %s; "
-                              "pass enforce_floor=False to override"
+        raise ValidationError("truncation %d is below the floor %d for %s"
                               % (truncation, floor, conn.label))
     phi, pivots = _solve_space(conn, space, truncation, truncation + h_step)
     m2 = truncation + h_step

@@ -12,24 +12,37 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import _row_reduce
+from .linalg import _cleared, _row_reduce
 from .rootsys import (build_root_system, coxeter_element,
                       coxeter_primitive_projector, primitive_rank)
-from .weights import Sl2Decomposition, epsilon_on, weight_system
+from .weights import (Sl2Decomposition, a_histogram, epsilon_on,
+                      weight_system)
+
+
+def _folding(type_label, rank):
+    """(target, orbits) for a type whose differential Galois group is the
+    folded target (type, rank), else None; orbits[i] lists the source
+    nodes, from 1, whose coordinates add up to target coordinate i."""
+    if type_label == "A" and rank >= 3 and rank % 2 == 1:
+        n = (rank + 1) // 2
+        return ("C", n), [(j, rank + 1 - j) for j in range(1, n)] + [(n,)]
+    if type_label == "B" and rank == 3:
+        return ("G", 2), [(1, 3), (2,)]
+    if type_label == "D" and rank == 4:
+        return ("G", 2), [(1, 3, 4), (2,)]
+    if type_label == "D":
+        return (("B", rank - 1), [(j,) for j in range(1, rank - 1)]
+                + [(rank - 1, rank)])
+    if type_label == "E" and rank == 6:
+        return ("F", 4), [(2,), (4,), (3, 5), (1, 6)]
+    return None
 
 
 def folding_target(type_label, rank):
     """The type of the differential Galois group, or None when it is
     the full dual group."""
-    if type_label == "A" and rank >= 3 and rank % 2 == 1:
-        return ("C", (rank + 1) // 2)
-    if type_label == "B" and rank == 3:
-        return ("G", 2)
-    if type_label == "D":
-        return ("G", 2) if rank == 4 else ("B", rank - 1)
-    if type_label == "E" and rank == 6:
-        return ("F", 4)
-    return None
+    folding = _folding(type_label, rank)
+    return None if folding is None else folding[0]
 
 
 def folding_matrix(type_label, rank):
@@ -39,27 +52,11 @@ def folding_matrix(type_label, rank):
     an integer combination of source coordinates (orbit sums of the
     diagram automorphism).
     """
-    target = folding_target(type_label, rank)
-    if target is None:
+    folding = _folding(type_label, rank)
+    if folding is None:
         raise ValidationError("type %s%d does not fold" % (type_label, rank))
-
-    def row(*cols):
-        out = [0] * rank
-        for c in cols:
-            out[c - 1] += 1
-        return out
-
-    if type_label == "A":
-        n = (rank + 1) // 2
-        rows = [row(j, rank + 1 - j) for j in range(1, n)] + [row(n)]
-    elif type_label == "B":
-        rows = [row(1, 3), row(2)]
-    elif type_label == "D" and rank == 4:
-        rows = [row(1, 3, 4), row(2)]
-    elif type_label == "D":
-        rows = [row(j) for j in range(1, rank - 1)] + [row(rank - 1, rank)]
-    else:
-        rows = [row(2), row(4), row(3, 5), row(1, 6)]
+    target, orbits = folding
+    rows = [[int(c in orbit) for c in range(1, rank + 1)] for orbit in orbits]
     rs = build_root_system(type_label, rank)
     rs_t = build_root_system(*target)
     for i in range(rank):
@@ -166,7 +163,8 @@ def _torus_rows(rs):
     """Integer rows cutting out the weights in V^S: the nonzero rows of the
     row-reduced primitive projector of coxeter_element(rs).  They must
     number primitive_rank(rs), which the root heights give (Kostant)."""
-    rows = coxeter_primitive_projector(coxeter_element(rs), rs.coxeter_number)
+    rows, _ = _cleared(coxeter_primitive_projector(coxeter_element(rs),
+                                                    rs.coxeter_number))
     rows = rows[:len(_row_reduce(rows))]
     if len(rows) != primitive_rank(rs):
         raise ConsistencyError(
@@ -195,12 +193,7 @@ def _local_invariants(rs, table, epsilon, label):
                                "(%d - %d)/%d is not an integer for %s"
                                % (dim, v_s, h, label))
     irr = (dim - v_s) // h
-    # a-values come from rs: a folded table's weights belong to the target
-    # system, where ws.a_of has no entries
-    hist = {}
-    for mu, mult in table.items():
-        a = rs.a_value(mu)
-        hist[a] = hist.get(a, 0) + mult
+    hist = a_histogram(rs, table)
     i0 = Sl2Decomposition(hist, dim, label).summand_count()
     n_fixed = sum(c for a, c in hist.items() if a % (2 * h) == 0)
     i_inf = 0
@@ -311,8 +304,8 @@ def epsilon_plus_crosscheck(ws):
         raise ValidationError("cross-check needs epsilon = +1 on V; "
                               "%s has epsilon = -1" % ws.label())
     h = rs.coxeter_number
-    pos = sum(mult for mu, mult in ws.table.items()
-              if ws.a_of[mu] > 0 and ws.a_of[mu] % (2 * h) == 0)
+    pos = sum(c for a, c in a_histogram(rs, ws.table).items()
+              if a > 0 and a % (2 * h) == 0)
     alt = 2 * (pos - rep.inv_Iinf)
     d_main = rep.h1 - 2 * rep.inv_galois
     if d_main % 2:
@@ -333,14 +326,9 @@ def epsilon_minus_crosscheck(ws):
     if rep.epsilon != -1:
         raise ValidationError("cross-check needs epsilon = -1 on V")
     h = rs.coxeter_number
-    count = 0
-    for mu, mult in ws.table.items():
-        a = ws.a_of[mu]
-        if a % 2 == 0:
-            continue
-        k = (a - 1) // 2
-        if k != 0 and k % h == 0:
-            count += mult
+    # a = 2k + 1 with k = 0 mod h, k nonzero
+    count = sum(c for a, c in a_histogram(rs, ws.table).items()
+                if a % 2 and a != 1 and (a - 1) // 2 % h == 0)
     d_main = rep.h1 - 2 * rep.inv_galois
     if count != d_main:
         raise ConsistencyError("odd-case formula gives %d but the main "

@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of row lists with Fraction or int entries (ints mix
-freely and stay exact).  The two kernels work on Python ints:
-_row_reduce is fraction-free Gauss-Jordan on rows cleared of
-denominators once, and _int_mul takes integer dot products.  _kernel
-reads a kernel basis over one denominator off the reduced rows.  The
-formal solver and graded_cycle_check call these directly; charpoly and
-poly_at_matrix are fraction-free over one denominator.  rank, nullspace,
-inverse, mat_mul, charpoly and poly_at_matrix return Fractions, divided
-out only for the entries returned.  There is no floating point here.
+freely and stay exact).  The kernels take Python ints only:
+_row_reduce is fraction-free Gauss-Jordan, _kernel reads a kernel basis
+over one denominator off its reduced rows, and _int_mul takes integer
+dot products.  _cleared, the one place denominators are cleared, puts
+rows over one common denominator; the Fraction-facing routines call it
+once before the kernels, and the formal solver, whose levels are ints,
+calls the kernels directly.  Fractions are divided out only for the
+entries returned.  There is no floating point here.
 """
 
 from fractions import Fraction
@@ -33,15 +33,12 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _scaled(vec):
-    """(ints, den): ints[i] / den == vec[i], den the lcm of the denominators.
-
-    vec holds ints and Fractions; each row or column is cleared once.
-    """
-    den = lcm(*[x.denominator for x in vec])
-    if den == 1:
-        return [x.numerator for x in vec], 1
-    return [x.numerator * (den // x.denominator) for x in vec], den
+def _cleared(rows):
+    """(ints, den): ints[i][j] / den == rows[i][j], den the lcm of all the
+    denominators.  rows hold ints and Fractions and may differ in length."""
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows], den
 
 
 def _int_mul(rows, cols):
@@ -51,16 +48,15 @@ def _int_mul(rows, cols):
 
 
 def mat_mul(a, b):
-    """The product a b as Fractions: _int_mul of the rows of a and the
-    columns of b, each cleared of denominators once, over da * db.  When
-    b has no rows (a is n x 0) the result is n empty rows, not an n x m
-    zero matrix: a list of no rows cannot carry its width m."""
-    cols = [_scaled(col) for col in zip(*b)]
-    rows = [_scaled(row) for row in a]
-    prod = _int_mul([r for r, _ in rows], [c for c, _ in cols])
-    return [[Fraction(x, da * db) if da * db > 1 else Fraction(x)
-             for x, (_, db) in zip(prow, cols)]
-            for prow, (_, da) in zip(prod, rows)]
+    """The product a b as Fractions: _int_mul of a and b, each cleared of
+    denominators once, over da * db.  When b has no rows (a is n x 0) the
+    result is n empty rows, not an n x m zero matrix: a list of no rows
+    cannot carry its width m."""
+    ia, da = _cleared(a)
+    ib, db = _cleared(b)
+    den = da * db
+    return [[Fraction(x, den) if den > 1 else Fraction(x) for x in row]
+            for row in _int_mul(ia, list(zip(*ib)))]
 
 
 def mat_vec(a, v):
@@ -77,20 +73,23 @@ def _primitive(row):
 
 
 def _row_reduce(m):
-    """Fraction-free Gauss-Jordan elimination of m; returns the pivot columns.
+    """Fraction-free Gauss-Jordan elimination of the int rows m; returns
+    the pivot columns.
 
-    The rows of m are replaced by new int lists (the row lists passed in
-    are not modified).  The pivot of column c is the first nonzero entry
-    at or below row r; every other row_i with a nonzero in column c
-    becomes a row_i - b row_r, with a / b = m[r][c] / m[i][c] in lowest
-    terms, divided by the gcd of its entries.  On return row r is a
-    nonzero multiple of row r of the reduced row echelon form, so the
-    RREF entry is m[r][j] / m[r][pivots[r]]; rows below the rank are zero.
+    The rows of m are replaced by new int lists, each first divided by
+    the gcd of its entries: the row lists passed in are not modified, the
+    list m is (pass a copy to keep it).  The pivot of column c is the
+    first nonzero entry at or below row r; every other row_i with a
+    nonzero in column c becomes a row_i - b row_r, with a / b = m[r][c] /
+    m[i][c] in lowest terms, divided by the gcd of its entries.  On return
+    row r is a nonzero multiple of row r of the reduced row echelon form,
+    so the RREF entry is m[r][j] / m[r][pivots[r]]; rows below the rank
+    are zero.
     """
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     for i in range(nrows):
-        m[i] = _primitive(_scaled(m[i])[0])
+        m[i] = _primitive(m[i])
     pivots = []
     r = 0
     for c in range(ncols):
@@ -114,13 +113,13 @@ def _row_reduce(m):
 
 
 def rank(m):
-    return len(_row_reduce(list(m)))
+    return len(_row_reduce(_cleared(m)[0]))
 
 
 def _kernel(m):
-    """(vecs, den, free): the nullspace vectors of m are vecs[j] / den, one
-    per free column free[j], with den the lcm of the pivots, so that each
-    entry -row[f] den / row[c] is an int."""
+    """(vecs, den, free): the nullspace vectors of the int rows m are
+    vecs[j] / den, one per free column free[j], with den the lcm of the
+    pivots, so that each entry -row[f] den / row[c] is an int."""
     ncols = len(m[0]) if m else 0
     work = list(m)
     pivots = _row_reduce(work)
@@ -137,14 +136,14 @@ def _kernel(m):
 
 def nullspace(m):
     """Basis of the right kernel of m, as a list of vectors."""
-    vecs, den, _ = _kernel(m)
+    vecs, den, _ = _kernel(_cleared(m)[0])
     return [[Fraction(x, den) for x in v] for v in vecs]
 
 
 def inverse(m):
     n = len(m)
-    aug = [list(row) + [int(i == j) for j in range(n)]
-           for i, row in enumerate(m)]
+    a, den = _cleared(m)
+    aug = [row + [den * (i == j) for j in range(n)] for i, row in enumerate(a)]
     pivots = _row_reduce(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -161,8 +160,7 @@ def charpoly(m):
     in det(x I - m) is b_k den^(k-n).  M_k is kept by columns.
     """
     n = len(m)
-    ints, den = _scaled([x for row in m for x in row])
-    a = [ints[i * n:i * n + n] for i in range(n)]
+    a, den = _cleared(m)
     b = [0] * n + [1]
     cols = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -184,9 +182,9 @@ def poly_at_matrix(coeffs, m):
     sum_k u_k den^(d-k) a^k is e den^d times the value.
     """
     n = len(m)
-    ints, den = _scaled([x for row in m for x in row])
-    cols = [ints[j::n] for j in range(n)]
-    u, e = _scaled(list(coeffs))
+    a, den = _cleared(m)
+    cols = list(zip(*a))
+    (u,), e = _cleared([coeffs])
     out = [[0] * n for _ in range(n)]
     for k, c in enumerate(reversed(u)):
         if k:
@@ -229,32 +227,30 @@ def graded_cycle_check(m, degrees, h, stage, label):
     dim ker m = dim ker m^h: x^h - a is squarefree for a != 0, and m
     vanishes on its generalized kernel exactly when ker m = ker m^h.
 
-    One pass over the nonzero entries checks the grading and finds the lcm
-    den of their denominators; the blocks of den m are ints, and _int_mul
-    takes each h-fold product as its transpose (same rank and charpoly).
+    The blocks of den m, with den the lcm of the denominators of m, are
+    ints; _int_mul takes each h-fold product as its transpose (same rank
+    and charpoly), and _row_reduce gets copies of the blocks' row lists.
     """
     cls = [Fraction(d) % h for d in degrees]
     classes = {}
     for i, c in enumerate(cls):
         classes.setdefault(c, []).append(i)
-    den = 1
-    for i, row in enumerate(m):
+    a, _ = _cleared(m)
+    for i, row in enumerate(a):
         for j, x in enumerate(row):
-            if x:
-                if cls[i] != (cls[j] - 1) % h:
-                    raise ConsistencyError(
-                        "%s: %s does not lower the degree by one mod %d at "
-                        "entry (%d, %d), degree %s -> %s"
-                        % (stage, label, h, i, j, degrees[j], degrees[i]))
-                den = lcm(den, x.denominator)
+            if x and cls[i] != (cls[j] - 1) % h:
+                raise ConsistencyError(
+                    "%s: %s does not lower the degree by one mod %d at "
+                    "entry (%d, %d), degree %s -> %s"
+                    % (stage, label, h, i, j, degrees[j], degrees[i]))
     # blocks[c] maps class c to class c - 1
-    blocks = {c: [[m[i][j].numerator * (den // m[i][j].denominator)
-                   for j in cols] for i in classes.get((c - 1) % h, [])]
+    blocks = {c: [[a[i][j] for j in cols]
+                  for i in classes.get((c - 1) % h, [])]
               for c, cols in classes.items()}
     kernel_dim = kernel_dim_h = 0
     semisimple = nilpotent = True
     for c, cols in classes.items():
-        kernel_dim += len(cols) - rank(blocks[c])
+        kernel_dim += len(cols) - len(_row_reduce(list(blocks[c])))
         power = [[int(i == j) for j in cols] for i in cols]
         cur = c
         for _ in range(h):
@@ -263,7 +259,7 @@ def graded_cycle_check(m, degrees, h, stage, label):
                 break
             power = _int_mul(power, blocks[cur])
             cur = (cur - 1) % h
-        kernel_dim_h += len(cols) - rank(power)
+        kernel_dim_h += len(cols) - len(_row_reduce(list(power)))
         nilpotent = nilpotent and is_nilpotent(power)
         semisimple = semisimple and is_semisimple(
             power, stage, "the class-%s block of (%s)^%d" % (c, label, h))

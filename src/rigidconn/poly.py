@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import _primitive, _scaled
+from .linalg import _cleared, _primitive
 
 
 def ptrim(p):
@@ -93,7 +93,7 @@ def pgcd(p, q):
     is cut to its primitive part, so the coefficients stay near the size
     of the gcd's instead of growing as in Euclid's sequence over Q.
     """
-    a, b = (_primitive(_scaled(ptrim(list(x)))[0]) for x in (p, q))
+    a, b = map(_primitive, _cleared([ptrim(list(p)), ptrim(list(q))])[0])
     if len(a) < len(b):
         a, b = b, a
     while b:

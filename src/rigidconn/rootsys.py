@@ -8,12 +8,12 @@ equal to the j-th column of A in these coordinates.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (charpoly, identity, inverse, is_zero_matrix, mat_mul,
-                     mat_sub, mat_vec, poly_at_matrix)
+from .linalg import (_cleared, charpoly, identity, inverse, is_zero_matrix,
+                     mat_mul, mat_sub, mat_vec, poly_at_matrix)
 from .poly import cyclotomic, pbezout, pdeg, pdivmod, pmul
 
 SUPPORTED = {"A": (1, 8), "B": (2, 9), "C": (2, 8), "D": (4, 8),
@@ -161,8 +161,7 @@ class RootSystem:
     def _build_gram(self):
         form = [[row[k] * dj for row, dj in zip(self.cartan_inv, self.d)]
                 for k in range(self.rank)]
-        self.gram_den = lcm(*[x.denominator for row in form for x in row])
-        self.gram = [[int(x * self.gram_den) for x in row] for row in form]
+        self.gram, self.gram_den = _cleared(form)
 
     def _build_a_coeffs(self):
         # 2 rho-check is twice the sum of the fundamental coweights, whose

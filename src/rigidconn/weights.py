@@ -103,16 +103,19 @@ class WeightSystem:
     def multiplicity(self, mu):
         return self.table.get(tuple(mu), 0)
 
-    def a_histogram(self):
-        """N_j = total multiplicity of weights with a(mu) = j."""
-        hist = {}
-        for mu, m in self.table.items():
-            a = self.a_of[mu]
-            hist[a] = hist.get(a, 0) + m
-        return hist
-
     def label(self):
         return "%s, lambda=%s" % (self.rs.label(), list(self.highest))
+
+
+def a_histogram(rs, table):
+    """N_j = total multiplicity of the weights mu in table with a(mu) = j,
+    a-values taken in rs: a folded table's weights belong to the target
+    system, which ws.a_of does not cover."""
+    hist = {}
+    for mu, m in table.items():
+        a = rs.a_value(mu)
+        hist[a] = hist.get(a, 0) + m
+    return hist
 
 
 class Sl2Decomposition:
@@ -156,7 +159,7 @@ class Sl2Decomposition:
 
 
 def principal_sl2_decomposition(ws):
-    return Sl2Decomposition(ws.a_histogram(), ws.dim, ws.label())
+    return Sl2Decomposition(a_histogram(ws.rs, ws.table), ws.dim, ws.label())
 
 
 def epsilon_on(ws):

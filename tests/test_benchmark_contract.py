@@ -1,5 +1,6 @@
 """The benchmark under perfbench/ wraps rigidconn functions by name."""
 
+import json
 import os
 import subprocess
 import sys
@@ -17,3 +18,30 @@ def test_benchmark_tracer_installs():
         [sys.executable, "-c", "import tracer; tracer.Tracer().install()"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_jobs_answer_correctly(tmp_path, monkeypatch):
+    """One pass of the slopes, solver and cohomology job lists (seed 1)
+    through perfbench/worker.py, every answer checked by
+    workloads.check: the benchmark's own correctness gate, run on the
+    functions and answer keys the worker uses."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    jobs = [job for name in ("slopes", "solver", "cohomology")
+            for job in workloads.make_jobs(name, 1)]
+    request, result = tmp_path / "request.json", tmp_path / "result.json"
+    request.write_text(json.dumps({
+        "jobs": [workloads.worker_spec(job) for job in jobs],
+        "trace": False, "passdir": str(tmp_path)}))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"),
+         str(request), str(result)],
+        env=dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src")),
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    answers = json.loads(result.read_text())["jobs"]
+    assert [a["id"] for a in answers] == [job["id"] for job in jobs]
+    wrong = {a["id"]: a["error"] or workloads.check(job, a["answer"])
+             for job, a in zip(jobs, answers)}
+    assert not {k: v for k, v in wrong.items() if v}

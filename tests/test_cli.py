@@ -241,6 +241,30 @@ def test_sym_needs_sl2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("group,rep,message", [
+    ("sl3", "dim7", "error: --rep dim7 is the G2 case only"),
+    ("b2", "dim7", "error: --rep dim7 is the G2 case only"),
+    ("sl3", "sym:2", "error: --rep sym:k needs an SL2 group token"),
+    ("g2", "sym:2", "error: --rep sym:k needs an SL2 group token"),
+])
+def test_rep_group_mismatch_same_message(capsys, group, rep, message):
+    """The matrix-level and the weight-level commands read --rep alike."""
+    for command in ("matrix", "cohomology"):
+        code, out, err = run_cli(capsys, command, "--group", group,
+                                 "--rep", rep)
+        assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_truncation_floor_message(capsys):
+    """The floor message names the floor only: the override is a keyword
+    of kernel_dimension that a command line cannot pass."""
+    code, out, err = run_cli(capsys, "rigidity", "--group", "sl2",
+                             "--trunc", "0")
+    assert code == 2 and out == ""
+    assert err == ("error: truncation 0 is below the floor 8 for "
+                   "sl2 standard\n")
+
+
 def test_rank_conflict(capsys):
     code, _, _ = run_cli(capsys, "matrix", "--group", "sl4",
                          "--rank", "5")

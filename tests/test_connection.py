@@ -16,11 +16,10 @@ from conftest import ref_gauge_transform, ref_pgcd, ref_scalar_reduction
 from rigidconn import connection, poly
 from rigidconn.cli import main
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
-                                  build_connection, companion_connection,
-                                  g2_seven_dim, gauge_transform,
-                                  scalar_reduction, sl2_sym, sl_standard,
-                                  slope_at_infinity, so_odd_standard,
-                                  sp_standard)
+                                  companion_connection, g2_seven_dim,
+                                  gauge_transform, scalar_reduction, sl2_sym,
+                                  sl_standard, slope_at_infinity,
+                                  so_odd_standard, sp_standard)
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               SlopeVerificationError, ValidationError)
 from rigidconn.formal import kernel_dimension
@@ -55,13 +54,6 @@ def test_g2_equals_so7():
     assert g2_seven_dim().coeffs == so_odd_standard(7).coeffs
     assert (scalar_reduction(g2_seven_dim()).to_json_dict()
             == scalar_reduction(so_odd_standard(7)).to_json_dict())
-
-
-def test_build_connection_dispatch():
-    assert build_connection("sl", 3).label == "sl3 standard"
-    assert build_connection("adjoint", "G", 2).label == "adjoint G2"
-    with pytest.raises(ValidationError):
-        build_connection("nope")
 
 
 def test_gauge_identity_fixes_connection():

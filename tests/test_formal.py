@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -173,8 +174,12 @@ def test_principal_regrading_of_adjoint_solutions():
             for key, x in by_degree.get(deg, {}).items():
                 i, _ = key
                 acc[key] = x * (deg + alg.weight_of_index(i))
-            for key, x in win.ad_p1(by_degree.get(deg - 1, {})).items():
-                cur = acc.get(key, 0) + h * x
+            # [p1, y_{N-1}] through the columns of ad_p1_matrix
+            prev = by_degree.get(deg - 1, {})
+            coords = [prev.get(key, 0) for key in win.slice_basis(deg - 1)]
+            for key, row in zip(win.slice_basis(deg),
+                                win.ad_p1_matrix(deg - 1)):
+                cur = acc.get(key, 0) + h * sum(map(mul, row, coords))
                 if cur:
                     acc[key] = cur
                 else:

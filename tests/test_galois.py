@@ -6,7 +6,8 @@ import math
 import pytest
 
 from rigidconn import galois
-from rigidconn.connection import build_connection
+from rigidconn.connection import (adjoint_connection, g2_seven_dim, sl2_sym,
+                                  sl_standard, so_odd_standard, sp_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.formal import h1_middle_via_solver
 from rigidconn.galois import (cohomology_dims, epsilon_minus_crosscheck,
@@ -506,10 +507,16 @@ SOLVER_CASES = [
 ]
 
 
+# the case tokens of SOLVER_CASES, which also name the tests
+MODELS = {"sym": sl2_sym, "sl": sl_standard, "so": so_odd_standard,
+          "sp": sp_standard, "g2_dim7": g2_seven_dim,
+          "adjoint": adjoint_connection}
+
+
 @pytest.mark.parametrize("case,rep_key,trunc", SOLVER_CASES,
                          ids=lambda v: str(v))
 def test_solver_agrees_with_formula(case, rep_key, trunc):
-    conn = build_connection(*case)
+    conn = MODELS[case[0]](*case[1:])
     solved = h1_middle_via_solver(conn, conn.dual(), trunc)
     assert solved == cohomology_dims(*rep_key).h1
 

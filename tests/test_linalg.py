@@ -19,10 +19,10 @@ from rigidconn.connection import (adjoint_connection, g2_seven_dim,
                                   sl_standard, slope_at_infinity,
                                   so_odd_standard, sp_standard)
 from rigidconn.errors import ConsistencyError
-from rigidconn.linalg import (_int_mul, _kernel, _row_reduce, charpoly,
-                              graded_cycle_check, identity, inverse,
-                              is_nilpotent, is_semisimple, mat_mul, mat_vec,
-                              nullspace, poly_at_matrix, rank)
+from rigidconn.linalg import (_cleared, _int_mul, _kernel, _row_reduce,
+                              charpoly, graded_cycle_check, identity,
+                              inverse, is_nilpotent, is_semisimple, mat_mul,
+                              mat_vec, nullspace, poly_at_matrix, rank)
 
 
 def rand_matrix(rng, n, m, density=0.7):
@@ -207,12 +207,15 @@ def all_fractions(rows):
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_row_reduce_gives_integer_multiples_of_rref(m):
-    before = [row[:] for row in m]
-    work = list(m)
+    ints, den = _cleared(m)
+    assert all(type(x) is int for row in ints for x in row)
+    assert [[Fraction(x, den) for x in row] for row in ints] == m
+    before = [row[:] for row in ints]
+    work = list(ints)
     pivots = _row_reduce(work)
     ref_pivots, ref = ref_rref(m)
     assert pivots == ref_pivots
-    assert m == before
+    assert ints == before
     assert all(type(x) is int for row in work for x in row)
     for r, row in enumerate(work):
         if r < len(pivots):
@@ -234,9 +237,10 @@ def test_rank_and_nullspace_match_reference(m):
 @given(matrices())
 def test_integer_kernel_over_its_denominator_is_the_nullspace(m):
     """Shapes include no rows, n x 0, 1 x n and rank-deficient products."""
-    before = [row[:] for row in m]
-    vecs, den, free = _kernel(m)
-    assert m == before
+    ints, _ = _cleared(m)
+    before = [row[:] for row in ints]
+    vecs, den, free = _kernel(ints)
+    assert ints == before
     assert type(den) is int and den > 0
     assert all(type(x) is int for v in vecs for x in v)
     assert [[Fraction(x, den) for x in v] for v in vecs] == ref_nullspace(m)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.rootsys import SUPPORTED, build_root_system
-from rigidconn.weights import (Sl2Decomposition, epsilon_on,
+from rigidconn.weights import (Sl2Decomposition, a_histogram, epsilon_on,
                                load_weight_system,
                                principal_sl2_decomposition,
                                save_weight_system, weight_system, weyl_dim)
@@ -81,7 +81,7 @@ def test_spin_b8_histogram_oracle():
     for signs in itertools.product((1, -1), repeat=n):
         a = sum(s * (n - i) for i, s in enumerate(signs))
         want[a] = want.get(a, 0) + 1
-    assert ws.a_histogram() == want
+    assert a_histogram(rs, ws.table) == want
     assert ws.dim == 2 ** n
 
 
