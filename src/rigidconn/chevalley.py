@@ -17,17 +17,11 @@ from .rootsys import build_root_system
 
 
 def _add_into(acc, key, val):
-    if val == 0:
-        return
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = val
+    cur = acc.get(key, 0) + val
+    if cur:
+        acc[key] = cur
     else:
-        cur += val
-        if cur == 0:
-            del acc[key]
-        else:
-            acc[key] = cur
+        acc.pop(key, None)
 
 
 class ChevalleyAlgebra:
@@ -143,12 +137,9 @@ class ChevalleyAlgebra:
                 if c != 0}
 
     def bracket_indices(self, i, j):
-        key = (i, j)
-        out = self._bracket_cache.get(key)
-        if out is not None:
-            return out
-        out = self._compute_bracket(i, j)
-        self._bracket_cache[key] = out
+        out = self._bracket_cache.get((i, j))
+        if out is None:
+            out = self._bracket_cache[i, j] = self._compute_bracket(i, j)
         return out
 
     def _compute_bracket(self, i, j):
@@ -292,6 +283,7 @@ class KacWindow:
         n, e, _ = principal_triple(alg)
         self._ad = (alg.ad_matrix(n), alg.ad_matrix(e))
         self._degrees = [alg.weight_of_index(i) for i in range(alg.dim)]
+        self._p1 = {}
         self._a = {}
         self._c = {}
 
@@ -302,29 +294,29 @@ class KacWindow:
 
     def ad_p1_matrix(self, n):
         """Matrix of ad p1 from slice n to slice n+1: the entry at
-        [(j, l), (i, k)] is ad N[j][i] when l = k, ad E[j][i] when l = k+1."""
-        ad = self._ad
-        return [[ad[l - k][j][i] if 0 <= l - k <= 1 else Fraction(0)
-                 for i, k in self.slice_basis(n)]
-                for j, l in self.slice_basis(n + 1)]
+        [(j, l), (i, k)] is ad N[j][i] when l = k, ad E[j][i] when l = k+1.
+        Built once per n: a_slice(n) and c_slice(n + 1) share it."""
+        if n not in self._p1:
+            ad, cols = self._ad, self.slice_basis(n)
+            self._p1[n] = [[ad[l - k][j][i] if 0 <= l - k <= 1
+                            else Fraction(0) for i, k in cols]
+                           for j, l in self.slice_basis(n + 1)]
+        return self._p1[n]
 
     def a_slice(self, n):
         """Basis of the commuting part: Ker(ad p1) inside slice n."""
-        got = self._a.get(n)
-        if got is None:
-            got = nullspace(self.ad_p1_matrix(n))
-            self._a[n] = got
-        return got
+        if n not in self._a:
+            self._a[n] = nullspace(self.ad_p1_matrix(n))
+        return self._a[n]
 
     def c_slice(self, n):
         """Basis of the complement: Im(ad p1: slice n-1 -> slice n), the
         columns at the pivots of one row reduction."""
-        got = self._c.get(n)
-        if got is None:
+        if n not in self._c:
             m = self.ad_p1_matrix(n - 1)
-            got = [[row[j] for row in m] for j in _row_reduce(_cleared(m)[0])]
-            self._c[n] = got
-        return got
+            self._c[n] = [[row[j] for row in m]
+                          for j in _row_reduce(_cleared(m)[0])]
+        return self._c[n]
 
     def slice_element(self, n, coords):
         return {key: c for key, c in zip(self.slice_basis(n), coords) if c != 0}

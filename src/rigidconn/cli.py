@@ -199,8 +199,9 @@ def _job_dict(args, group=None, **extra):
 
 
 def _emit(args, payload, lines):
+    """Write the payload as JSON, or else the text lines() renders."""
     text = (json.dumps(payload, sort_keys=True, indent=2)
-            if args.format == "json" else "\n".join(lines))
+            if args.format == "json" else "\n".join(lines()))
     try:
         sys.stdout.write(text + "\n")
         sys.stdout.flush()
@@ -228,10 +229,10 @@ def cmd_matrix(args):
     job = _job_dict(args, group, rep=(args.rep or "standard"))
     payload = {"schema": SCHEMA, "job": job,
                "connection": conn.to_json_dict()}
-    lines = ["job: %s" % json.dumps(job, sort_keys=True),
-             "%s  (dimension %d, h = %s)" % (conn.label, conn.dim, conn.h)]
-    lines.extend(_matrix_lines(conn))
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        "job: %s" % json.dumps(job, sort_keys=True),
+        "%s  (dimension %d, h = %s)" % (conn.label, conn.dim, conn.h),
+        *_matrix_lines(conn)])
 
 
 def cmd_scalar(args):
@@ -241,10 +242,9 @@ def cmd_scalar(args):
     job = _job_dict(args, group, rep=(args.rep or "standard"))
     payload = {"schema": SCHEMA, "job": job, "operator": op.to_json_dict(),
                "rendered": op.render()}
-    lines = ["job: %s" % json.dumps(job, sort_keys=True),
-             "%s reduces to:" % conn.label,
-             "  " + op.render()]
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        "job: %s" % json.dumps(job, sort_keys=True),
+        "%s reduces to:" % conn.label, "  " + payload["rendered"]])
 
 
 def _cache_dir(args):
@@ -276,17 +276,15 @@ def cmd_cohomology(args):
     job = _job_dict(args, group, rep=(args.rep or "adjoint"),
                     highest=list(highest))
     payload = {"schema": SCHEMA, "job": job, "report": report.to_json_dict()}
-    lines = ["job: %s" % json.dumps(job, sort_keys=True),
-             "%s, lambda = %s, dim %d" % (group.label(), list(highest),
-                                          report.dim),
-             "epsilon %+d, galois group %s" % (report.epsilon,
-                                               report.galois_label),
-             "irr %d, I0 %d, n-fixed %d, Iinf %d, galois invariants %d"
-             % (report.irr, report.inv_I0, report.inv_n, report.inv_Iinf,
-                report.inv_galois),
-             "h0 %d, h1 %d, h2 %d" % (report.h0, report.h1, report.h2)]
-    lines.extend("  " + step for step in report.trace)
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        "job: %s" % json.dumps(job, sort_keys=True),
+        "%s, lambda = %s, dim %d" % (group.label(), list(highest), report.dim),
+        "epsilon %+d, galois group %s" % (report.epsilon, report.galois_label),
+        "irr %d, I0 %d, n-fixed %d, Iinf %d, galois invariants %d"
+        % (report.irr, report.inv_I0, report.inv_n, report.inv_Iinf,
+           report.inv_galois),
+        "h0 %d, h1 %d, h2 %d" % (report.h0, report.h1, report.h2),
+        *("  " + step for step in report.trace)])
 
 
 def cmd_rigidity(args):
@@ -299,18 +297,18 @@ def cmd_rigidity(args):
     payload = {"schema": SCHEMA, "job": job, "passed": result["passed"],
                "stabilized": result["stabilized"], "dimensions": dims,
                "h1": h1}
-    lines = ["job: %s" % json.dumps(job, sort_keys=True),
-             "%s at truncation %d" % (conn.label, args.trunc),
-             "kernel dimensions: laurent V %d, laurent V* %d, two-sided %d, "
-             "taylor0 %d, taylor-inf %d"
-             % (dims["laurent_V"], dims["laurent_V_dual"], dims["two_sided"],
-                dims["taylor0"], dims["taylor_inf"]),
-             "h1 of the middle extension: %s"
-             % ("unavailable (global kernel nonzero)" if h1 is None else h1),
-             "rigid: %s%s" % ("yes" if result["passed"] else "no",
-                              "" if result["stabilized"]
-                              else "  (dimensions not stabilized)")]
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        "job: %s" % json.dumps(job, sort_keys=True),
+        "%s at truncation %d" % (conn.label, args.trunc),
+        "kernel dimensions: laurent V %d, laurent V* %d, two-sided %d, "
+        "taylor0 %d, taylor-inf %d"
+        % (dims["laurent_V"], dims["laurent_V_dual"], dims["two_sided"],
+           dims["taylor0"], dims["taylor_inf"]),
+        "h1 of the middle extension: %s"
+        % ("unavailable (global kernel nonzero)" if h1 is None else h1),
+        "rigid: %s%s" % ("yes" if result["passed"] else "no",
+                         "" if result["stabilized"]
+                         else "  (dimensions not stabilized)")])
 
 
 def cmd_subregular(args):
@@ -318,12 +316,11 @@ def cmd_subregular(args):
     payload = {"schema": SCHEMA, "job": {"command": "subregular",
                                          "format": args.format},
                "rows": [r.to_json_dict() for r in rows]}
-    lines = ["group  m  d   orbits  F             galois"]
-    for r in rows:
-        lines.append("%-5s %2d %3d  %5d   %-13s %s"
-                     % ("%s%d" % (r.type_label, r.rank), r.m, r.d, r.orbits,
-                        r.f_label, r.galois))
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        "group  m  d   orbits  F             galois",
+        *("%-5s %2d %3d  %5d   %-13s %s"
+          % ("%s%d" % (r.type_label, r.rank), r.m, r.d, r.orbits, r.f_label,
+             r.galois) for r in rows)])
 
 
 def cmd_kac(args):
@@ -337,13 +334,13 @@ def cmd_kac(args):
     job = _job_dict(args, group, depth=depth)
     payload = {"schema": SCHEMA, "job": job, "a_dims": a_dims,
                "c_dims": c_dims, "heisenberg_nondegenerate": heisenberg}
-    lines = ["job: %s" % json.dumps(job, sort_keys=True),
-             "%s loop-algebra window, degrees 1..%d" % (group.label(), depth),
-             "dim a_n: %s" % " ".join(str(d) for d in a_dims),
-             "dim c_n: %s" % " ".join(str(d) for d in c_dims),
-             "heisenberg pairing nondegenerate: %s"
-             % ("yes" if heisenberg else "no")]
-    return _emit(args, payload, lines)
+    return _emit(args, payload, lambda: [
+        "job: %s" % json.dumps(job, sort_keys=True),
+        "%s loop-algebra window, degrees 1..%d" % (group.label(), depth),
+        "dim a_n: %s" % " ".join(str(d) for d in a_dims),
+        "dim c_n: %s" % " ".join(str(d) for d in c_dims),
+        "heisenberg pairing nondegenerate: %s"
+        % ("yes" if heisenberg else "no")])
 
 
 def build_parser():

@@ -8,13 +8,14 @@ has 1's below the diagonal and E(V) is the minimal raising term.
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from .chevalley import build_chevalley, principal_triple
 from .errors import (ConsistencyError, CyclicVectorError,
                      SlopeVerificationError, ValidationError)
-from .linalg import graded_cycle_check, zeros
-from .poly import (RatFun, padd, pdivmod, pgcd, pmul, pneg, pscale, psub,
-                   ptrim, render_poly, render_terms)
+from .linalg import _cleared, _primitive, graded_cycle_check, zeros
+from .poly import (RatFun, _zgcd, padd, pmul, pneg, pscale, psub, ptrim,
+                   pzdivmod, render_poly, render_terms)
 
 
 class MatrixConnection:
@@ -52,10 +53,6 @@ class MatrixConnection:
     def is_polynomial(self):
         return all(k >= 0 for k in self.coeffs)
 
-    def entry_terms(self, i, j):
-        return {k: mat[i][j] for k, mat in sorted(self.coeffs.items())
-                if mat[i][j] != 0}
-
     def dual(self):
         coeffs = {k: [[-mat[j][i] for j in range(self.dim)]
                       for i in range(self.dim)]
@@ -68,17 +65,19 @@ class MatrixConnection:
 
     def to_json_dict(self):
         entries = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                terms = self.entry_terms(i, j)
-                if terms:
-                    entries["%d,%d" % (i, j)] = {str(k): str(v)
-                                                 for k, v in terms.items()}
-        return {"dimension": self.dim, "label": self.label, "entries": entries}
+        for k, mat in sorted(self.coeffs.items()):
+            for i, row in enumerate(mat):
+                for j, x in enumerate(row):
+                    if x:
+                        entries.setdefault((i, j), {})[str(k)] = str(x)
+        return {"dimension": self.dim, "label": self.label,
+                "entries": {"%d,%d" % ij: terms
+                            for ij, terms in sorted(entries.items())}}
 
     def render_entry(self, i, j):
-        return render_terms((k, str(c))
-                            for k, c in self.entry_terms(i, j).items())
+        return render_terms((k, str(mat[i][j]))
+                            for k, mat in sorted(self.coeffs.items())
+                            if mat[i][j])
 
 
 def _subdiagonal(n):
@@ -147,23 +146,25 @@ def sl2_sym(k):
                             h=2, rho_weights=weights, group=("A", 1))
 
 
-# -- elimination over Q[t] ----------------------------------------------------
+# -- elimination over Z[t] ----------------------------------------------------
 
 
 def _poly_matrix(coeffs, n):
-    """(P, s) with sum_k coeffs[k] t^k = t^{-s} P, P an n x n matrix of
-    polynomials and s >= 0."""
+    """(P, den, s) with sum_k coeffs[k] t^k = t^{-s} P / den, P an n x n
+    matrix of int polynomials, den a positive int and s >= 0."""
     s = -min(0, min(coeffs, default=0))
     zero = zeros(n, n)
     mats = [coeffs.get(k, zero)
             for k in range(-s, max(coeffs, default=0) + 1)]
-    return [[ptrim([m[i][j] for m in mats]) for j in range(n)]
-            for i in range(n)], s
+    flat, den = _cleared([[m[i][j] for m in mats]
+                          for i in range(n) for j in range(n)])
+    return [[ptrim(flat[i * n + j]) for j in range(n)]
+            for i in range(n)], den, s
 
 
 def _exact_div(p, q, stage, label):
-    """p / q for polynomials where q divides p."""
-    quot, rem = pdivmod(p, q)
+    """p / q for int polynomials where q divides p in Z[t]."""
+    quot, rem = pzdivmod(p, q)
     if rem:
         raise ConsistencyError("%s: dividing %s by %s leaves the remainder "
                                "%s for %s"
@@ -178,14 +179,14 @@ def _theta_poly(p, shift=0):
 
 
 def _bareiss(work, ncols, stage, label):
-    """Fraction-free Gauss-Jordan over Q[t] on the first ncols columns.
+    """Fraction-free Gauss-Jordan over Z[t] on the first ncols columns.
 
     Each update top[c] x - row[c] y is divided exactly by the previous
     pivot (Bareiss, Math. Comp. 22, 1968).  Returns (rank, last pivot d).
     At full rank the columns past ncols hold d times the reduced row
     echelon form; the entries left of them are not rewritten.
     """
-    prev = [Fraction(1)]
+    prev = [1]
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
@@ -229,22 +230,22 @@ def _laurent_terms(f):
 def gauge_transform(conn, g):
     """theta + A conjugated by g: A -> g A g^{-1} - theta(g) g^{-1}.
 
-    With g = t^{-a} G and A = t^{-s} P, G and P polynomial, _bareiss takes
-    [G | Id] to [d Id | B] with G B = d Id, and the new matrix is
-    t^{-s} (G P - t^s (theta - a) G) B / d.  g is a unit over the Laurent
-    polynomials exactly when d = c t^m.
+    With g = t^{-a} G / e and A = t^{-s} P / f, G and P int polynomial,
+    _bareiss takes [G | Id] to [d Id | B] with G B = d Id, and the new
+    matrix is t^{-s} (G P - f t^s (theta - a) G) B / (f d).  g is a unit
+    over the Laurent polynomials exactly when d = c t^m.
     """
     n = conn.dim
     if len(g) != n or any(len(row) != n for row in g):
         raise ValidationError("gauge matrix size does not match the connection")
-    g = [[x if isinstance(x, RatFun) else RatFun(x) for x in row]
-         for row in g]
+    g = [[RatFun(x) for x in row] for row in g]
     if not all(_is_monomial(x.den) for row in g for x in row):
         raise ValidationError("gauge entries must be Laurent polynomials")
     a = max(len(x.den) - 1 for row in g for x in row)
-    big_g = [[ptrim([Fraction(0)] * (a + 1 - len(x.den)) + x.num)
-              for x in row] for row in g]
-    work = [row + [[Fraction(1)] if j == i else [] for j in range(n)]
+    flat, e = _cleared([[0] * (a + 1 - len(x.den)) + x.num
+                        for row in g for x in row])
+    big_g = [[ptrim(flat[i * n + j]) for j in range(n)] for i in range(n)]
+    work = [row + [[1] if j == i else [] for j in range(n)]
             for i, row in enumerate(big_g)]
     rank, d = _bareiss(work, n, "gauge_transform", conn.label)
     if rank < n:
@@ -252,19 +253,20 @@ def gauge_transform(conn, g):
     if not _is_monomial(d):
         raise ValidationError("gauge determinant is not a unit: up to sign "
                               "it is %s" % render_terms(
-                                  (k - n * a, str(x))
+                                  (k - n * a, str(Fraction(x, e ** n)))
                                   for k, x in enumerate(d) if x))
-    p_mat, s = _poly_matrix(conn.coeffs, n)
-    left = [[psub(x, [Fraction(0)] * s + _theta_poly(y, a))
+    p_mat, f, s = _poly_matrix(conn.coeffs, n)
+    left = [[psub(x, [0] * s + pscale(_theta_poly(y, a), f))
              for x, y in zip(gp_row, g_row)]
             for gp_row, g_row in zip(_pmat_mul(big_g, p_mat), big_g)]
-    shift, c = s + len(d) - 1, d[-1]
+    shift, den = s + len(d) - 1, f * d[-1]
     coeffs = {}
     for i, row in enumerate(_pmat_mul(left, [r[n:] for r in work])):
         for j, p in enumerate(row):
             for k, x in enumerate(p):
                 if x:
-                    coeffs.setdefault(k - shift, zeros(n, n))[i][j] = x / c
+                    mat = coeffs.setdefault(k - shift, zeros(n, n))
+                    mat[i][j] = Fraction(x, den)
     # a constant gauge keeps the zero connection zero, as in dual()
     return MatrixConnection(coeffs or {0: zeros(n, n)}, conn.label + " gauged",
                             h=conn.h, rho_weights=None, group=conn.group)
@@ -277,8 +279,7 @@ class ScalarOperator:
     """theta^n + c_{n-1} theta^{n-1} + ... + c_0 with theta = t d/dt."""
 
     def __init__(self, coeffs, h=None):
-        self.coeffs = [x if isinstance(x, RatFun) else RatFun(x)
-                       for x in coeffs]
+        self.coeffs = [RatFun(x) for x in coeffs]
         self.order = len(self.coeffs)
         self.h = h
 
@@ -311,60 +312,62 @@ class ScalarOperator:
 def scalar_reduction(conn):
     """The scalar operator in theta satisfied through the frame of e_0.
 
-    With A = t^{-s} P, P polynomial, D^k e_0 = t^{-ks} p_k where
-    p_{k+1} = t^s (theta - ks) p_k + P p_k.  _bareiss solves
-    sum_j e_j p_j = p_n over Q[t], and D^n e_0 =
-    sum_j d_j D^j e_0 with d_j = e_j t^{-(n-j)s}.  The result is
-    theta^n - sum_j (-1)^{n-j} theta^j o d_j, (-1)^n times the formal
-    adjoint of theta^n - sum_j d_j theta^j; it is built on numerators
-    over q^m, q the monic lcm of the denominators of the d_j; x / q^n
-    sheds only factors of q: gcd(x, q, den) divides out until it is 1.
+    With A = t^{-s} P / f, P int polynomial, D^k e_0 = t^{-ks} p_k / f^k
+    where p_{k+1} = f t^s (theta - ks) p_k + P p_k.  _bareiss solves
+    sum_j e_j p_j = p_n over Z[t] as e_j = x_j / d, and D^n e_0 =
+    sum_j d_j D^j e_0 with d_j = x_j / (d f^{n-j} t^{(n-j)s}) = x / (c b)
+    in lowest terms, b primitive.  The result is theta^n - sum_j
+    (-1)^{n-j} theta^j o d_j, (-1)^n times the formal adjoint of theta^n
+    - sum_j d_j theta^j, built in ints: after step m the coefficient of
+    theta^j is over C q^(m-j), q the lcm of the b and C of the c, each
+    quotient exact by Gauss's lemma.  A coefficient x / (C q^(n-j)) sheds
+    at most n - j factors g = gcd(x, g) of q, each dividing the last.
     """
     n, label, stage = conn.dim, conn.label, "scalar_reduction"
-    p_mat, s = _poly_matrix(conn.coeffs, n)
-    frame = [[[Fraction(1)]] + [[] for _ in range(n - 1)]]
+    p_mat, f, s = _poly_matrix(conn.coeffs, n)
+    frame = [[[1]] + [[] for _ in range(n - 1)]]
     for k in range(n):
-        vec, nxt = frame[-1], []
-        for i in range(n):
-            acc = [Fraction(0)] * s + _theta_poly(vec[i], k * s)
-            for j in range(n):  # padd trims acc
-                acc = padd(acc, pmul(p_mat[i][j], vec[j]))
-            nxt.append(acc)
-        frame.append(nxt)
+        vec = frame[-1]
+        frame.append([reduce(padd, map(pmul, row, vec),
+                             [0] * s + pscale(_theta_poly(v, k * s), f))
+                      for row, v in zip(p_mat, vec)])
     work = [[frame[j][i] for j in range(n + 1)] for i in range(n)]
     r, prev = _bareiss(work, n, stage, label)
     if r < n:
         raise CyclicVectorError(rank_found=r, needed=n)
-    d = [RatFun(work[j][n], [Fraction(0)] * ((n - j) * s) + prev)
-         for j in range(n)]
-    q = [Fraction(1)]
-    for x in d:
-        q = pmul(q, _exact_div(x.den, pgcd(q, x.den), stage, label))
+    d, q = [], [1]
+    for j, row in enumerate(work):
+        den = pscale([0] * ((n - j) * s) + prev, f ** (n - j))
+        g = _zgcd(row[n], den)
+        b = _primitive(_exact_div(den, g, stage, label))
+        d.append((_exact_div(row[n], g, stage, label),
+                  den[-1] // g[-1] // b[-1], b))
+        q = pmul(q, _exact_div(b, _zgcd(q, b), stage, label))
     theta_q = _theta_poly(q)
-    # op <- -theta o op - d_j for j = n-1, ..., 0, numerators over q^m:
-    # theta(N / q^m) = (theta(N) q - m N theta(q)) / q^{m+1}
-    op, qm = [[Fraction(1)]], [Fraction(1)]
-    for m, x in enumerate(reversed(d)):
-        qm = pmul(qm, q)
-        out = [pneg(pmul(x.num, _exact_div(qm, x.den, stage, label)))]
+    big_c = lcm(*[c for _, c, _ in d])
+    # op <- -theta o op - d_j for j = n-1, ..., 0, op[j] over C q^(m-j) at
+    # step m: theta(N / q^e) = (theta(N) q - e N theta(q)) / q^{e+1}
+    op, qpow = [[big_c]], [[1]]
+    for m, (x, c, b) in enumerate(reversed(d)):
+        qpow.append(pmul(qpow[-1], q))
+        out = [pneg(pmul(pscale(x, big_c // c),
+                         _exact_div(qpow[-1], b, stage, label)))]
         out += [[] for _ in op]
         for j, y in enumerate(op):
-            out[j] = padd(out[j], psub(pscale(pmul(y, theta_q), m),
+            out[j] = padd(out[j], psub(pscale(pmul(y, theta_q), m - j),
                                        pmul(_theta_poly(y), q)))
-            out[j + 1] = psub(out[j + 1], pmul(y, q))
+            out[j + 1] = psub(out[j + 1], y)
         op = out
-    if n % 2:
-        op = [pneg(x) for x in op]
-    if op[n] != qm:
-        raise ConsistencyError("%s: the operator of %s is not monic, "
-                               "leading coefficient %r"
-                               % (stage, label, RatFun(op[n], qm)))
     coeffs = []
-    for num in op[:n]:
-        den = qm
-        while num and len(g := pgcd(pgcd(num, q), den)) > 1:
-            num, den = (_exact_div(x, g, stage, label) for x in (num, den))
-        coeffs.append(RatFun._lowest(num, den if num else [Fraction(1)]))
+    for j, x in enumerate(op[:n]):
+        x, den, g = pscale(x, (-1) ** n), pscale(qpow[n - j], big_c), q
+        for _ in range(n - j if x else 0):
+            if len(g := _zgcd(x, g)) == 1:
+                break
+            x, den = (_exact_div(y, g, stage, label) for y in (x, den))
+        den = den if x else [1]
+        coeffs.append(RatFun._lowest([Fraction(y, den[-1]) for y in x],
+                                     [Fraction(y, den[-1]) for y in den]))
     return ScalarOperator(coeffs, h=conn.h)
 
 

@@ -1,8 +1,9 @@
-"""Polynomials over Q as ascending coefficient lists, and rational functions.
+"""Polynomials as ascending coefficient lists, and rational functions.
 
 A polynomial is a list [c0, c1, ...] meaning c0 + c1 x + ...; the zero
-polynomial is the empty list.  RatFun is a reduced fraction of two such
-lists with a monic denominator, used for the variable t.
+polynomial is the empty list.  The arithmetic keeps int coefficients
+int, so it serves Z[t] and Q[t] alike.  RatFun is a reduced fraction of
+two such lists with a monic denominator, used for the variable t.
 """
 
 from fractions import Fraction
@@ -24,8 +25,7 @@ def pdeg(p):
 
 
 def padd(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
+    out = [0] * max(len(p), len(q))
     for i, c in enumerate(p):
         out[i] += c
     for i, c in enumerate(q):
@@ -42,16 +42,13 @@ def psub(p, q):
 
 
 def pscale(p, c):
-    c = Fraction(c)
-    if c == 0:
-        return []
-    return [c * x for x in p]
+    return [c * x for x in p] if c else []
 
 
 def pmul(p, q):
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -65,20 +62,21 @@ def pderiv(p):
 
 
 def pmonic(p):
-    if not p:
-        return []
-    lead = p[-1]
-    return [c / lead for c in p]
+    return [c / p[-1] for c in p]
 
 
-def pdivmod(p, q):
+def pzdivmod(p, q):
+    """(quot, rem) with p = quot q + rem in Z[t], for int polynomials: long
+    division that stops at the first coefficient the lead of q does not
+    divide, so rem is [] exactly when q divides p in Z[t]."""
     if not q:
         raise ValidationError("division by the zero polynomial")
-    p = [Fraction(c) for c in p]
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    inv = Fraction(1) / Fraction(q[-1])
-    for i in range(len(p) - len(q), -1, -1):
-        f = p[i + len(q) - 1] * inv
+    p, lead, nq = list(p), q[-1], len(q)
+    quot = [0] * max(len(p) - nq + 1, 0)
+    for i in range(len(p) - nq, -1, -1):
+        f, r = divmod(p[i + nq - 1], lead)
+        if r:
+            break
         if f:
             quot[i] = f
             for j, c in enumerate(q):
@@ -86,14 +84,20 @@ def pdivmod(p, q):
     return ptrim(quot), ptrim(p)
 
 
-def pgcd(p, q):
-    """Monic gcd by the primitive remainder sequence over Z.
+def pdivmod(p, q):
+    """Division in Q[t]: pzdivmod of lead(q)^k p by q over one denominator,
+    with k the degree of the quotient plus one, so no coefficient stops it."""
+    (a, b), den = _cleared([p, q])
+    s = b[-1] ** max(len(a) - len(b) + 1, 0) if b else 1
+    quot, rem = pzdivmod([s * x for x in a], b)
+    return [Fraction(x, s) for x in quot], [Fraction(x, s * den) for x in rem]
 
-    Both inputs are cleared of denominators, and each pseudo-remainder
-    is cut to its primitive part, so the coefficients stay near the size
-    of the gcd's instead of growing as in Euclid's sequence over Q.
-    """
-    a, b = map(_primitive, _cleared([ptrim(list(p)), ptrim(list(q))])[0])
+
+def _zgcd(a, b):
+    """Primitive gcd of int polynomials by the primitive remainder sequence:
+    each pseudo-remainder is cut to its primitive part, so the coefficients
+    stay near the size of the gcd's instead of growing as over Q."""
+    a, b = _primitive(ptrim(list(a))), _primitive(ptrim(list(b)))
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -107,6 +111,12 @@ def pgcd(p, q):
                 for j in range(nb - 1):
                     a[i + j] -= v * b[j]
         a, b = b, _primitive(ptrim(a))
+    return a
+
+
+def pgcd(p, q):
+    """Monic gcd: _zgcd of the inputs over one denominator."""
+    a = _zgcd(*_cleared([p, q])[0])
     return [Fraction(x, a[-1]) for x in a]
 
 
@@ -170,11 +180,7 @@ class RatFun:
                 den, _ = pdivmod(den, g)
         else:
             den = [Fraction(1)]
-        lead = den[-1]
-        if lead != 1:
-            num = [c / lead for c in num]
-            den = [c / lead for c in den]
-        self.num, self.den = num, den
+        self.num, self.den = [c / den[-1] for c in num], pmonic(den)
 
     @classmethod
     def _lowest(cls, num, den):

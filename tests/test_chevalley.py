@@ -178,6 +178,26 @@ def test_kac_d4_exponent_multiplicity():
     assert len(win.a_slice(1)) == 1
 
 
+def test_kac_window_builds_each_ad_p1_matrix_once(monkeypatch):
+    """a_slice(n) and c_slice(n + 1) read one matrix: the slices for
+    1 <= |n| <= 12 need the 25 matrices from slices -12..12, each built
+    once (one slice_basis call for the columns, one for the rows)."""
+    win = KacWindow(build_chevalley("G", 2), 12)
+    built = []
+    basis = win.slice_basis
+
+    def counted(n):
+        built.append(n)
+        return basis(n)
+
+    monkeypatch.setattr(win, "slice_basis", counted)
+    for n in range(1, 13):
+        win.a_slice(n)
+        win.a_slice(-n)
+        win.c_slice(n)
+    assert sorted(built[::2]) == list(range(-12, 13))
+
+
 @pytest.mark.parametrize("key", KAC_CASES)
 def test_kac_c_to_c_bijection(key):
     """ad p1 carries c_j onto c_{j+1} isomorphically across the window."""

@@ -3,6 +3,8 @@ reduction, and the slope at infinity."""
 
 import ast
 import glob
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -416,7 +418,7 @@ def test_scalar_reduction_matches_reference_on_laurent_connections(conn):
 
 
 def test_scalar_reduction_remainder_is_a_consistency_error(monkeypatch):
-    monkeypatch.setattr(connection, "pdivmod", _remainder_one)
+    monkeypatch.setattr(connection, "pzdivmod", _int_remainder_one)
     with pytest.raises(ConsistencyError,
                        match=r"^scalar_reduction: dividing .* leaves the "
                              r"remainder 1 for sl3 standard$"):
@@ -424,7 +426,7 @@ def test_scalar_reduction_remainder_is_a_consistency_error(monkeypatch):
 
 
 def test_scalar_reduction_remainder_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(connection, "pdivmod", _remainder_one)
+    monkeypatch.setattr(connection, "pzdivmod", _int_remainder_one)
     assert main(["scalar", "--group", "sl3"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("consistency failure: scalar_reduction:")
@@ -432,10 +434,9 @@ def test_scalar_reduction_remainder_exits_3(monkeypatch, capsys):
 
 
 def test_scalar_reduction_remainder_survives_optimize():
-    code = ("from fractions import Fraction\n"
-            "from rigidconn import connection\n"
+    code = ("from rigidconn import connection\n"
             "from rigidconn.errors import ConsistencyError\n"
-            "connection.pdivmod = lambda p, q: ([], [Fraction(1)])\n"
+            "connection.pzdivmod = lambda p, q: ([], [1])\n"
             "try:\n"
             "    connection.scalar_reduction(connection.sl_standard(3))\n"
             "except ConsistencyError as exc:\n"
@@ -480,7 +481,7 @@ def test_gauge_transform_matches_ratfun_reference(case):
 
 
 def test_gauge_remainder_is_a_consistency_error(monkeypatch):
-    monkeypatch.setattr(connection, "pdivmod", _remainder_one)
+    monkeypatch.setattr(connection, "pzdivmod", _int_remainder_one)
     with pytest.raises(ConsistencyError,
                        match=r"^gauge_transform: dividing .* leaves the "
                              r"remainder 1 for so5 standard$"):
@@ -488,10 +489,9 @@ def test_gauge_remainder_is_a_consistency_error(monkeypatch):
 
 
 def test_gauge_remainder_survives_optimize():
-    code = ("from fractions import Fraction\n"
-            "from rigidconn import connection\n"
+    code = ("from rigidconn import connection\n"
             "from rigidconn.errors import ConsistencyError\n"
-            "connection.pdivmod = lambda p, q: ([], [Fraction(1)])\n"
+            "connection.pzdivmod = lambda p, q: ([], [1])\n"
             "conn = connection.sl_standard(3)\n"
             "g = [[int(i == j) for j in range(3)] for i in range(3)]\n"
             "try:\n"
@@ -559,8 +559,54 @@ def test_scalar_operator_json():
     assert data["theta_coefficients"][1] == {}
 
 
+# sha256 of json.dumps(op.to_json_dict(), sort_keys=True), a newline and
+# op.render(), recorded with the scalar reduction over Q[t]
+ADJOINT_OPERATOR_HASHES = {
+    ("G", 2): "408c06cfd7f272bfc3d6f9af41fc186c304359ed40115d2dfa507306a7deec3b",
+    ("A", 3): "7edba731a170d2a505d1a1a078cc5b9035288c9b7c347ceaf62231456fa88de9",
+}
+
+
+@pytest.mark.parametrize("key", sorted(ADJOINT_OPERATOR_HASHES),
+                         ids=lambda key: "%s%d" % key)
+def test_adjoint_scalar_operator_is_pinned(key):
+    op = scalar_reduction(adjoint_connection(*key))
+    text = json.dumps(op.to_json_dict(), sort_keys=True) + "\n" + op.render()
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == ADJOINT_OPERATOR_HASHES[key])
+
+
+INT_POLYS = st.lists(st.integers(-40, 40), max_size=6).map(poly.ptrim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(INT_POLYS.filter(bool), INT_POLYS, INT_POLYS)
+def test_exact_divider_over_z(q, r, s):
+    """(q r) / q is r in Z[t]; q r + s with s nonzero of lower degree than
+    q is no multiple of q, and dividing it raises ConsistencyError."""
+    assert connection._exact_div(poly.pmul(q, r), q, "stage", "x") == r
+    s = poly.ptrim(s[:len(q) - 1])
+    if s:
+        with pytest.raises(ConsistencyError, match=r"^stage: dividing .* by "
+                                                   r".* leaves the remainder "
+                                                   r".* for x$"):
+            connection._exact_div(poly.padd(poly.pmul(q, r), s), q,
+                                  "stage", "x")
+
+
+def test_exact_divider_needs_an_integral_quotient():
+    """1 + t over 2 + 2t is 1/2: a quotient in Q[t] but not in Z[t]."""
+    with pytest.raises(ConsistencyError,
+                       match=r"leaves the remainder 1 \+ t for x$"):
+        connection._exact_div([1, 1], [2, 2], "stage", "x")
+
+
 def _remainder_one(p, q):
     return [], [Fraction(1)]
+
+
+def _int_remainder_one(p, q):
+    return [], [1]
 
 
 POLYS = st.lists(SMALL_Q, max_size=6).map(poly.ptrim)
