@@ -9,8 +9,10 @@ or, for spaces with an infinite tail at t = 0, as seed layers a buffer
 below the window.  Above a closed top edge v_n = 0, so the block only
 cuts the parameter space down.  Levels below the window are dropped once
 they feed no equation.  Dimensions are ranks over the core window
-[-M, M], independent of the seed placement.  A level is an integer
-matrix over one denominator, v_n = M_n / D_n in lowest terms; den(A)
+[-M, M], independent of the seed placement.  Up to M, taylor0 runs the
+steps of laurent_polys and two_sided those of taylor_inf; the closed top
+only adds cut levels above M, so one sweep serves both.  A level is an
+integer matrix over one denominator, v_n = M_n / D_n in lowest terms; den(A)
 [n Id + A(0) | L sum A_k v_{n-k}], L the lcm of the fed D_{n-k}, is an
 integer block whose kernel vectors (x, y) give (x, L y) in the wanted
 one.  Fractions are built only for the reported basis.
@@ -24,6 +26,8 @@ from .linalg import (_cleared, _int_mul, _kernel, _row_reduce, identity,
                      inverse, mat_mul, rank, zeros)
 
 SPACES = ("taylor0", "taylor_inf", "two_sided", "laurent_polys")
+# the unseeded and the seeded family, each (open-top, closed-top space)
+_FAMILIES = (("taylor0", "laurent_polys"), ("two_sided", "taylor_inf"))
 
 
 class SeriesWindow:
@@ -80,33 +84,24 @@ def _lowest(mat, den):
     return [[x // g for x in row] for row in mat], den // g
 
 
-def _solve_space(conn, space, m_window, buffer_depth):
-    """The levels {n: (M_n, D_n)} and the pivot parameters of the window."""
+def _solve_space(conn, seeded, m_window, buffer_depth):
+    """The levels {n: (M_n, D_n)} of one sweep: open top at M, closed top."""
     if not conn.is_polynomial():
         raise ValidationError("formal solving needs polynomial A(t); %s has "
                               "poles at t = 0" % conn.label)
     d = conn.dim
     ks = [k for k in conn.coeffs if k >= 1]
     big_k = max(ks, default=0)
-    seed_layers = max(big_k, 1)
     rows, den_a = _cleared([row for k in [0] + ks
                             for row in conn.coefficient(k)])
     a = {k: rows[i * d:i * d + d] for i, k in enumerate([0] + ks)}
-    phi = {}
-    if space in ("taylor_inf", "two_sided"):
-        start = -m_window - buffer_depth
-        p = seed_layers * d
-        for j in range(seed_layers):
-            phi[start + j] = ([[int(q == j * d + i) for q in range(p)]
-                               for i in range(d)], 1)
-        start += seed_layers
-    else:
-        start = -m_window
-        p = 0
-    top = m_window
-    if space in ("taylor_inf", "laurent_polys"):
-        top += big_k
-    for n in range(start, top + 1):
+    layers = max(big_k, 1) if seeded else 0
+    start = -m_window - (buffer_depth if seeded else 0)
+    p = layers * d
+    phi = {start + j: ([[int(q == j * d + i) for q in range(p)]
+                        for i in range(d)], 1) for j in range(layers)}
+    open_top = dict(phi)
+    for n in range(start + layers, m_window + big_k + 1):
         # a level below the window feeds big_k equations and is never
         # reported, so it is dropped before reparametrisations touch it
         if n - big_k - 1 < -m_window:
@@ -137,8 +132,10 @@ def _solve_space(conn, space, m_window, buffer_depth):
             phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
                               for i in range(d)], den * big_l)
         p = p2
-    return phi, _row_reduce([row for n in range(-m_window, m_window + 1)
-                             for row in phi[n][0]])
+        # stored levels are only ever replaced, so a shallow copy keeps them
+        if n == m_window:
+            open_top = dict(phi)
+    return open_top, phi
 
 
 def _basis(d, phi, pivots, m_window):
@@ -149,6 +146,30 @@ def _basis(d, phi, pivots, m_window):
             for col in pivots]
 
 
+def _kernel_reports(conn, spaces, truncation, enforce_floor=True):
+    """{space: KernelReport}, two sweeps per seed family, unseeded first."""
+    h_step = conn.h if conn.h else conn.dim + 1
+    floor = 2 * conn.dim + 2 * h_step
+    if enforce_floor and truncation < floor:
+        raise ValidationError("truncation %d is below the floor %d for %s"
+                              % (truncation, floor, conn.label))
+    windows = (truncation, truncation + h_step)
+    reports = {}
+    for seeded, family in enumerate(_FAMILIES):
+        ends = [(top, s) for top, s in enumerate(family) if s in spaces]
+        sweeps = [_solve_space(conn, seeded, m, m + h_step)
+                  for m in windows if ends]
+        for top, space in ends:
+            # pivot columns of the levels stacked over each core window
+            pivots, wide = [_row_reduce([row for n in range(-m, m + 1)
+                                         for row in sweep[top][n][0]])
+                            for sweep, m in zip(sweeps, windows)]
+            reports[space] = KernelReport(
+                space, len(pivots), truncation, len(wide) == len(pivots),
+                _basis(conn.dim, sweeps[0][top], pivots, truncation))
+    return reports
+
+
 def kernel_dimension(conn, space, truncation, enforce_floor=True):
     """Dimension of the truncated solution space, with stabilization.
 
@@ -156,21 +177,13 @@ def kernel_dimension(conn, space, truncation, enforce_floor=True):
     and the report is flagged unstabilized if the two values differ.
     The truncation must reach the floor 2 dim + 2h, with dim + 1 in
     place of h when the connection has none; enforce_floor=False lifts
-    the floor, for small reference windows in tests.
+    the floor, for small reference windows in tests.  taylor0 is read off
+    the laurent_polys sweep at M and two_sided off the taylor_inf one.
     """
     if space not in SPACES:
         raise ValidationError("unknown space %r; expected one of %s"
                               % (space, ", ".join(SPACES)))
-    h_step = conn.h if conn.h else conn.dim + 1
-    floor = 2 * conn.dim + 2 * h_step
-    if enforce_floor and truncation < floor:
-        raise ValidationError("truncation %d is below the floor %d for %s"
-                              % (truncation, floor, conn.label))
-    phi, pivots = _solve_space(conn, space, truncation, truncation + h_step)
-    m2 = truncation + h_step
-    stable = len(_solve_space(conn, space, m2, m2 + h_step)[1]) == len(pivots)
-    return KernelReport(space, len(pivots), truncation, stable,
-                        _basis(conn.dim, phi, pivots, truncation))
+    return _kernel_reports(conn, (space,), truncation, enforce_floor)[space]
 
 
 def _h1(label, dims):
@@ -196,14 +209,11 @@ def check_rigidity(conn, conn_dual, truncation):
     the two-sided kernel splits as taylor0 + taylor_inf.  "h1" is the
     middle-extension h^1, None when V has flat sections.
     """
-    reports = {
-        "laurent_V": kernel_dimension(conn, "laurent_polys", truncation),
-        "laurent_V_dual": kernel_dimension(conn_dual, "laurent_polys",
-                                           truncation),
-        "two_sided": kernel_dimension(conn, "two_sided", truncation),
-        "taylor0": kernel_dimension(conn, "taylor0", truncation),
-        "taylor_inf": kernel_dimension(conn, "taylor_inf", truncation),
-    }
+    own = _kernel_reports(conn, SPACES, truncation)
+    reports = {"laurent_V": own["laurent_polys"],
+               "laurent_V_dual": kernel_dimension(conn_dual, "laurent_polys",
+                                                  truncation)}
+    reports.update((s, own[s]) for s in ("two_sided", "taylor0", "taylor_inf"))
     dims = {k: r.dimension for k, r in reports.items()}
     split_ok = dims["two_sided"] == dims["taylor0"] + dims["taylor_inf"]
     passed = (dims["laurent_V"] == 0 and dims["laurent_V_dual"] == 0
@@ -224,15 +234,15 @@ def h1_middle_via_solver(conn, conn_dual, truncation):
     This equals the middle-extension h^1 when the connection has no flat
     sections over the punctured line, which is checked first.
     """
-    dims = {"laurent_V": kernel_dimension(conn, "laurent_polys",
-                                          truncation).dimension}
-    if dims["laurent_V"] != 0:
-        raise ConsistencyError("solver h1 needs a vanishing global kernel; "
-                               "%s has dimension %d" % (conn.label,
-                                                        dims["laurent_V"]))
-    for space in ("two_sided", "taylor0", "taylor_inf"):
-        dims[space] = kernel_dimension(conn, space, truncation).dimension
-    return _h1(conn.label, dims)
+    dims = {}
+    for family in _FAMILIES:
+        dims.update((space, report.dimension) for space, report
+                    in _kernel_reports(conn, family, truncation).items())
+        if dims["laurent_polys"] != 0:
+            raise ConsistencyError("solver h1 needs a vanishing global "
+                                   "kernel; %s has dimension %d"
+                                   % (conn.label, dims["laurent_polys"]))
+    return _h1(conn.label, dict(dims, laurent_V=0))
 
 
 def apply_connection(conn, window):

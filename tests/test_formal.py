@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_mat_mul, ref_nullspace, ref_rref
+from rigidconn import formal
 from rigidconn.chevalley import KacWindow, build_chevalley
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   sl2_sym, sl_standard, so_odd_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.formal import (SPACES, SeriesWindow, _h1, apply_connection,
-                              check_rigidity, h1_middle_via_solver,
-                              kernel_dimension, residue_pair,
-                              sl2_double_cover_h1)
+from rigidconn.formal import (SPACES, SeriesWindow, _h1, _kernel_reports,
+                              apply_connection, check_rigidity,
+                              h1_middle_via_solver, kernel_dimension,
+                              residue_pair, sl2_double_cover_h1)
 
 
 def test_adjoint_a1_dimensions():
@@ -98,6 +99,33 @@ def test_h1_needs_vanishing_global_kernel():
     with pytest.raises(ConsistencyError):
         h1_middle_via_solver(flat, flat.dual(), 10)
     assert check_rigidity(flat, flat.dual(), 10)["h1"] is None
+
+
+def test_one_sweep_pair_per_seed_family(monkeypatch):
+    """taylor0 is read off the laurent_polys sweep and two_sided off the
+    taylor_inf one, so each seed family costs two sweeps (M and M + h);
+    h1 sweeps the unseeded family first and stops there on a flat section."""
+    sweeps = []
+
+    def counted(conn, seeded, m_window, buffer_depth):
+        sweeps.append((seeded, m_window))
+        return solve(conn, seeded, m_window, buffer_depth)
+
+    solve = formal._solve_space
+    monkeypatch.setattr(formal, "_solve_space", counted)
+    conn = sl_standard(3)
+    for solver, count in [(check_rigidity, 6), (h1_middle_via_solver, 4)]:
+        sweeps.clear()
+        solver(conn, conn.dual(), 20)
+        assert len(sweeps) == count
+    sweeps.clear()
+    kernel_dimension(conn, "taylor0", 20)
+    assert len(sweeps) == 2
+    sweeps.clear()
+    flat = MatrixConnection({0: [[Fraction(-3)]]}, "theta minus 3", h=1)
+    with pytest.raises(ConsistencyError):
+        h1_middle_via_solver(flat, flat.dual(), 10)
+    assert sweeps == [(False, 10), (False, 11)]
 
 
 def test_negative_h1_accounting_raises():
@@ -361,3 +389,20 @@ def test_integer_levels_match_the_fraction_solver(conn, truncation):
             assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
             assert all(type(x) is Fraction for w in got.basis
                        for vec in w.coeffs.values() for x in vec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomial_connections(), st.integers(2, 4))
+def test_shared_sweeps_match_the_fraction_solver(conn, truncation):
+    """Both ends of each seed family's sweep, against the reference run
+    per space."""
+    for c in (conn, conn.dual()):
+        got = _kernel_reports(c, SPACES, truncation, enforce_floor=False)
+        assert sorted(got) == sorted(SPACES)
+        for space in SPACES:
+            dim, stable, basis = ref_kernel_dimension(c, space, truncation)
+            report = got[space]
+            assert report.space == space
+            assert (report.dimension, report.stabilized) == (dim, stable)
+            assert ([w.coeffs for w in report.basis]
+                    == [w.coeffs for w in basis]), space
