@@ -1,25 +1,29 @@
 """Truncated formal solutions of (theta + A)f = 0 and the residue pairing.
 
 The recursion n v_n + sum_k A_k v_{n-k} = 0 is solved upward, one level
-at a time, with a running parameter space.  Each level takes the kernel
-of one block [n Id + A(0) | sum_{k>=1} A_k v_{n-k}]: a kernel vector
-holds v_n in its first entries and the old parameters, in terms of the
-new ones, in the rest.  Parameters enter where n Id + A(0) is singular
-or, for spaces with an infinite tail at t = 0, as seed layers a buffer
-below the window.  Above a closed top edge v_n = 0, so the block only
-cuts the parameter space down.  Levels below the window are dropped once
-they feed no equation.  Dimensions are ranks over the core window
-[-M, M], independent of the seed placement.  Up to M, taylor0 runs the
-steps of laurent_polys and two_sided those of taylor_inf; the closed top
-only adds cut levels above M, so one sweep serves both.  A level is an
-integer matrix over one denominator, v_n = M_n / D_n in lowest terms; den(A)
-[n Id + A(0) | L sum A_k v_{n-k}], L the lcm of the fed D_{n-k}, is an
-integer block whose kernel vectors (x, y) give (x, L y) in the wanted
-one.  Fractions are built only for the reported basis.
+at a time, with a running parameter space.  A level is an integer matrix
+over one denominator, v_n = M_n / D_n in lowest terms, D_n > 0; level n
+solves den(A) [n Id + A(0) | L sum A_k v_{n-k}] = [T | c], L the lcm of
+the fed D_{n-k}.  Where T is nonsingular and den(A) A(0) is triangular in
+some order of its rows (found once per sweep; A(0) = N raises the grading,
+so every built model has one, permuted or dual), v_n = -T^-1 c / L by back
+substitution along that order, scaled by |det T| so each division is
+exact.  Elsewhere (T singular, a cut level above a closed top, or no such
+order) the Gauss-Jordan kernel of [T | c] runs: a kernel vector (x, y)
+gives (x, L y) in the true one, v_n and the old parameters in terms of the
+new ones.  Parameters enter where T is singular or, for spaces with
+an infinite tail at t = 0, as seed layers a buffer below the window; above
+a closed top edge v_n = 0, so the block is c alone and only cuts the
+parameter space down.  Levels below the window are dropped once they feed
+no equation.  Dimensions are ranks over the core window [-M, M],
+independent of the seed placement.  Up to M, taylor0 runs the steps of
+laurent_polys and two_sided those of taylor_inf; the closed top only adds
+cut levels above M, so one sweep serves both.  Fractions are built only
+for the reported basis.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import ConsistencyError, ValidationError
 from .linalg import (_cleared, _int_mul, _kernel, _row_reduce, identity,
@@ -84,6 +88,42 @@ def _lowest(mat, den):
     return [[x // g for x in row] for row in mat], den // g
 
 
+def _triangular_order(a0):
+    """[(i, [(j, a0[i][j]), ...]), ...]: the rows of the int matrix a0, each
+    with its nonzero entries off the diagonal, ordered so that row i comes
+    after every such j (Kahn's algorithm); None if that pattern has a cycle."""
+    deps = [[(j, x) for j, x in enumerate(row) if x and j != i]
+            for i, row in enumerate(a0)]
+    users = [[i for i, row in enumerate(a0) if row[j] and i != j]
+             for j in range(len(a0))]
+    waiting = [len(dep) for dep in deps]
+    order = [i for i, k in enumerate(waiting) if not k]
+    for j in order:  # the list grows while it is read
+        for i in users[j]:
+            waiting[i] -= 1
+            if not waiting[i]:
+                order.append(i)
+    return [(i, deps[i]) for i in order] if len(order) == len(a0) else None
+
+
+def _back_substitute(steps, diag, scale, c, n, label):
+    """The int rows y with T y = scale c, T triangular along steps (from
+    _triangular_order) with diagonal diag: y_i = (scale c_i - sum_j T[i][j]
+    y_j) / diag[i].  Each division is exact when det T = prod(diag) divides
+    scale, and a remainder is a ConsistencyError at level n of label."""
+    y = [None] * len(diag)
+    for i, dep in steps:
+        acc = [scale * x for x in c[i]]
+        for j, x in dep:
+            acc = [s - x * t for s, t in zip(acc, y[j])]
+        if any(s % diag[i] for s in acc):
+            raise ConsistencyError("_solve_space: back substitution at level "
+                                   "%d of %s leaves a remainder in row %d"
+                                   % (n, label, i))
+        y[i] = [s // diag[i] for s in acc]
+    return y
+
+
 def _solve_space(conn, seeded, m_window, buffer_depth):
     """The levels {n: (M_n, D_n)} of one sweep: open top at M, closed top."""
     if not conn.is_polynomial():
@@ -95,6 +135,7 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
     rows, den_a = _cleared([row for k in [0] + ks
                             for row in conn.coefficient(k)])
     a = {k: rows[i * d:i * d + d] for i, k in enumerate([0] + ks)}
+    steps = _triangular_order(a[0])
     layers = max(big_k, 1) if seeded else 0
     start = -m_window - (buffer_depth if seeded else 0)
     p = layers * d
@@ -116,22 +157,30 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
                       for i in range(d)],
                      list(zip(*[row for _, (mk, _) in feed for row in mk]))
                      or [[]] * p)
-        block = [[x + n * den_a if i == j else x
-                  for j, x in enumerate(a[0][i][:w])] + c[i]
-                 for i in range(d)]
-        vecs, den, free = _kernel(block)
-        # (x, y) in its kernel is (x, big_l y) in the true one: normalised at
-        # the free entry, y / den and x / (den big_l), times big_l if f < w
-        scale = [big_l if f < w else 1 for f in free]
-        pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, scale)]
-        p2 = len(vecs)
-        if pmap != [[den * (q == j) for q in range(p)] for j in range(p)]:
-            for m, (mat, dm) in phi.items():
-                phi[m] = _lowest(_int_mul(mat, pmap), dm * den)
-        if w:
-            phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
-                              for i in range(d)], den * big_l)
-        p = p2
+        diag = [n * den_a + a[0][i][i] for i in range(d)]
+        det = prod(diag)
+        if w and det and steps is not None:
+            # v_n = -T^-1 c / big_l = y / (|det| big_l), T = den_a n Id + a0
+            # and T y = -|det| c; the parameters stay as they are
+            y = _back_substitute(steps, diag, -abs(det), c, n, conn.label)
+            phi[n] = _lowest(y, abs(det) * big_l)
+        else:
+            block = [[x + n * den_a if i == j else x
+                      for j, x in enumerate(a[0][i][:w])] + c[i]
+                     for i in range(d)]
+            vecs, den, free = _kernel(block)
+            # (x, y) in its kernel is (x, big_l y) in the true one: normalised
+            # at the free entry, y / den and x / (den big_l), times big_l if
+            # f < w
+            scale = [big_l if f < w else 1 for f in free]
+            pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, scale)]
+            if pmap != [[den * (q == j) for q in range(p)] for j in range(p)]:
+                for m, (mat, dm) in phi.items():
+                    phi[m] = _lowest(_int_mul(mat, pmap), dm * den)
+            if w:
+                phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
+                                  for i in range(d)], den * big_l)
+            p = len(vecs)
         # stored levels are only ever replaced, so a shallow copy keeps them
         if n == m_window:
             open_top = dict(phi)

@@ -1,6 +1,9 @@
 """Formal solution spaces, the residue pairing, and the double cover."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -9,15 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_mat_mul, ref_nullspace, ref_rref
+import rigidconn
 from rigidconn import formal
 from rigidconn.chevalley import KacWindow, build_chevalley
+from rigidconn.cli import main
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
                                   sl2_sym, sl_standard, so_odd_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.formal import (SPACES, SeriesWindow, _h1, _kernel_reports,
-                              apply_connection, check_rigidity,
-                              h1_middle_via_solver, kernel_dimension,
-                              residue_pair, sl2_double_cover_h1)
+                              _triangular_order, apply_connection,
+                              check_rigidity, h1_middle_via_solver,
+                              kernel_dimension, residue_pair,
+                              sl2_double_cover_h1)
+from rigidconn.galois import cohomology_dims, peel_components
+from rigidconn.rootsys import build_root_system
+from rigidconn.weights import weight_system
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_adjoint_a1_dimensions():
@@ -126,6 +137,72 @@ def test_one_sweep_pair_per_seed_family(monkeypatch):
     with pytest.raises(ConsistencyError):
         h1_middle_via_solver(flat, flat.dual(), 10)
     assert sweeps == [(False, 10), (False, 11)]
+
+
+@pytest.mark.parametrize("model,dim", [(("sl", 5), 5),
+                                       (("adjoint", "A", 2), 8)],
+                         ids=["sl5", "adjoint A2"])
+def test_kernel_runs_only_at_singular_and_cut_levels(model, dim, monkeypatch):
+    """A(0) = N is strictly triangular in a permuted weight basis, so
+    n Id + A(0) is singular only at n = 0: each sweep back-substitutes every
+    other level up to M and takes the Gauss-Jordan kernel at n = 0 and at
+    the cut level M + 1 alone (A(t) has degree 1)."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from worker import build_model
+    sweeps = []
+
+    def counted_solve(conn, seeded, m_window, buffer_depth):
+        sweeps.append((m_window, []))
+        return solve(conn, seeded, m_window, buffer_depth)
+
+    def counted_kernel(block):
+        # the level is the loop variable n of the calling _solve_space
+        sweeps[-1][1].append(sys._getframe(1).f_locals["n"])
+        return kernel(block)
+
+    solve, kernel = formal._solve_space, formal._kernel
+    monkeypatch.setattr(formal, "_solve_space", counted_solve)
+    monkeypatch.setattr(formal, "_kernel", counted_kernel)
+    conn = build_model(rigidconn, model, random.Random(7).sample(range(dim),
+                                                                 dim))
+    check_rigidity(conn, conn.dual(), 24)
+    assert len(sweeps) == 6
+    assert all(levels == [0, m + 1] for m, levels in sweeps)
+
+
+def test_back_substitution_remainder_survives_optimize():
+    """T = [[2, 1], [0, 2]] has det 4, so T y = -2 c is not integral for
+    c = (1, 1): row 1 gives y_1 = -1, row 0 leaves (-2 + 1) / 2."""
+    code = ("from rigidconn import formal\n"
+            "from rigidconn.errors import ConsistencyError\n"
+            "steps = formal._triangular_order([[0, 1], [0, 0]])\n"
+            "try:\n"
+            "    formal._back_substitute(steps, [2, 2], -2, [[1], [1]], 7,"
+            " 'T')\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n"
+            "    raise SystemExit(3)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout == ("_solve_space: back substitution at level 7 of T "
+                           "leaves a remainder in row 0\n")
+
+
+def test_back_substitution_remainder_exits_3(monkeypatch, capsys):
+    """With the diagonal doubled, the scale |det T| is no longer a multiple
+    of the product of the diagonal, and the first remainder exits 3."""
+    def doubled(steps, diag, scale, c, n, label):
+        return substitute(steps, [2 * x for x in diag], scale, c, n, label)
+
+    substitute = formal._back_substitute
+    monkeypatch.setattr(formal, "_back_substitute", doubled)
+    assert main(["rigidity", "--group", "sl3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("consistency failure: _solve_space: back "
+                          "substitution at level ")
+    assert "of sl3 standard leaves a remainder" in err
 
 
 def test_negative_h1_accounting_raises():
@@ -276,6 +353,47 @@ def test_solver_higher_degree_and_singular_levels(conn, two_sided):
                 assert not any(image.coefficient(n)), (space, n)
 
 
+def kronecker_sum(v, w):
+    """theta + A_k (x) 1 + 1 (x) B_k, the connection of V (x) W: basis vector
+    (i, q) of the product is i dim W + q."""
+    dv, dw = v.dim, w.dim
+    coeffs = {k: [[a[i][j] * (q == s) + (i == j) * b[q][s]
+                   for j in range(dv) for s in range(dw)]
+                  for i in range(dv) for q in range(dw)]
+              for k in set(v.coeffs) | set(w.coeffs)
+              for a, b in [(v.coefficient(k), w.coefficient(k))]}
+    return MatrixConnection(coeffs, "%s x %s" % (v.label, w.label), h=v.h)
+
+
+@pytest.mark.parametrize("n,dual", [(3, False), (3, True), (4, False),
+                                    (4, True)],
+                         ids=["sl3 x sl3", "sl3 x sl3*", "sl4 x sl4",
+                              "sl4 x sl4*"])
+def test_tensor_products_match_their_components(n, dual):
+    """sl_n (x) sl_n and sl_n (x) sl_n*: the product character, split into
+    irreducibles, predicts the flat sections (sum of m h0) and, when there
+    are none, the middle h1 (sum of m h1)."""
+    v = sl_standard(n)
+    conn = kronecker_sum(v, v.dual() if dual else v)
+    assert _triangular_order(conn.coefficient(0)) is not None
+    rs = build_root_system("A", n - 1)
+    top = (1,) + (0,) * (n - 2)
+    table = {}
+    for mu, m1 in weight_system(rs, top).table.items():
+        for nu, m2 in weight_system(rs, top[::-1] if dual else top
+                                    ).table.items():
+            key = tuple(map(sum, zip(mu, nu)))
+            table[key] = table.get(key, 0) + m1 * m2
+    parts = [(cohomology_dims("A", n - 1, mu), m)
+             for mu, m in peel_components(rs, table)]
+    h0 = sum(r.h0 * m for r, m in parts)
+    trunc = 2 * conn.dim + 2 * n
+    assert kernel_dimension(conn, "laurent_polys", trunc).dimension == h0
+    if h0 == 0:
+        assert h1_middle_via_solver(conn, conn.dual(), trunc) == sum(
+            r.h1 * m for r, m in parts)
+
+
 # -- the integer-level solver against the Fraction solver -------------------
 #
 # ref_solve_space and ref_basis are the solver as it was with every level a
@@ -406,3 +524,34 @@ def test_shared_sweeps_match_the_fraction_solver(conn, truncation):
             assert (report.dimension, report.stabilized) == (dim, stable)
             assert ([w.coeffs for w in report.basis]
                     == [w.coeffs for w in basis]), space
+
+
+_CYCLIC_CASES = [
+    MatrixConnection({0: [[0, 1], [1, 0]], 1: [[0, 0], [1, 0]]},
+                     "A(0) a swap", h=1),
+    MatrixConnection({0: [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                      1: [[0, 0, 0], [2, 0, 0], [0, -1, 1]]},
+                     "A(0) a 3-cycle", h=1),
+    MatrixConnection({0: [[-1, 0, 2], [Fraction(1, 2), 0, 0], [1, 0, 0]],
+                      1: [[0, 1, 0], [0, 0, 0], [0, 0, 1]],
+                      2: [[0, 0, 0], [0, 0, 1], [1, 0, 0]]},
+                     "A(0) a 2-cycle feeding a row", h=1),
+    MatrixConnection({0: [[1, Fraction(1, 2)], [2, 0]], 1: [[0, 1], [1, 0]]},
+                     "A(0) with irrational eigenvalues", h=1),
+]
+
+
+@pytest.mark.parametrize("conn", [pytest.param(c, id=c.label)
+                                  for base in _CYCLIC_CASES
+                                  for c in (base, base.dual())])
+def test_elimination_route_matches_the_fraction_solver(conn):
+    """An A(0) whose pattern has a cycle has no triangular order, so every
+    level takes the Gauss-Jordan kernel.  n Id + A(0) is singular at n = +-1
+    (swap), n = -1 (3-cycle), n = 0, -1, 2 (2-cycle feeding a row) or at no
+    level, and at the negatives of those for the duals."""
+    assert _triangular_order(conn.coefficient(0)) is None
+    for space in SPACES:
+        got = kernel_dimension(conn, space, 5, enforce_floor=False)
+        dim, stable, basis = ref_kernel_dimension(conn, space, 5)
+        assert (got.dimension, got.stabilized) == (dim, stable), space
+        assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
