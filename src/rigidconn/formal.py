@@ -18,11 +18,12 @@ parameter space down.  Levels below the window are dropped once they feed
 no equation.  Dimensions are ranks over the core window [-M, M],
 independent of the seed placement.  Up to M, taylor0 runs the steps of
 laurent_polys and two_sided those of taylor_inf; the closed top only adds
-cut levels above M, so one sweep serves both.  Fractions are built only
-for the reported basis.
+cut levels above M, so one sweep serves both.  The feed c runs over the
+nonzero entries of each A_k; a report builds its Fraction basis on read.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import ConsistencyError, ValidationError
@@ -67,12 +68,19 @@ class SeriesWindow:
 
 
 class KernelReport:
-    def __init__(self, space, dimension, truncation, stabilized, basis):
+    """A space's dimension and stabilization; basis is built on first read
+    from the sweep's levels, which are only ever replaced, never changed."""
+
+    def __init__(self, space, truncation, stabilized, dim, levels, pivots):
         self.space = space
-        self.dimension = dimension
+        self.dimension = len(pivots)
         self.truncation = truncation
         self.stabilized = stabilized
-        self.basis = basis
+        self._basis_args = (dim, levels, pivots, truncation)
+
+    @cached_property
+    def basis(self):
+        return _basis(*self._basis_args)
 
     def __repr__(self):
         return ("KernelReport(space=%r, dimension=%d, truncation=%d, "
@@ -136,6 +144,8 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
                             for row in conn.coefficient(k)])
     a = {k: rows[i * d:i * d + d] for i, k in enumerate([0] + ks)}
     steps = _triangular_order(a[0])
+    nonzero = {k: [(i, j, x) for i, row in enumerate(a[k])
+                   for j, x in enumerate(row) if x] for k in ks}
     layers = max(big_k, 1) if seeded else 0
     start = -m_window - (buffer_depth if seeded else 0)
     p = layers * d
@@ -149,14 +159,15 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
             phi.pop(n - big_k - 1, None)
         # above the window v_n = 0, so the block has no v_n columns
         w = d if n <= m_window else 0
-        # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] is an integer block
-        feed = [(a[k], phi[n - k]) for k in ks if n - k in phi]
+        # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] is an integer block;
+        # c[i] sums (x big_l / D_k) M_{n-k}[j] over nonzero x = A_k[i][j]
+        feed = [(nonzero[k], phi[n - k]) for k in ks if n - k in phi]
         big_l = lcm(*[dk for _, (_, dk) in feed])
-        scaled = [(ak, big_l // dk) for ak, (_, dk) in feed]
-        c = _int_mul([[x * s for ak, s in scaled for x in ak[i]]
-                      for i in range(d)],
-                     list(zip(*[row for _, (mk, _) in feed for row in mk]))
-                     or [[]] * p)
+        c = [[0] * p for _ in range(d)]
+        for entries, (mk, dk) in feed:
+            s = big_l // dk
+            for i, j, x in entries:
+                c[i] = [u + x * s * v for u, v in zip(c[i], mk[j])]
         diag = [n * den_a + a[0][i][i] for i in range(d)]
         det = prod(diag)
         if w and det and steps is not None:
@@ -214,8 +225,8 @@ def _kernel_reports(conn, spaces, truncation, enforce_floor=True):
                                          for row in sweep[top][n][0]])
                             for sweep, m in zip(sweeps, windows)]
             reports[space] = KernelReport(
-                space, len(pivots), truncation, len(wide) == len(pivots),
-                _basis(conn.dim, sweeps[0][top], pivots, truncation))
+                space, truncation, len(wide) == len(pivots), conn.dim,
+                sweeps[0][top], pivots)
     return reports
 
 
@@ -281,7 +292,8 @@ def h1_middle_via_solver(conn, conn_dual, truncation):
     """dim two_sided - dim taylor0 - dim taylor_inf for V.
 
     This equals the middle-extension h^1 when the connection has no flat
-    sections over the punctured line, which is checked first.
+    sections over the punctured line, which is checked first.  conn_dual
+    is unused, kept only until ROADMAP item 2 drops it.
     """
     dims = {}
     for family in _FAMILIES:

@@ -1,5 +1,6 @@
 """Formal solution spaces, the residue pairing, and the double cover."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -555,3 +556,94 @@ def test_elimination_route_matches_the_fraction_solver(conn):
         dim, stable, basis = ref_kernel_dimension(conn, space, 5)
         assert (got.dimension, got.stabilized) == (dim, stable), space
         assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
+
+
+_FEED_CASES = [
+    MatrixConnection({0: [[1, 1, 0], [0, 0, 1], [0, 0, -1]],
+                      2: [[0, 0, 0], [0, 0, 0], [1, 0, 0]]},
+                     "A(1) = 0, A(2) nonzero", h=1),
+    MatrixConnection({0: [[0, 1, 0], [0, -1, 0], [0, 2, 1]],
+                      1: [[0, 0, 0], [1, 2, 0], [0, 0, 1]]},
+                     "a zero row in A(1)", h=1),
+    MatrixConnection({0: [[1, Fraction(2, 7), 0], [0, 0, Fraction(5, 3)],
+                          [0, 0, -1]],
+                      1: [[Fraction(p, q) for p, q in row] for row in
+                          [[(1, 999983), (-7, 65537), (3, 1000003)],
+                           [(11, 524287), (2, 3), (-5, 999979)],
+                           [(13, 104729), (-1, 7919), (9, 1299709)]]]},
+                     "a dense A(1) with large denominators", h=1),
+]
+
+
+@pytest.mark.parametrize("conn", [pytest.param(c, id=c.label)
+                                  for base in _FEED_CASES
+                                  for c in (base, base.dual())])
+def test_sparse_feed_matches_the_fraction_solver(conn):
+    """The feed runs over the nonzero entries of each A_k: a k with no
+    coefficient is skipped, a zero row of A(1) adds nothing, and a dense
+    A(1) feeds every entry.  n Id + A(0) is singular at n = -1, 0 and 1,
+    with A(0) triangular, in each case and its dual."""
+    for space in SPACES:
+        got = kernel_dimension(conn, space, 5, enforce_floor=False)
+        dim, stable, basis = ref_kernel_dimension(conn, space, 5)
+        assert (got.dimension, got.stabilized) == (dim, stable), space
+        assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
+
+
+def level_hash(conn, truncation):
+    """sha256 of every stored level of both seed families' sweeps at the
+    windows truncation and truncation + h, open and closed top."""
+    digest = hashlib.sha256()
+    for seeded in (False, True):
+        for m in (truncation, truncation + conn.h):
+            for levels in formal._solve_space(conn, seeded, m, m + conn.h):
+                digest.update(repr(sorted(levels.items())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("model,dim,own,dual", [
+    (("sl", 5), 5,
+     "9ab27611b2e1825e4aa52c0ae453d38c467c0736477a35e2f08443fcf4be32bd",
+     "67662c7f8caa1fab9dcca570b70a296c22f096ec7835d4f41805b1d306a332fc"),
+    (("adjoint", "A", 2), 8,
+     "f38760924d2bc92f5d5ed8b1dff193845d37a65f363e3e02f655bff59a7e1a55",
+     "15e8be2c75594113d03a6258bb66772f54c9c3e69aeb4fa3ddccf1ee4b29e337"),
+], ids=["sl5", "adjoint A2"])
+def test_stored_levels_are_pinned(model, dim, own, dual, monkeypatch):
+    """The stored levels (M_n, D_n) of permuted models at truncation 24,
+    hashed as recorded before the feed ran over nonzero entries only."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    from worker import build_model
+    conn = build_model(rigidconn, model, random.Random(7).sample(range(dim),
+                                                                 dim))
+    assert (level_hash(conn, 24), level_hash(conn.dual(), 24)) == (own, dual)
+
+
+def test_basis_is_built_on_first_read(monkeypatch):
+    """h1_middle_via_solver and check_rigidity build no basis; a report
+    builds its basis when it is first read, once, with the entries of an
+    eager _basis call on a fresh sweep."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return basis(*args)
+
+    basis = formal._basis
+    monkeypatch.setattr(formal, "_basis", counted)
+    conn = sl2_sym(5)
+    assert h1_middle_via_solver(conn, conn.dual(), 30) == 2
+    result = check_rigidity(conn, conn.dual(), 30)
+    assert built == []
+    report = result["reports"]["two_sided"]
+    first = report.basis
+    assert report.basis is first
+    assert len(built) == 1 and len(first) == report.dimension > 0
+    levels = formal._solve_space(conn, True, 30, 30 + conn.h)[0]
+    pivots = formal._row_reduce([row for n in range(-30, 31)
+                                 for row in levels[n][0]])
+    eager = basis(conn.dim, levels, pivots, 30)
+    assert [w.coeffs for w in first] == [w.coeffs for w in eager]
+    for rep in result["reports"].values():
+        assert len(rep.basis) == rep.dimension
+    assert len(built) == 5
