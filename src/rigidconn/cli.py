@@ -24,8 +24,6 @@ from .weights import load_weight_system, save_weight_system, weight_system
 SCHEMA = "v1"
 CACHE_ENV = "RIGIDCONN_CACHE_DIR"
 
-_FIXED = {"g2": ("G", 2), "f4": ("F", 4), "e6": ("E", 6),
-          "e7": ("E", 7), "e8": ("E", 8)}
 _GROUP_HELP = ("sl/so/sp with --rank as matrix size, a..g with --rank as "
                "Lie rank, or one of g2 f4 e6 e7 e8")
 _REP_HELP = ("standard, adjoint, sym:k, dim7, spin, fund:i, or "
@@ -73,12 +71,6 @@ def parse_group(token, rank=None):
         half = (size - 1) // 2
         return GroupSpec(family, "B" if half >= 2 else "A",
                          half if half >= 2 else 1, size)
-    if text in _FIXED:
-        type_label, fixed_rank = _FIXED[text]
-        if rank is not None and rank != fixed_rank:
-            raise ValidationError("group %r conflicts with --rank %d"
-                                  % (token, rank))
-        return GroupSpec(None, type_label, fixed_rank, None)
     m = re.fullmatch(r"([a-g])(\d+)?", text)
     if m:
         letter = m.group(1).upper()
@@ -248,22 +240,23 @@ def cmd_scalar(args):
 
 
 def _cache_dir(args):
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "rigidconn")
+    return (args.cache_dir or os.environ.get(CACHE_ENV)
+            or os.path.join(os.path.expanduser("~"), ".cache", "rigidconn"))
 
 
 def _warm_weight_cache(rs, highest, cache_dir):
+    """Read or fill the cache; a path it cannot use is bad input."""
     name = "%s_%s.json" % (rs.label(), "_".join(str(x) for x in highest))
     path = os.path.join(cache_dir, name)
-    if os.path.exists(path):
-        return load_weight_system(path)
-    ws = weight_system(rs, highest)
-    os.makedirs(cache_dir, exist_ok=True)
-    save_weight_system(ws, path)
+    try:
+        if os.path.exists(path):
+            return load_weight_system(path)
+        ws = weight_system(rs, highest)
+        os.makedirs(cache_dir, exist_ok=True)
+        save_weight_system(ws, path)
+    except OSError as exc:
+        raise ValidationError("weight cache %s: %s"
+                              % (path, exc.strerror or exc))
     return ws
 
 

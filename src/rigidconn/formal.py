@@ -206,13 +206,10 @@ def _basis(d, phi, pivots, m_window):
             for col in pivots]
 
 
-def _kernel_reports(conn, spaces, truncation, enforce_floor=True):
-    """{space: KernelReport}, two sweeps per seed family, unseeded first."""
+def _kernel_reports(conn, spaces, truncation):
+    """{space: KernelReport}, two sweeps per seed family, unseeded first,
+    at any truncation."""
     h_step = conn.h if conn.h else conn.dim + 1
-    floor = 2 * conn.dim + 2 * h_step
-    if enforce_floor and truncation < floor:
-        raise ValidationError("truncation %d is below the floor %d for %s"
-                              % (truncation, floor, conn.label))
     windows = (truncation, truncation + h_step)
     reports = {}
     for seeded, family in enumerate(_FAMILIES):
@@ -230,20 +227,28 @@ def _kernel_reports(conn, spaces, truncation, enforce_floor=True):
     return reports
 
 
-def kernel_dimension(conn, space, truncation, enforce_floor=True):
+def _floored_reports(conn, spaces, truncation):
+    """_kernel_reports, once the truncation reaches the floor."""
+    floor = 2 * conn.dim + 2 * (conn.h if conn.h else conn.dim + 1)
+    if truncation < floor:
+        raise ValidationError("truncation %d is below the floor %d for %s"
+                              % (truncation, floor, conn.label))
+    return _kernel_reports(conn, spaces, truncation)
+
+
+def kernel_dimension(conn, space, truncation):
     """Dimension of the truncated solution space, with stabilization.
 
     The dimension is recomputed with the window enlarged by one h-period
     and the report is flagged unstabilized if the two values differ.
     The truncation must reach the floor 2 dim + 2h, with dim + 1 in
-    place of h when the connection has none; enforce_floor=False lifts
-    the floor, for small reference windows in tests.  taylor0 is read off
-    the laurent_polys sweep at M and two_sided off the taylor_inf one.
+    place of h when the connection has none.  taylor0 is read off the
+    laurent_polys sweep at M and two_sided off the taylor_inf one.
     """
     if space not in SPACES:
         raise ValidationError("unknown space %r; expected one of %s"
                               % (space, ", ".join(SPACES)))
-    return _kernel_reports(conn, (space,), truncation, enforce_floor)[space]
+    return _floored_reports(conn, (space,), truncation)[space]
 
 
 def _h1(label, dims):
@@ -269,7 +274,7 @@ def check_rigidity(conn, conn_dual, truncation):
     the two-sided kernel splits as taylor0 + taylor_inf.  "h1" is the
     middle-extension h^1, None when V has flat sections.
     """
-    own = _kernel_reports(conn, SPACES, truncation)
+    own = _floored_reports(conn, SPACES, truncation)
     reports = {"laurent_V": own["laurent_polys"],
                "laurent_V_dual": kernel_dimension(conn_dual, "laurent_polys",
                                                   truncation)}
@@ -298,7 +303,7 @@ def h1_middle_via_solver(conn, conn_dual, truncation):
     dims = {}
     for family in _FAMILIES:
         dims.update((space, report.dimension) for space, report
-                    in _kernel_reports(conn, family, truncation).items())
+                    in _floored_reports(conn, family, truncation).items())
         if dims["laurent_polys"] != 0:
             raise ConsistencyError("solver h1 needs a vanishing global "
                                    "kernel; %s has dimension %d"

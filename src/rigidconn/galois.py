@@ -38,11 +38,12 @@ def _folding(type_label, rank):
     return None
 
 
-def folding_target(type_label, rank):
-    """The type of the differential Galois group, or None when it is
-    the full dual group."""
-    folding = _folding(type_label, rank)
-    return None if folding is None else folding[0]
+def galois_group(type_label, rank):
+    """(type, rank) of the differential Galois group, as _folding decides."""
+    source = (type_label.upper(), rank)
+    build_root_system(*source)
+    folding = _folding(*source)
+    return folding[0] if folding else source
 
 
 def folding_matrix(type_label, rank):
@@ -50,7 +51,8 @@ def folding_matrix(type_label, rank):
 
     Each row gives one fundamental-weight coordinate of the target as
     an integer combination of source coordinates (orbit sums of the
-    diagram automorphism).
+    diagram automorphism).  The folding must keep the Coxeter number and
+    the principal grading.
     """
     folding = _folding(type_label, rank)
     if folding is None:
@@ -59,6 +61,11 @@ def folding_matrix(type_label, rank):
     rows = [[int(c in orbit) for c in range(1, rank + 1)] for orbit in orbits]
     rs = build_root_system(type_label, rank)
     rs_t = build_root_system(*target)
+    if rs_t.coxeter_number != rs.coxeter_number:
+        raise ConsistencyError("folding %s -> %s changes the Coxeter number "
+                               "from %d to %d"
+                               % (rs.label(), rs_t.label(), rs.coxeter_number,
+                                  rs_t.coxeter_number))
     for i in range(rank):
         omega = rs.fundamental_weight(i)
         image = tuple(r[i] for r in rows)
@@ -67,38 +74,6 @@ def folding_matrix(type_label, rank):
                                    "principal grading at node %d"
                                    % (rs.label(), rs_t.label(), i + 1))
     return rows
-
-
-class GaloisProfile:
-    def __init__(self, source, target):
-        self.source = tuple(source)
-        self.target = tuple(target)
-        self.folded = self.source != self.target
-        rs_s = build_root_system(*self.source)
-        rs_t = build_root_system(*self.target)
-        if rs_s.coxeter_number != rs_t.coxeter_number:
-            raise ConsistencyError("folding target %s has a different "
-                                   "Coxeter number than %s"
-                                   % (rs_t.label(), rs_s.label()))
-        self.h = rs_t.coxeter_number
-        if all(c % 2 == 0 for c in rs_s.a_coeffs):
-            self.epsilon_rule = "always +1"
-        else:
-            self.epsilon_rule = "sign (-1)^<lambda, 2 rho-check>"
-
-    def label(self):
-        return "%s%d" % self.target
-
-    def __repr__(self):
-        return "GaloisProfile(%s%d -> %s)" % (self.source[0], self.source[1],
-                                              self.label())
-
-
-def galois_group(type_label, rank):
-    source = (type_label.upper(), rank)
-    build_root_system(*source)
-    target = folding_target(*source)
-    return GaloisProfile(source, target if target else source)
 
 
 def fold_branching(ws, target_rs, rows):
@@ -143,19 +118,17 @@ def peel_components(rs, table):
     return comps
 
 
-def _restrict_to_galois(ws, profile):
+def _restrict_to_galois(ws):
     """V as a module of the differential Galois group: that group's root
-    system, V's weight multiset in it, its irreducible components
-    [(highest weight, multiplicity)] and the multiplicity of the trivial
-    one."""
-    if not profile.folded:
-        comps = [(ws.highest, 1)]
-        rs_t, table = ws.rs, ws.table
-    else:
-        rs_t = build_root_system(*profile.target)
-        table = fold_branching(ws, rs_t, folding_matrix(*profile.source))
-        comps = peel_components(rs_t, table)
-    return rs_t, table, comps, sum(c for mu, c in comps if not any(mu))
+    system, V's weight multiset in it and its irreducible components
+    [(highest weight, multiplicity)]."""
+    rs = ws.rs
+    target = galois_group(rs.type_label, rs.rank)
+    if target == (rs.type_label, rs.rank):
+        return rs, ws.table, [(ws.highest, 1)]
+    rs_t = build_root_system(*target)
+    table = fold_branching(ws, rs_t, folding_matrix(rs.type_label, rs.rank))
+    return rs_t, table, peel_components(rs_t, table)
 
 
 @lru_cache(maxsize=None)
@@ -267,10 +240,10 @@ def cohomology_dims(type_label, rank, highest):
     type_label = type_label.upper()
     rs = build_root_system(type_label, rank)
     ws = weight_system(rs, tuple(int(x) for x in highest))
-    profile = galois_group(type_label, rank)
     epsilon = epsilon_on(ws)
-    rs_t, table, comps, inv_g = _restrict_to_galois(ws, profile)
-    if profile.folded:
+    rs_t, table, comps = _restrict_to_galois(ws)
+    inv_g = sum(c for mu, c in comps if not any(mu))
+    if rs_t.label() != rs.label():
         pieces = " + ".join("%d" % (weight_system(rs_t, mu).dim * count)
                             for mu, count in comps)
         trace = ["folded %s -> %s; V restricts as %s"
@@ -289,39 +262,20 @@ def cohomology_dims(type_label, rank, highest):
         trace.append("epsilon = -1 forbids the trivial character: I_inf = 0")
     return CohomologyReport(type_label, rank, ws.highest, ws.dim, epsilon,
                             inv["irr"], inv["I0"], inv["n_fixed"],
-                            inv["Iinf"], inv_g, profile.label(), trace)
-
-
-def epsilon_plus_crosscheck(ws):
-    """The even-case identity d(V) = 2(#{a > 0, a-fixed} - m(chi_0)).
-
-    Checked against the main formula; also checks that d(V) is even.
-    Only meaningful when the central involution acts trivially on V.
-    """
-    rs = ws.rs
-    rep = cohomology_dims(rs.type_label, rs.rank, ws.highest)
-    if rep.epsilon != 1:
-        raise ValidationError("cross-check needs epsilon = +1 on V; "
-                              "%s has epsilon = -1" % ws.label())
-    h = rs.coxeter_number
-    pos = sum(c for a, c in a_histogram(rs, ws.table).items()
-              if a > 0 and a % (2 * h) == 0)
-    alt = 2 * (pos - rep.inv_Iinf)
-    d_main = rep.h1 - 2 * rep.inv_galois
-    if d_main % 2:
-        raise ConsistencyError("d(V) = %d is odd with epsilon = +1" % d_main)
-    if alt != d_main:
-        raise ConsistencyError("even-case formula gives %d but the main "
-                               "formula gives %d for %s" % (alt, d_main,
-                                                            ws.label()))
-    return True
+                            inv["Iinf"], inv_g, rs_t.label(), trace)
 
 
 def epsilon_minus_crosscheck(ws):
-    """The odd-case identity, valid when the central involution lies in
-    the Coxeter torus (true for SL2): d(V) = #{a = 2k+1 : k = 0 mod h,
-    k nonzero}."""
+    """The odd-case identity d(V) = #{a = 2k+1 : k = 0 mod h, k nonzero}
+    against the main formula.  It holds when every exponent of the
+    differential Galois group is prime to h (A1, B2 = C2, C4), so that V^S
+    is the zero weight space; other groups (C3) are refused."""
     rs = ws.rs
+    rs_t = build_root_system(*galois_group(rs.type_label, rs.rank))
+    if primitive_rank(rs_t) != rs_t.rank:
+        raise ValidationError("cross-check needs every exponent of the "
+                              "Galois group %s prime to h = %d"
+                              % (rs_t.label(), rs_t.coxeter_number))
     rep = cohomology_dims(rs.type_label, rs.rank, ws.highest)
     if rep.epsilon != -1:
         raise ValidationError("cross-check needs epsilon = -1 on V")

@@ -14,7 +14,6 @@ import json
 from math import prod
 from operator import mul
 import os
-import tempfile
 
 from .errors import ConsistencyError, ValidationError
 from .rootsys import build_root_system
@@ -201,6 +200,7 @@ def weight_system_to_dict(ws):
 
 
 def save_weight_system(ws, path):
+    import tempfile
     payload = json.dumps(weight_system_to_dict(ws), sort_keys=True)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -215,11 +215,16 @@ def save_weight_system(ws, path):
 
 
 def load_weight_system(path):
+    """A save_weight_system file, checked against a fresh computation."""
     with open(path) as fh:
-        data = json.load(fh)
-    rs = build_root_system(data["type"], data["rank"])
-    ws = weight_system(rs, data["lambda"])
-    expect = {tuple(row[:-2]): row[-2] for row in data["entries"]}
+        try:
+            data = json.load(fh)
+            rs = build_root_system(data["type"], data["rank"])
+            ws = weight_system(rs, data["lambda"])
+            expect = {tuple(row[:-2]): row[-2] for row in data["entries"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConsistencyError("cached weight table %s is malformed: %r"
+                                   % (path, exc))
     if expect != ws.table:
         raise ConsistencyError("cached weight table for %s disagrees with "
                                "a fresh computation" % ws.label())

@@ -2,12 +2,16 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from rigidconn.connection import MatrixConnection, ScalarOperator
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               ValidationError)
+from rigidconn.galois import fold_branching, folding_matrix, galois_group
 from rigidconn.linalg import identity, mat_mul, zeros
 from rigidconn.poly import RatFun, pderiv, pdivmod, pmonic
+from rigidconn.rootsys import build_root_system
+from rigidconn.weights import weight_system
 
 
 def jacobi_scan(alg):
@@ -396,3 +400,25 @@ def ref_killing_form(alg):
     scale = gram[theta][theta + alg.npos]
     return {i: {j: v / scale for j, v in row.items()}
             for i, row in gram.items()}
+
+
+def ref_zero_weight_irr(type_label, rank, coords):
+    """(dim V - m(0))/h, with m(0) the zero-weight multiplicity of V
+    restricted to its differential Galois group, or None when some
+    exponent of that group shares a factor with h.
+
+    When every exponent is prime to h, every eigenvalue of the Coxeter
+    element is a primitive h-th root of unity, so its primitive projector
+    is the identity and V^S is the zero weight space: this is
+    Irr_infinity(V) without the projector rows.
+    """
+    ws = weight_system(build_root_system(type_label, rank), coords)
+    rs_t = build_root_system(*galois_group(type_label, rank))
+    h = rs_t.coxeter_number
+    if any(gcd(m, h) != 1 for m in rs_t.exponents):
+        return None
+    table = (ws.table if rs_t.label() == ws.rs.label() else
+             fold_branching(ws, rs_t, folding_matrix(type_label, rank)))
+    irr, rem = divmod(ws.dim - table.get((0,) * rs_t.rank, 0), h)
+    assert rem == 0, (type_label, rank, coords)
+    return irr

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import jacobi_scan
+from conftest import jacobi_scan, ref_zero_weight_irr
 from rigidconn.chevalley import (KacWindow, build_chevalley,
                                  heisenberg_pairing_check, kostant_check)
 from rigidconn.connection import (adjoint_connection, g2_seven_dim,
@@ -20,9 +20,9 @@ from rigidconn.connection import (adjoint_connection, g2_seven_dim,
 from rigidconn.formal import (apply_connection, check_rigidity,
                               h1_middle_via_solver, residue_pair,
                               sl2_double_cover_h1, SeriesWindow)
-from rigidconn.galois import (cohomology_dims, epsilon_plus_crosscheck,
-                              fold_branching, folding_matrix,
-                              peel_components, subregular_table)
+from rigidconn.galois import (cohomology_dims, fold_branching,
+                              folding_matrix, peel_components,
+                              subregular_table)
 from rigidconn.linalg import mat_vec, rank
 from rigidconn.rootsys import SUPPORTED, build_root_system
 from rigidconn.weights import (principal_sl2_decomposition, weight_system,
@@ -275,7 +275,9 @@ def test_criterion_11_property_suites():
         assert lhs + rhs == 0
         done += 1
 
-    # The even-weight cross-check formula, on 20 representations.
+    # The irregularity read without the Coxeter projector: where every
+    # exponent of the Galois group is prime to h, V^S is the zero weight
+    # space, so irr h = dim - m(0).  C3 (2,0,0) is outside that domain.
     cases = [("A", 1, (k,)) for k in (2, 4, 6, 8, 10, 12)]
     cases += [("A", 2, (1, 1)), ("A", 2, (2, 2)), ("A", 3, (1, 0, 1)),
               ("B", 2, (0, 2)), ("B", 3, (0, 1, 0)), ("B", 3, (0, 0, 1)),
@@ -284,9 +286,15 @@ def test_criterion_11_property_suites():
               ("G", 2, (1, 0)), ("G", 2, (0, 1)), ("E", 6, (1, 0, 0, 0, 0, 0)),
               ("B", 8, (0, 0, 0, 0, 0, 0, 0, 1))]
     assert len(cases) == 20
+    outside = []
     for type_label, n, coords in cases:
-        ws = weight_system(build_root_system(type_label, n), coords)
-        assert epsilon_plus_crosscheck(ws)
+        rep = cohomology_dims(type_label, n, coords)
+        irr = ref_zero_weight_irr(type_label, n, coords)
+        if irr is None:
+            outside.append((type_label, n, coords))
+        else:
+            assert rep.irr == irr, (type_label, n, coords)
+    assert outside == [("C", 3, (2, 0, 0))]
 
     assert time.monotonic() - start < 300
 

@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from rigidconn import chevalley
-from rigidconn.cli import main
+from rigidconn.cli import main, parse_group
+from rigidconn.errors import ValidationError
 
 
 def run_cli(capsys, *argv):
@@ -121,6 +122,25 @@ def test_tampered_cache_is_a_consistency_failure(capsys, tmp_path):
     code, _, err = run_cli(capsys, *argv)
     assert code == 3
     assert err.startswith("consistency failure:")
+
+
+def test_unusable_cache_dir_is_bad_input(capsys, tmp_path):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code, out, err = run_cli(capsys, "cohomology", "--group", "a2",
+                             "--cache-dir", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: weight cache %s" % blocker)
+
+
+@pytest.mark.parametrize("text", ["{bad", '{"type": "A", "rank": 2}'])
+def test_malformed_cache_is_a_consistency_failure(capsys, tmp_path, text):
+    (tmp_path / "A2_1_1.json").write_text(text)
+    code, out, err = run_cli(capsys, "cohomology", "--group", "a2",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out) == (3, "")
+    assert err.startswith("consistency failure: cached weight table %s"
+                          % (tmp_path / "A2_1_1.json"))
 
 
 def test_cohomology_so3_standard(capsys, tmp_path):
@@ -256,8 +276,7 @@ def test_rep_group_mismatch_same_message(capsys, group, rep, message):
 
 
 def test_truncation_floor_message(capsys):
-    """The floor message names the floor only: the override is a keyword
-    of kernel_dimension that a command line cannot pass."""
+    """The floor message names the floor only."""
     code, out, err = run_cli(capsys, "rigidity", "--group", "sl2",
                              "--trunc", "0")
     assert code == 2 and out == ""
@@ -269,6 +288,20 @@ def test_rank_conflict(capsys):
     code, _, _ = run_cli(capsys, "matrix", "--group", "sl4",
                          "--rank", "5")
     assert code == 2
+
+
+def test_exceptional_group_tokens():
+    for token, type_label, rank in [("g2", "G", 2), ("F4", "F", 4),
+                                    (" e6 ", "E", 6), ("e7", "E", 7),
+                                    ("e8", "E", 8)]:
+        for given in (None, rank):
+            group = parse_group(token, given)
+            assert ((group.family, group.type_label, group.rank, group.size)
+                    == (None, type_label, rank, None))
+        with pytest.raises(ValidationError) as exc:
+            parse_group(token, rank + 1)
+        assert str(exc.value) == ("group %r conflicts with --rank %d"
+                                  % (token, rank + 1))
 
 
 def test_unknown_command_exits_2(capsys):

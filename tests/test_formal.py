@@ -54,7 +54,12 @@ def test_truncation_floor_enforced():
     conn = adjoint_connection("A", 2)
     with pytest.raises(ValidationError):
         kernel_dimension(conn, "two_sided", 10)
-    kernel_dimension(conn, "two_sided", 10, enforce_floor=False)
+    for check in (lambda t: check_rigidity(conn, conn.dual(), t),
+                  lambda t: h1_middle_via_solver(conn, conn.dual(), t)):
+        with pytest.raises(ValidationError):
+            check(10)
+    # below the floor only the private sweep runs
+    _kernel_reports(conn, ("two_sided",), 10)
 
 
 def test_unknown_space_rejected():
@@ -502,7 +507,7 @@ def polynomial_connections(draw):
 def test_integer_levels_match_the_fraction_solver(conn, truncation):
     for c in (conn, conn.dual()):
         for space in SPACES:
-            got = kernel_dimension(c, space, truncation, enforce_floor=False)
+            got = _kernel_reports(c, (space,), truncation)[space]
             dim, stable, basis = ref_kernel_dimension(c, space, truncation)
             assert (got.dimension, got.stabilized) == (dim, stable), space
             assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
@@ -516,7 +521,7 @@ def test_shared_sweeps_match_the_fraction_solver(conn, truncation):
     """Both ends of each seed family's sweep, against the reference run
     per space."""
     for c in (conn, conn.dual()):
-        got = _kernel_reports(c, SPACES, truncation, enforce_floor=False)
+        got = _kernel_reports(c, SPACES, truncation)
         assert sorted(got) == sorted(SPACES)
         for space in SPACES:
             dim, stable, basis = ref_kernel_dimension(c, space, truncation)
@@ -552,7 +557,7 @@ def test_elimination_route_matches_the_fraction_solver(conn):
     level, and at the negatives of those for the duals."""
     assert _triangular_order(conn.coefficient(0)) is None
     for space in SPACES:
-        got = kernel_dimension(conn, space, 5, enforce_floor=False)
+        got = _kernel_reports(conn, (space,), 5)[space]
         dim, stable, basis = ref_kernel_dimension(conn, space, 5)
         assert (got.dimension, got.stabilized) == (dim, stable), space
         assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
@@ -584,7 +589,7 @@ def test_sparse_feed_matches_the_fraction_solver(conn):
     A(1) feeds every entry.  n Id + A(0) is singular at n = -1, 0 and 1,
     with A(0) triangular, in each case and its dual."""
     for space in SPACES:
-        got = kernel_dimension(conn, space, 5, enforce_floor=False)
+        got = _kernel_reports(conn, (space,), 5)[space]
         dim, stable, basis = ref_kernel_dimension(conn, space, 5)
         assert (got.dimension, got.stabilized) == (dim, stable), space
         assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]

@@ -5,14 +5,14 @@ import math
 
 import pytest
 
+from conftest import ref_zero_weight_irr
 from rigidconn import galois
 from rigidconn.connection import (adjoint_connection, g2_seven_dim, sl2_sym,
                                   sl_standard, so_odd_standard, sp_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.formal import h1_middle_via_solver
 from rigidconn.galois import (cohomology_dims, epsilon_minus_crosscheck,
-                              epsilon_plus_crosscheck, fold_branching,
-                              folding_matrix, folding_target, galois_group,
+                              fold_branching, folding_matrix, galois_group,
                               local_invariants, peel_components,
                               subregular_table)
 from rigidconn.linalg import mat_vec
@@ -51,45 +51,57 @@ FOLDING_TARGETS = {
 
 def test_folding_targets():
     for source, target in FOLDING_TARGETS.items():
-        assert folding_target(*source) == target
+        assert galois_group(*source) == (target if target else source)
+    assert galois_group("e", 6) == ("F", 4)
+    with pytest.raises(ValidationError):
+        galois_group("E", 9)
 
 
 def test_galois_profiles():
+    # the group cohomology_dims reports is galois_group's, with the
+    # Coxeter number of the source
     for source, target in FOLDING_TARGETS.items():
-        prof = galois_group(*source)
-        assert prof.source == source
-        assert prof.folded == (target is not None)
-        expect = target if target else source
-        assert prof.target == expect
-        assert prof.label() == "%s%d" % expect
-        assert prof.h == build_root_system(*source).coxeter_number
+        group = galois_group(*source)
+        rs, rs_g = build_root_system(*source), build_root_system(*group)
+        assert rs_g.coxeter_number == rs.coxeter_number
+        rep = cohomology_dims(*source, rs.theta)
+        assert rep.galois_label == "%s%d" % group
 
 
 def test_epsilon_rule_matches_fundamental_weights():
-    # "always +1" should mean exactly that: every fundamental weight is
-    # even for the principal grading.  Otherwise some node is odd.
+    # epsilon is the same read in G or in its Galois group: every
+    # component of V restricted to the Galois group has V's sign.  It is
+    # always +1 exactly when every fundamental weight is even.
     for type_label, rank in [("A", 1), ("A", 2), ("A", 3), ("A", 4),
-                             ("B", 2), ("B", 3), ("C", 2), ("C", 3),
-                             ("D", 4), ("G", 2)]:
+                             ("A", 5), ("B", 2), ("B", 3), ("C", 2),
+                             ("C", 3), ("D", 4), ("D", 5), ("E", 6),
+                             ("G", 2)]:
         rs = build_root_system(type_label, rank)
-        prof = galois_group(type_label, rank)
-        signs = [epsilon_on(weight_system(rs, rs.fundamental_weight(i)))
-                 for i in range(rank)]
-        if prof.epsilon_rule == "always +1":
-            assert all(s == 1 for s in signs)
-        else:
-            assert -1 in signs
+        rs_g = build_root_system(*galois_group(type_label, rank))
+        signs = []
+        for i in range(rank):
+            ws = weight_system(rs, rs.fundamental_weight(i))
+            signs.append(epsilon_on(ws))
+            if rs_g is not rs:
+                table = fold_branching(ws, rs_g,
+                                       folding_matrix(type_label, rank))
+                for mu, _ in peel_components(rs_g, table):
+                    assert (-1) ** rs_g.a_value(mu) == signs[-1]
+        always_plus = all(c % 2 == 0 for c in rs.a_coeffs)
+        assert always_plus == all(s == 1 for s in signs)
 
 
 def test_epsilon_rule_by_type():
-    plus = [("A", 2), ("B", 3), ("B", 4), ("D", 4), ("D", 5), ("E", 6),
-            ("E", 8), ("F", 4), ("G", 2)]
-    sign = [("A", 1), ("A", 3), ("B", 2), ("C", 3), ("E", 7)]
-    for type_label, rank in plus:
-        assert galois_group(type_label, rank).epsilon_rule == "always +1"
-    for type_label, rank in sign:
-        rule = galois_group(type_label, rank).epsilon_rule
-        assert rule.startswith("sign")
+    # a type has an epsilon = -1 weight exactly when its Galois group does
+    plus = [("A", 2), ("B", 3), ("B", 4), ("D", 4), ("D", 5), ("D", 8),
+            ("E", 6), ("E", 8), ("F", 4), ("G", 2)]
+    sign = [("A", 1), ("A", 3), ("A", 5), ("B", 2), ("C", 3), ("D", 6),
+            ("E", 7)]
+    for source in plus + sign:
+        expect = source in plus
+        for type_rank in (source, galois_group(*source)):
+            rs = build_root_system(*type_rank)
+            assert all(c % 2 == 0 for c in rs.a_coeffs) == expect, type_rank
 
 
 def test_folding_matrix_shape():
@@ -101,6 +113,17 @@ def test_folding_matrix_shape():
         rows = folding_matrix(*source)
         assert len(rows) == target[1]
         assert all(len(r) == source[1] for r in rows)
+
+
+@pytest.mark.parametrize("source,folding,message", [
+    (("A", 5), (("C", 2), [(1, 5), (2, 4)]), "changes the Coxeter number"),
+    (("E", 6), (("F", 4), [(4,), (2,), (3, 5), (1, 6)]), "principal grading"),
+])
+def test_folding_matrix_rejects_a_wrong_folding(monkeypatch, source, folding,
+                                                message):
+    monkeypatch.setattr(galois, "_folding", lambda *args: folding)
+    with pytest.raises(ConsistencyError, match=message):
+        folding_matrix(*source)
 
 
 # Each case: source type, highest weight provider, expected component
@@ -125,8 +148,7 @@ BRANCHINGS = [
                          ids=lambda v: str(v))
 def test_fold_branching_components(source, highest, expected):
     rs = build_root_system(*source)
-    target = folding_target(*source)
-    rs_t = build_root_system(*target)
+    rs_t = build_root_system(*galois_group(*source))
     ws = weight_system(rs, highest)
     table = fold_branching(ws, rs_t, folding_matrix(*source))
     assert sum(table.values()) == ws.dim
@@ -523,23 +545,30 @@ def test_solver_agrees_with_formula(case, rep_key, trunc):
 
 # ------------------------------------------------ epsilon cross-checks
 
-def test_epsilon_plus_crosscheck_cases():
-    assert epsilon_plus_crosscheck(adjoint_ws("G", 2))
-    assert epsilon_plus_crosscheck(adjoint_ws("E", 6))
-    rs = build_root_system("A", 1)
-    assert epsilon_plus_crosscheck(weight_system(rs, (6,)))
-    assert epsilon_plus_crosscheck(weight_system(rs, (8,)))
-    rs = build_root_system("F", 4)
-    assert epsilon_plus_crosscheck(weight_system(rs, (0, 0, 0, 1)))
-    rs = build_root_system("B", 8)
-    assert epsilon_plus_crosscheck(
-        weight_system(rs, (0, 0, 0, 0, 0, 0, 0, 1)))
+ZERO_WEIGHT_CASES = [("G", 2, (1, 1)), ("E", 6, (0, 1, 0, 0, 0, 0)),
+                     ("A", 1, (6,)), ("A", 1, (8,)), ("A", 1, (1,)),
+                     ("A", 3, (1, 0, 0)), ("C", 4, (1, 0, 1, 0)),
+                     ("F", 4, (0, 0, 0, 1)), ("D", 4, (1, 0, 0, 1)),
+                     ("B", 8, (0, 0, 0, 0, 0, 0, 0, 1))]
 
 
-def test_epsilon_plus_needs_even_weight():
-    rs = build_root_system("A", 1)
-    with pytest.raises(ValidationError):
-        epsilon_plus_crosscheck(weight_system(rs, (1,)))
+def test_irregularity_from_the_zero_weight_space():
+    # both signs of epsilon, folded and unfolded Galois groups
+    for type_label, rank, coords in ZERO_WEIGHT_CASES:
+        irr = ref_zero_weight_irr(type_label, rank, coords)
+        assert irr is not None
+        assert cohomology_dims(type_label, rank, coords).irr == irr
+
+
+def test_zero_weight_route_needs_prime_exponents():
+    # C3 has the exponent 3 against h = 6, so its Coxeter projector is
+    # not the identity and the zero weight space is not V^S: for
+    # (1,1,0), dim - m(0) = 64 is not even a multiple of h
+    assert ref_zero_weight_irr("C", 3, (1, 1, 0)) is None
+    assert ref_zero_weight_irr("A", 5, (1, 1, 0, 0, 0)) is None
+    ws = weight_system(build_root_system("C", 3), (1, 1, 0))
+    assert (ws.dim, ws.multiplicity((0, 0, 0))) == (64, 0)
+    assert cohomology_dims("C", 3, (1, 1, 0)).irr == 10
 
 
 def test_epsilon_minus_crosscheck_cases():
@@ -548,6 +577,23 @@ def test_epsilon_minus_crosscheck_cases():
         assert epsilon_minus_crosscheck(weight_system(rs, (n,)))
     with pytest.raises(ValidationError):
         epsilon_minus_crosscheck(weight_system(rs, (2,)))
+    for type_label, rank, coords in [("C", 2, (1, 0)), ("C", 2, (1, 1)),
+                                     ("B", 2, (0, 1)), ("A", 3, (1, 0, 0)),
+                                     ("C", 4, (1, 0, 0, 0)),
+                                     ("C", 4, (0, 1, 1, 1))]:
+        ws = weight_system(build_root_system(type_label, rank), coords)
+        assert epsilon_on(ws) == -1
+        assert epsilon_minus_crosscheck(ws)
+
+
+def test_epsilon_minus_crosscheck_refuses_c3():
+    # the odd-case identity gives 3 against the main formula's 2 here
+    for type_label, rank, coords in [("C", 3, (1, 1, 0)),
+                                     ("A", 5, (1, 1, 0, 0, 0))]:
+        ws = weight_system(build_root_system(type_label, rank), coords)
+        assert epsilon_on(ws) == -1
+        with pytest.raises(ValidationError, match="C3"):
+            epsilon_minus_crosscheck(ws)
 
 
 # ------------------------------------------------------- subregular rows
