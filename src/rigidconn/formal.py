@@ -14,11 +14,17 @@ gives (x, L y) in the true one, v_n and the old parameters in terms of the
 new ones.  Parameters enter where T is singular or, for spaces with
 an infinite tail at t = 0, as seed layers a buffer below the window; above
 a closed top edge v_n = 0, so the block is c alone and only cuts the
-parameter space down.  Levels below the window are dropped once they feed
-no equation.  Dimensions are ranks over the core window [-M, M],
-independent of the seed placement.  Up to M, taylor0 runs the steps of
-laurent_polys and two_sided those of taylor_inf; the closed top only adds
-cut levels above M, so one sweep serves both.  The feed c runs over the
+parameter space down.  A back-substituted level whose feed c is zero is
+stored as zero and stays zero when the parameters change.  Levels below
+the window are dropped once they feed no equation.  Dimensions are ranks
+over the core window [-M, M], independent of the seed placement, taken
+on its generating levels: its first max(K, 1) levels, K the degree of
+A(t), and those that took the kernel.  Every other level is
+back-substituted from the K below it, so a parameter vector that kills
+the generating levels kills the window, and both row sets have the same
+pivots.  Up to M, taylor0 runs the steps of laurent_polys and two_sided
+those of taylor_inf; the closed top only adds cut levels above M, so one
+sweep serves both.  The feed c runs over the
 nonzero entries of each A_k; a report builds its Fraction basis on read.
 """
 
@@ -46,13 +52,24 @@ class SeriesWindow:
             if len(vec) != dim:
                 raise ValidationError("coefficient at degree %d has length "
                                       "%d, expected %d" % (n, len(vec), dim))
-            if any(x != 0 for x in vec):
+            if any(vec):
                 self.coeffs[int(n)] = vec
-        if self.coeffs:
-            self.n_min = min(self.coeffs)
-            self.n_max = max(self.coeffs)
-        else:
-            self.n_min = self.n_max = 0
+
+    @classmethod
+    def _exact(cls, dim, coeffs):
+        """A window over {int n: nonzero list of dim Fractions}, taken as
+        it is."""
+        window = cls.__new__(cls)
+        window.dim, window.coeffs = dim, coeffs
+        return window
+
+    @property
+    def n_min(self):
+        return min(self.coeffs, default=0)
+
+    @property
+    def n_max(self):
+        return max(self.coeffs, default=0)
 
     def coefficient(self, n):
         got = self.coeffs.get(n)
@@ -133,7 +150,8 @@ def _back_substitute(steps, diag, scale, c, n, label):
 
 
 def _solve_space(conn, seeded, m_window, buffer_depth):
-    """The levels {n: (M_n, D_n)} of one sweep: open top at M, closed top."""
+    """The levels {n: (M_n, D_n)} of one sweep, open top at M and closed
+    top, and the window's generating levels in increasing order."""
     if not conn.is_polynomial():
         raise ValidationError("formal solving needs polynomial A(t); %s has "
                               "poles at t = 0" % conn.label)
@@ -152,6 +170,13 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
     phi = {start + j: ([[int(q == j * d + i) for q in range(p)]
                         for i in range(d)], 1) for j in range(layers)}
     open_top = dict(phi)
+    # levels stored as zero, which every reparametrisation keeps zero
+    zero = set()
+    # the window levels every other one is a linear function of: the first
+    # max(big_k, 1), which may be fed from below the window, and those that
+    # take the kernel (a back-substituted level is linear in its feed)
+    lead = -m_window + max(big_k, 1)
+    generating = list(range(-m_window, lead))
     for n in range(start + layers, m_window + big_k + 1):
         # a level below the window feeds big_k equations and is never
         # reported, so it is dropped before reparametrisations touch it
@@ -161,7 +186,8 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
         w = d if n <= m_window else 0
         # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] is an integer block;
         # c[i] sums (x big_l / D_k) M_{n-k}[j] over nonzero x = A_k[i][j]
-        feed = [(nonzero[k], phi[n - k]) for k in ks if n - k in phi]
+        feed = [(nonzero[k], phi[n - k]) for k in ks
+                if n - k in phi and n - k not in zero]
         big_l = lcm(*[dk for _, (_, dk) in feed])
         c = [[0] * p for _ in range(d)]
         for entries, (mk, dk) in feed:
@@ -173,8 +199,12 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
         if w and det and steps is not None:
             # v_n = -T^-1 c / big_l = y / (|det| big_l), T = den_a n Id + a0
             # and T y = -|det| c; the parameters stay as they are
-            y = _back_substitute(steps, diag, -abs(det), c, n, conn.label)
-            phi[n] = _lowest(y, abs(det) * big_l)
+            if any(map(any, c)):
+                y = _back_substitute(steps, diag, -abs(det), c, n, conn.label)
+                phi[n] = _lowest(y, abs(det) * big_l)
+            else:
+                phi[n] = ([[0] * p] * d, 1)
+                zero.add(n)
         else:
             block = [[x + n * den_a if i == j else x
                       for j, x in enumerate(a[0][i][:w])] + c[i]
@@ -187,22 +217,27 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
             pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, scale)]
             if pmap != [[den * (q == j) for q in range(p)] for j in range(p)]:
                 for m, (mat, dm) in phi.items():
-                    phi[m] = _lowest(_int_mul(mat, pmap), dm * den)
+                    phi[m] = (([[0] * len(vecs)] * d, 1) if m in zero else
+                              _lowest(_int_mul(mat, pmap), dm * den))
             if w:
                 phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
                                   for i in range(d)], den * big_l)
+                if n >= lead:
+                    generating.append(n)
             p = len(vecs)
         # stored levels are only ever replaced, so a shallow copy keeps them
         if n == m_window:
             open_top = dict(phi)
-    return open_top, phi
+    return open_top, phi, generating
 
 
 def _basis(d, phi, pivots, m_window):
     """One SeriesWindow over the core window per pivot parameter column."""
     core = [(n,) + phi[n] for n in range(-m_window, m_window + 1)]
-    return [SeriesWindow(d, {n: [Fraction(mat[i][col], den) for i in range(d)]
-                             for n, mat, den in core})
+    return [SeriesWindow._exact(d, {n: [Fraction(mat[i][col], den)
+                                        for i in range(d)]
+                                    for n, mat, den in core
+                                    if any(row[col] for row in mat)})
             for col in pivots]
 
 
@@ -217,10 +252,11 @@ def _kernel_reports(conn, spaces, truncation):
         sweeps = [_solve_space(conn, seeded, m, m + h_step)
                   for m in windows if ends]
         for top, space in ends:
-            # pivot columns of the levels stacked over each core window
-            pivots, wide = [_row_reduce([row for n in range(-m, m + 1)
+            # pivot columns of the generating levels of each core window:
+            # the parameters they kill are those the whole window kills
+            pivots, wide = [_row_reduce([row for n in sweep[2]
                                          for row in sweep[top][n][0]])
-                            for sweep, m in zip(sweeps, windows)]
+                            for sweep in sweeps]
             reports[space] = KernelReport(
                 space, truncation, len(wide) == len(pivots), conn.dim,
                 sweeps[0][top], pivots)

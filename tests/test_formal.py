@@ -176,6 +176,25 @@ def test_kernel_runs_only_at_singular_and_cut_levels(model, dim, monkeypatch):
     assert all(levels == [0, m + 1] for m, levels in sweeps)
 
 
+def test_pivot_pass_stacks_only_generating_levels(monkeypatch):
+    """Sym^11 has A(0) = N and A(1) = E, so a window's generating levels are
+    its first level -M and the singular level 0: each of the ten pivot
+    passes of check_rigidity at truncation 60 (four spaces of V and
+    laurent_polys of V*, two windows each) gets 2 * 12 = 24 rows, where the
+    whole window M = 60 has 121 * 12 = 1,452."""
+    rows = []
+
+    def counted(m):
+        rows.append(len(m))
+        return row_reduce(m)
+
+    row_reduce = formal._row_reduce
+    monkeypatch.setattr(formal, "_row_reduce", counted)
+    conn = sl2_sym(11)
+    check_rigidity(conn, conn.dual(), 60)
+    assert rows == [24] * 10
+
+
 def test_back_substitution_remainder_survives_optimize():
     """T = [[2, 1], [0, 2]] has det 4, so T y = -2 c is not integral for
     c = (1, 1): row 1 gives y_1 = -1, row 0 leaves (-2 + 1) / 2."""
@@ -601,7 +620,8 @@ def level_hash(conn, truncation):
     digest = hashlib.sha256()
     for seeded in (False, True):
         for m in (truncation, truncation + conn.h):
-            for levels in formal._solve_space(conn, seeded, m, m + conn.h):
+            for levels in formal._solve_space(conn, seeded, m,
+                                              m + conn.h)[:2]:
                 digest.update(repr(sorted(levels.items())).encode())
     return digest.hexdigest()
 
@@ -622,6 +642,56 @@ def test_stored_levels_are_pinned(model, dim, own, dual, monkeypatch):
     conn = build_model(rigidconn, model, random.Random(7).sample(range(dim),
                                                                  dim))
     assert (level_hash(conn, 24), level_hash(conn.dual(), 24)) == (own, dual)
+
+
+def _model(model, dim):
+    """A builder of the model in the basis permuted by random.Random(7);
+    perfbench must be on sys.path when it is called."""
+    def build():
+        from worker import build_model
+        return build_model(rigidconn, model,
+                           random.Random(7).sample(range(dim), dim))
+    return build
+
+
+_PIVOT_CASES = (
+    [(name, _model(model, dim), trunc) for name, model, dim, trunc in [
+        ("sl5", ("sl", 5), 5, 20), ("adjoint A2", ("adjoint", "A", 2), 8, 22),
+        ("Sym^5", ("sym", 5), 6, 16)]]
+    + [(base.label, lambda base=base: base, 12) for base, _ in _EDGE_CASES]
+    + [(base.label, lambda base=base: base, 5) for base in _CYCLIC_CASES]
+    + [("sl%d x sl%d%s" % (n, n, "*" if dual else ""),
+        lambda n=n, dual=dual: kronecker_sum(
+            sl_standard(n), sl_standard(n).dual() if dual else sl_standard(n)),
+        4 * n + 6) for n in (3, 4) for dual in (False, True)])
+
+
+@pytest.mark.parametrize("build,truncation,dual",
+                         [pytest.param(build, trunc, dual,
+                                       id=name + (" V*" if dual else " V"))
+                          for name, build, trunc in _PIVOT_CASES
+                          for dual in (False, True)])
+def test_generating_levels_have_the_window_pivots(build, truncation, dual,
+                                                  monkeypatch):
+    """Every stored level off the generating ones is back-substituted from
+    the levels below it, so the generating rows and the whole window's rows
+    have one kernel and the same pivot columns: both windows, both tops
+    (all four spaces), on permuted models, levels singular away from n = 0,
+    A(0) with no triangular order and Kronecker-sum products."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    conn = build().dual() if dual else build()
+    h_step = conn.h if conn.h else conn.dim + 1
+    for seeded in (False, True):
+        for m in (truncation, truncation + h_step):
+            *tops, generating = formal._solve_space(conn, seeded, m,
+                                                    m + h_step)
+            assert generating == sorted(set(generating))
+            assert -m == generating[0] and generating[-1] <= m
+            for levels in tops:
+                assert formal._row_reduce(
+                    [row for n in generating for row in levels[n][0]]
+                ) == formal._row_reduce(
+                    [row for n in range(-m, m + 1) for row in levels[n][0]])
 
 
 def test_basis_is_built_on_first_read(monkeypatch):
