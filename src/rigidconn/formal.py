@@ -141,11 +141,14 @@ def _back_substitute(steps, diag, scale, c, n, label):
         acc = [scale * x for x in c[i]]
         for j, x in dep:
             acc = [s - x * t for s, t in zip(acc, y[j])]
-        if any(s % diag[i] for s in acc):
-            raise ConsistencyError("_solve_space: back substitution at level "
-                                   "%d of %s leaves a remainder in row %d"
-                                   % (n, label, i))
-        y[i] = [s // diag[i] for s in acc]
+        y[i] = []
+        for s in acc:
+            q, r = divmod(s, diag[i])
+            if r:
+                raise ConsistencyError("_solve_space: back substitution at "
+                                       "level %d of %s leaves a remainder in "
+                                       "row %d" % (n, label, i))
+            y[i].append(q)
     return y
 
 

@@ -96,9 +96,11 @@ def peel_components(rs, table):
     Returns [(highest weight, multiplicity)] in peel order.
     """
     rest = {mu: mult for mu, mult in table.items() if mult}
+    # rest only loses keys: a weight outside it would go negative and raise
+    a_of = {mu: rs.a_value(mu) for mu in rest}
     comps = []
     while rest:
-        mu = max(rest, key=lambda m: (rs.a_value(m), m))
+        mu = max(rest, key=lambda m: (a_of[m], m))
         if any(x < 0 for x in mu):
             raise ConsistencyError("peeling reached the non-dominant weight "
                                    "%s; the projection map is wrong" % (mu,))
@@ -147,8 +149,9 @@ def _torus_rows(rs):
     return tuple(map(tuple, rows))
 
 
-def _local_invariants(rs, table, epsilon, label):
-    """Local invariants of a module with weight multiset table under rs.
+def _local_invariants(rs, table, ws, label):
+    """Local invariants of ws, with weight multiset table under rs: ws's
+    own, or its restriction to a folded subgroup, which keeps a-values.
 
     dim V^S counts the weights killed by the primitive projector of the
     Coxeter element, via _torus_rows; the irregularity is (dim V - dim
@@ -166,11 +169,11 @@ def _local_invariants(rs, table, epsilon, label):
                                "(%d - %d)/%d is not an integer for %s"
                                % (dim, v_s, h, label))
     irr = (dim - v_s) // h
-    hist = a_histogram(rs, table)
+    hist = a_histogram(ws)
     i0 = Sl2Decomposition(hist, dim, label).summand_count()
     n_fixed = sum(c for a, c in hist.items() if a % (2 * h) == 0)
     i_inf = 0
-    if epsilon == 1:
+    if epsilon_on(ws) == 1:
         i_inf = n_fixed - irr
         if i_inf < 0:
             raise ConsistencyError("inertia at infinity: m(chi_0) = %d - %d "
@@ -184,7 +187,7 @@ def local_invariants(ws):
     """{dim, V_S, irr, I0, n_fixed, Iinf} of the irreducible module ws
     under its own root system: dim V^S, Irr_infinity(V) = (dim V - dim
     V^S)/h and the dims of V^{I_0}, V^{<n>} and V^{I_infinity}."""
-    return _local_invariants(ws.rs, ws.table, epsilon_on(ws), ws.label())
+    return _local_invariants(ws.rs, ws.table, ws, ws.label())
 
 
 class CohomologyReport:
@@ -252,7 +255,7 @@ def cohomology_dims(type_label, rank, highest):
     else:
         trace = ["galois group is all of %s" % rs.label()]
         label = ws.label()
-    inv = _local_invariants(rs_t, table, epsilon, label)
+    inv = _local_invariants(rs_t, table, ws, label)
     trace.append("irregularity (%d - %d)/%d = %d via the Coxeter projector"
                  % (inv["dim"], inv["V_S"], rs_t.coxeter_number, inv["irr"]))
     if epsilon == 1:
@@ -281,7 +284,7 @@ def epsilon_minus_crosscheck(ws):
         raise ValidationError("cross-check needs epsilon = -1 on V")
     h = rs.coxeter_number
     # a = 2k + 1 with k = 0 mod h, k nonzero
-    count = sum(c for a, c in a_histogram(rs, ws.table).items()
+    count = sum(c for a, c in a_histogram(ws).items()
                 if a % 2 and a != 1 and (a - 1) // 2 % h == 0)
     d_main = rep.h1 - 2 * rep.inv_galois
     if count != d_main:

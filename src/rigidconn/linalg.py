@@ -29,10 +29,6 @@ def identity(n):
     return m
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _cleared(rows):
     """(ints, den): ints[i][j] / den == rows[i][j], den the lcm of all the
     denominators.  rows hold ints and Fractions and may differ in length."""

@@ -12,8 +12,8 @@ from math import gcd, prod
 from operator import mul
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (_cleared, charpoly, identity, inverse, is_zero_matrix,
-                     mat_mul, mat_sub, mat_vec, poly_at_matrix)
+from .linalg import (_cleared, _int_mul, charpoly, identity, inverse,
+                     mat_vec, poly_at_matrix)
 from .poly import cyclotomic, pbezout, pdeg, pdivmod, pmul
 
 SUPPORTED = {"A": (1, 8), "B": (2, 9), "C": (2, 8), "D": (4, 8),
@@ -90,24 +90,22 @@ class RootSystem:
         n = self.rank
         simples = self.simple_roots
         height = {beta: 1 for beta in simples}
+        # down[beta][i]: p, the length of the alpha_i-string below beta
+        down = {beta: [0] * n for beta in simples}
         layer = list(simples)
         ht = 1
         while layer:
             nxt = []
             for beta in layer:
                 for i in range(n):
-                    gamma = tuple(b + a for b, a in zip(beta, simples[i]))
-                    if gamma in height:
-                        continue
-                    p = 0
-                    down = tuple(b - a for b, a in zip(beta, simples[i]))
-                    while down in height:
-                        p += 1
-                        down = tuple(b - a for b, a in zip(down, simples[i]))
-                    # alpha_i string through beta: q = p - <beta, alpha_i-check>
-                    if p - beta[i] > 0:
-                        height[gamma] = ht + 1
-                        nxt.append(gamma)
+                    # q = p - <beta, alpha_i-check> counts the string above
+                    if down[beta][i] > beta[i]:
+                        gamma = tuple(b + a for b, a in zip(beta, simples[i]))
+                        if gamma not in height:
+                            height[gamma] = ht + 1
+                            down[gamma] = [0] * n
+                            nxt.append(gamma)
+                        down[gamma][i] = down[beta][i] + 1
             layer = nxt
             ht += 1
         self.height = height
@@ -175,6 +173,13 @@ class RootSystem:
                                        "integer" % (self.label(), c, i + 1))
             coeffs.append(int(c))
         self.a_coeffs = coeffs  # a(omega_i) = coeffs[i]; 2 rho-check in coroot basis
+        # a(s_j nu) = a(nu) - 2 nu_j on Weyl orbits needs a(alpha_j) = 2
+        for j, alpha in enumerate(self.simple_roots):
+            if self.a_value(alpha) != 2:
+                raise ConsistencyError("root system: %s gives the simple root "
+                                       "at node %d the a-value %d, not 2"
+                                       % (self.label(), j + 1,
+                                          self.a_value(alpha)))
 
     # -- basic queries ---------------------------------------------------
 
@@ -208,13 +213,6 @@ class RootSystem:
         """Pairing <mu, 2 rho-check>; the principal grading of the weight mu."""
         return sum(m * c for m, c in zip(mu, self.a_coeffs))
 
-    def reflection_matrix(self, i):
-        n = self.rank
-        s = identity(n)
-        for k in range(n):
-            s[k][i] -= self.cartan[k][i]
-        return s
-
     def fundamental_weight(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))
 
@@ -230,10 +228,12 @@ def build_root_system(type_label, rank):
 
 def coxeter_element(rs):
     """The Coxeter element s_1 s_2 ... s_r acting on fundamental-weight
-    coordinates (applied right to left)."""
-    w = rs.reflection_matrix(0)
-    for i in range(1, rs.rank):
-        w = mat_mul(w, rs.reflection_matrix(i))
+    coordinates (applied right to left), as an integer matrix: multiplying
+    w by s_i = I - alpha_i e_i^T on the right takes w alpha_i off column i."""
+    w = [[int(i == j) for j in range(rs.rank)] for i in range(rs.rank)]
+    for i, alpha in enumerate(rs.simple_roots):
+        for row in w:
+            row[i] -= sum(map(mul, row, alpha))
     return w
 
 
@@ -276,24 +276,27 @@ def coxeter_primitive_projector(w, h):
         if d != h:
             rest = pmul(rest, list(cyclotomic(d)))
     if pdeg(rest) == 0:
-        proj = identity(len(w))
+        p, e = _cleared(identity(len(w)))
     else:
         u, _v, g = pbezout(rest, list(cyclotomic(h)))
         if g != [Fraction(1)]:
             raise ConsistencyError("Coxeter projector: the cyclotomic factors "
                                    "of the charpoly are not coprime, h = %d"
                                    % h)
-        proj = poly_at_matrix(pmul(u, rest), w)
-    if not is_zero_matrix(mat_sub(mat_mul(proj, proj), proj)):
+        p, e = _cleared(poly_at_matrix(pmul(u, rest), w))
+    # P = p / e: P P = P, P w = w P and Phi_h(w) P = 0, all over Z
+    p_cols = list(zip(*p))
+    if _int_mul(p, p_cols) != [[e * x for x in row] for row in p]:
         raise ConsistencyError("Coxeter projector: the projector is not "
                                "idempotent, h = %d" % h)
-    if not (is_zero_matrix(mat_sub(mat_mul(proj, w), mat_mul(w, proj)))
-            and is_zero_matrix(
-                mat_mul(poly_at_matrix(list(cyclotomic(h)), w), proj))):
+    w_int, _ = _cleared(w)
+    phi, _ = _cleared(poly_at_matrix(list(cyclotomic(h)), w))
+    if (_int_mul(p, list(zip(*w_int))) != _int_mul(w_int, p_cols)
+            or any(map(any, _int_mul(phi, p_cols)))):
         raise ConsistencyError("Coxeter projector: the projector does not "
                                "commute with w or is not killed by Phi_h(w), "
                                "h = %d" % h)
-    return proj
+    return [[Fraction(x, e) for x in row] for row in p]
 
 
 def primitive_rank(rs):

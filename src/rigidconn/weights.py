@@ -4,9 +4,9 @@ The weights of V are the W-orbits of the dominant weights below lambda,
 each orbit generated by simple reflections where a coordinate is
 positive.  Multiplicities come from the Freudenthal recursion on the
 dominant weights, in integers over the root system's integer Gram form.
-The a-grading a(mu) = <mu, 2rho-check> is stored eagerly as exact
-integers; it drives the decomposition of V under the principal SL2 and
-the sign epsilon = (-1)^{a(lambda)}.
+The a-grading a(mu) = <mu, 2rho-check> is a dot product only at the
+dominant weights and is carried along each orbit; it drives the
+decomposition of V under the principal SL2 and epsilon = (-1)^{a(lambda)}.
 """
 
 from fractions import Fraction
@@ -50,18 +50,25 @@ class WeightSystem:
         dominant.sort(key=lambda mu: (depth[mu], mu))
         # their W-orbits (Snow, ACM TOMS 16, 1990): s_j nu with nu[j] > 0 is
         # kept only when j is its first negative coordinate, so it has one
-        # parent and every orbit element comes once
+        # parent and every orbit element comes once.  s_j nu changes only
+        # nu[j] and its Dynkin neighbours, and a(s_j nu) = a(nu) - 2 nu[j]
+        links = [[(k, rs.cartan[k][j]) for k in range(rs.rank)
+                  if k != j and rs.cartan[k][j]] for j in range(rs.rank)]
         rep = {}
+        self.a_of = a_of = {}
         for mu in dominant:
-            orbit = [mu]
-            for nu in orbit:
+            orbit = [(mu, rs.a_value(mu))]
+            for nu, a in orbit:
                 rep[nu] = mu
+                a_of[nu] = a
                 for j, c in enumerate(nu):
                     if c > 0:
-                        child = tuple(x - c * s
-                                      for x, s in zip(nu, rs.simple_roots[j]))
+                        child = list(nu)
+                        child[j] = -c
+                        for k, x in links[j]:
+                            child[k] -= c * x
                         if min(child[:j], default=0) >= 0:
-                            orbit.append(child)
+                            orbit.append((tuple(child), a - 2 * c))
         # Freudenthal in integers: gram_den * (nu, beta) grows by
         # gram_den * (beta, beta) along each root string
         strings = [(beta, rs.gram_pair(beta, beta),
@@ -91,9 +98,6 @@ class WeightSystem:
         self.table = {nu: dom_mult[mu] for nu, mu in rep.items()}
         self.weights = self.table.keys()
         self.dim = sum(self.table.values())
-        coeffs = rs.a_coeffs
-        self.a_of = {mu: sum(x * c for x, c in zip(mu, coeffs))
-                     for mu in self.table}
         parity = self.a_of[lam] % 2
         if any(a % 2 != parity for a in self.a_of.values()):
             raise ConsistencyError("a-grading parity is not constant on the "
@@ -106,13 +110,14 @@ class WeightSystem:
         return "%s, lambda=%s" % (self.rs.label(), list(self.highest))
 
 
-def a_histogram(rs, table):
-    """N_j = total multiplicity of the weights mu in table with a(mu) = j,
-    a-values taken in rs: a folded table's weights belong to the target
-    system, which ws.a_of does not cover."""
+def a_histogram(ws):
+    """N_j = total multiplicity of the weights mu of ws with a(mu) = j.
+
+    It is also the histogram of ws restricted to a folded subgroup:
+    galois.fold_branching keeps the a-value of every weight."""
     hist = {}
-    for mu, m in table.items():
-        a = rs.a_value(mu)
+    for mu, m in ws.table.items():
+        a = ws.a_of[mu]
         hist[a] = hist.get(a, 0) + m
     return hist
 
@@ -158,7 +163,7 @@ class Sl2Decomposition:
 
 
 def principal_sl2_decomposition(ws):
-    return Sl2Decomposition(a_histogram(ws.rs, ws.table), ws.dim, ws.label())
+    return Sl2Decomposition(a_histogram(ws), ws.dim, ws.label())
 
 
 def epsilon_on(ws):

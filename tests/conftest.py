@@ -9,8 +9,9 @@ from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               ValidationError)
 from rigidconn.galois import fold_branching, folding_matrix, galois_group
 from rigidconn.linalg import identity, mat_mul, zeros
-from rigidconn.poly import RatFun, pderiv, pdivmod, pmonic
-from rigidconn.rootsys import build_root_system
+from rigidconn.poly import (RatFun, cyclotomic, pbezout, pderiv, pdivmod,
+                            pmonic, pmul)
+from rigidconn.rootsys import build_root_system, cyclotomic_factorization
 from rigidconn.weights import weight_system
 
 
@@ -220,6 +221,71 @@ def ref_graded_cycle_check(m, degrees, h):
     return {"kernel_dim": kernel_dim,
             "semisimple": semisimple and kernel_dim == kernel_dim_h,
             "nilpotent": nilpotent}
+
+
+# -- Fraction references for the root-system set-up -----------------------
+
+
+def ref_height(rs):
+    """{positive root: height}, layer by layer: beta + alpha_i is a root
+    when the alpha_i-string through beta, walked down afresh from beta,
+    has length p > <beta, alpha_i-check>."""
+    simples = rs.simple_roots
+    height = {beta: 1 for beta in simples}
+    layer = list(simples)
+    ht = 1
+    while layer:
+        nxt = []
+        for beta in layer:
+            for i, alpha in enumerate(simples):
+                gamma = tuple(b + a for b, a in zip(beta, alpha))
+                if gamma in height:
+                    continue
+                p = 0
+                down = tuple(b - a for b, a in zip(beta, alpha))
+                while down in height:
+                    p += 1
+                    down = tuple(b - a for b, a in zip(down, alpha))
+                if p - beta[i] > 0:
+                    height[gamma] = ht + 1
+                    nxt.append(gamma)
+        layer = nxt
+        ht += 1
+    return height
+
+
+def ref_reflection_matrix(rs, i):
+    """The simple reflection s_i on fundamental-weight coordinates, as a
+    Fraction matrix: s_i mu = mu - mu[i] alpha_i."""
+    s = identity(rs.rank)
+    for k in range(rs.rank):
+        s[k][i] -= rs.cartan[k][i]
+    return s
+
+
+def ref_coxeter_element(rs):
+    """s_1 s_2 ... s_r as a product of Fraction reflection matrices."""
+    w = ref_reflection_matrix(rs, 0)
+    for i in range(1, rs.rank):
+        w = ref_mat_mul(w, ref_reflection_matrix(rs, i))
+    return w
+
+
+def ref_primitive_projector(w, h):
+    """The primitive projector of w as a polynomial in w, evaluated by
+    Horner's rule on Fractions and checked by Fraction products."""
+    factors = cyclotomic_factorization(ref_charpoly(w), h)
+    rest = [Fraction(1)]
+    for d in factors:
+        if d != h:
+            rest = pmul(rest, list(cyclotomic(d)))
+    u = pbezout(rest, list(cyclotomic(h)))[0]
+    proj = ref_poly_at_matrix(pmul(u, rest), w)
+    assert ref_mat_mul(proj, proj) == proj
+    assert ref_mat_mul(proj, w) == ref_mat_mul(w, proj)
+    assert not any(map(any, ref_mat_mul(
+        ref_poly_at_matrix(list(cyclotomic(h)), w), proj)))
+    return proj
 
 
 # -- RatFun references for the gauge and the scalar reduction -------------

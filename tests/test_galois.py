@@ -18,7 +18,7 @@ from rigidconn.galois import (cohomology_dims, epsilon_minus_crosscheck,
 from rigidconn.linalg import mat_vec
 from rigidconn.rootsys import (SUPPORTED, build_root_system,
                                coxeter_element, coxeter_primitive_projector)
-from rigidconn.weights import epsilon_on, weight_system, weyl_dim
+from rigidconn.weights import a_histogram, epsilon_on, weight_system, weyl_dim
 
 
 def adjoint_ws(type_label, rank):
@@ -156,6 +156,28 @@ def test_fold_branching_components(source, highest, expected):
     for mu, count in peel_components(rs_t, table):
         dims.extend([weight_system(rs_t, mu).dim] * count)
     assert dims == expected
+
+
+@pytest.mark.parametrize("source", [("A", 3), ("A", 5), ("A", 7), ("B", 3),
+                                    ("D", 4), ("D", 5), ("D", 6), ("D", 7),
+                                    ("D", 8), ("E", 6)])
+def test_folded_a_histogram_is_the_source_histogram(source):
+    """The invariants of a folded group read the a-histogram off ws.a_of:
+    on the adjoint and the fundamental weights of Weyl dimension <= 3000
+    it is the histogram of the folded table under the target's a-values."""
+    rs = build_root_system(*source)
+    rs_t = build_root_system(*galois_group(*source))
+    rows = folding_matrix(*source)
+    highest = {rs.theta}
+    highest.update(mu for mu in map(rs.fundamental_weight, range(rs.rank))
+                   if weyl_dim(rs, mu) <= 3000)
+    for mu in sorted(highest):
+        ws = weight_system(rs, mu)
+        want = {}
+        for nu, mult in fold_branching(ws, rs_t, rows).items():
+            a = rs_t.a_value(nu)
+            want[a] = want.get(a, 0) + mult
+        assert a_histogram(ws) == want, mu
 
 
 def test_invariants_under_galois():

@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import mat_pow
+from conftest import (mat_pow, ref_coxeter_element, ref_height,
+                      ref_primitive_projector, ref_reflection_matrix, ref_rref)
 from rigidconn import cli, galois
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import identity, mat_mul, mat_vec, rank
@@ -91,7 +92,7 @@ def test_simple_root_data(type_label, rank_):
     for i in range(rank_):
         alpha = rs.simple_roots[i]
         assert rs.a_value(alpha) == 2
-        s = rs.reflection_matrix(i)
+        s = ref_reflection_matrix(rs, i)
         assert mat_mul(s, s) == identity(rank_)
         assert mat_vec(s, alpha) == [-x for x in alpha]
         for j in range(rank_):
@@ -102,6 +103,42 @@ def test_simple_root_data(type_label, rank_):
     assert all(c.denominator == 1 and c >= 1 for c in marks)
     assert rs.simple_coords(rs.simple_roots[0]) == [Fraction(j == 0)
                                                     for j in range(rank_)]
+
+
+@pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
+def test_root_strings_match_reference(type_label, rank_):
+    """The string-length table finds the roots and heights that walking
+    each root string down afresh finds."""
+    rs = build_root_system(type_label, rank_)
+    height = ref_height(rs)
+    assert rs.height == height
+    assert rs.pos_roots == sorted(height, key=lambda b: (height[b], b))
+    assert rs.theta == max(height, key=height.get)
+
+
+@pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
+def test_coxeter_element_matches_reference(type_label, rank_):
+    """The column-updated integer Coxeter element is the Fraction product
+    of the simple reflection matrices."""
+    rs = build_root_system(type_label, rank_)
+    w = coxeter_element(rs)
+    assert all(type(x) is int for row in w for x in row)
+    assert w == ref_coxeter_element(rs)
+
+
+@pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
+def test_torus_rows_match_reference(type_label, rank_):
+    """Each V^S row is primitive and a multiple of the same row of the
+    reduced echelon form of the Fraction projector of the Fraction
+    Coxeter element."""
+    rs = build_root_system(type_label, rank_)
+    rows = galois._torus_rows(rs)
+    pivots, rref = ref_rref(ref_primitive_projector(ref_coxeter_element(rs),
+                                                    rs.coxeter_number))
+    assert len(rows) == len(pivots)
+    for row, c, want in zip(rows, pivots, rref):
+        assert math.gcd(*row) == 1
+        assert [Fraction(x, row[c]) for x in row] == want
 
 
 @pytest.mark.parametrize("type_label,rank_",
@@ -279,6 +316,26 @@ def test_root_system_checks_raise(monkeypatch):
     with pytest.raises(ConsistencyError,
                        match=r"^root system: A2 has 2 highest roots$"):
         RootSystem("A", 2)
+
+
+def test_simple_root_a_value_is_checked(monkeypatch):
+    """The orbit expansion's a(s_j nu) = a(nu) - 2 nu_j needs a(alpha_j) =
+    2 at every node: a wrong inverse Cartan matrix, and so a wrong 2
+    rho-check, is caught by name."""
+    rs = _bare_root_system(cartan_inv=[[1, 0], [0, 2]],
+                           simple_roots=[(2, -1), (-1, 2)])
+    with pytest.raises(ConsistencyError,
+                       match=r"^root system: A2 gives the simple root at "
+                             r"node 1 the a-value 0, not 2$"):
+        rs._build_a_coeffs()
+    # B3 with 2 rho-check (6, 10, 8) in place of (6, 10, 6)
+    monkeypatch.setattr("rigidconn.rootsys.inverse",
+                        lambda m: [[1, 1, Fraction(1, 2)], [1, 2, 1],
+                                   [1, 2, Fraction(5, 2)]])
+    with pytest.raises(ConsistencyError,
+                       match=r"^root system: B3 gives the simple root at "
+                             r"node 2 the a-value -2, not 2$"):
+        RootSystem("B", 3)
 
 
 def test_root_system_checks_survive_optimize():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidconn import cohomology_dims, weights
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.rootsys import SUPPORTED, build_root_system
 from rigidconn.weights import (Sl2Decomposition, a_histogram, epsilon_on,
@@ -81,7 +82,7 @@ def test_spin_b8_histogram_oracle():
     for signs in itertools.product((1, -1), repeat=n):
         a = sum(s * (n - i) for i, s in enumerate(signs))
         want[a] = want.get(a, 0) + 1
-    assert a_histogram(rs, ws.table) == want
+    assert a_histogram(ws) == want
     assert ws.dim == 2 ** n
 
 
@@ -287,3 +288,22 @@ def test_weight_system_matches_reflection_reference(type_label, rank):
                 == {mu: m for mu, m in want.items() if min(mu) >= 0})
         assert ws.a_of == {mu: sum(map(mul, mu, a_coeffs)) for mu in want}
         assert ws.dim == weyl_dim(rs, highest)
+
+
+def test_orbit_a_values_on_the_cohomology_jobs(monkeypatch):
+    """a(s_j nu) = a(nu) - 2 nu_j along each orbit gives the dot product
+    <nu, 2 rho-check> on every weight system that the benchmark's
+    cohomology job lists (seeds 1-3) build, folded components included."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+
+    # a fresh cache holds exactly the weight systems the jobs build
+    monkeypatch.setattr(weights, "_MEM_CACHE", {})
+    for seed in (1, 2, 3):
+        for job in workloads.make_jobs("cohomology", seed):
+            cohomology_dims(job["type"], job["rank"], job["highest"])
+    assert len(weights._MEM_CACHE) > 100
+    for ws in weights._MEM_CACHE.values():
+        coeffs = ws.rs.a_coeffs
+        assert ws.a_of == {mu: sum(map(mul, mu, coeffs)) for mu in ws.table}
