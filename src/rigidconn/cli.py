@@ -46,55 +46,48 @@ class GroupSpec:
 
 def parse_group(token, rank=None):
     text = (token or "").strip().lower()
-    m = re.fullmatch(r"(sl|so|sp)(\d+)?", text)
-    if m:
-        family = m.group(1)
-        size = int(m.group(2)) if m.group(2) else rank
-        if size is None:
-            raise ValidationError("group %r needs --rank (the matrix size)"
-                                  % token)
-        if m.group(2) and rank is not None and rank != size:
-            raise ValidationError("group %r conflicts with --rank %d"
-                                  % (token, rank))
-        if family == "sl":
-            if size < 2:
-                raise ValidationError("sl needs matrix size >= 2")
-            return GroupSpec(family, "A", size - 1, size)
-        if family == "sp":
-            if size < 2 or size % 2:
-                raise ValidationError("sp needs even matrix size >= 2")
-            half = size // 2
-            return GroupSpec(family, "C" if half >= 2 else "A",
-                             half if half >= 2 else 1, size)
+    m = re.fullmatch(r"(sl|so|sp|[a-g])(\d+)?", text)
+    if not m:
+        raise ValidationError("cannot parse group %r; expected %s"
+                              % (token, _GROUP_HELP))
+    family = m.group(1)
+    what = "the Lie rank" if len(family) == 1 else "the matrix size"
+    size = _int(m.group(2), what) if m.group(2) else rank
+    if size is None:
+        raise ValidationError("group %r needs --rank (%s)" % (token, what))
+    if m.group(2) and rank is not None and rank != size:
+        raise ValidationError("group %r conflicts with --rank %d"
+                              % (token, rank))
+    if family == "sl":
+        if size < 2:
+            raise ValidationError("sl needs matrix size >= 2")
+        return GroupSpec(family, "A", size - 1, size)
+    if family == "sp":
+        if size < 2 or size % 2:
+            raise ValidationError("sp needs even matrix size >= 2")
+        half = size // 2
+        return GroupSpec(family, "C" if half >= 2 else "A",
+                         half if half >= 2 else 1, size)
+    if family == "so":
         if size < 3 or size % 2 == 0:
             raise ValidationError("so needs odd matrix size >= 3")
         half = (size - 1) // 2
         return GroupSpec(family, "B" if half >= 2 else "A",
                          half if half >= 2 else 1, size)
-    m = re.fullmatch(r"([a-g])(\d+)?", text)
-    if m:
-        letter = m.group(1).upper()
-        lie = int(m.group(2)) if m.group(2) else rank
-        if lie is None:
-            raise ValidationError("group %r needs --rank (the Lie rank)"
-                                  % token)
-        if m.group(2) and rank is not None and rank != lie:
-            raise ValidationError("group %r conflicts with --rank %d"
-                                  % (token, rank))
-        if (letter, lie) in (("C", 1), ("B", 1)):
-            letter, lie = "A", 1
-        build_root_system(letter, lie)
-        return GroupSpec(None, letter, lie, None)
-    raise ValidationError("cannot parse group %r; expected %s"
-                          % (token, _GROUP_HELP))
+    letter, lie = family.upper(), size
+    if (letter, lie) in (("C", 1), ("B", 1)):
+        letter, lie = "A", 1
+    build_root_system(letter, lie)
+    return GroupSpec(None, letter, lie, None)
 
 
-def _rep_int(rep, prefix):
+def _int(text, what):
+    """int(text); what int() refuses, past 4,300 digits too, is bad input."""
     try:
-        return int(rep[len(prefix):])
+        return int(text)
     except ValueError:
-        raise ValidationError("malformed %r; expected %s<integer>"
-                              % (rep, prefix))
+        raise ValidationError("%s is not an integer of at most %d digits"
+                              % (what, sys.get_int_max_str_digits()))
 
 
 def _read_rep(group, rep, default):
@@ -108,7 +101,7 @@ def _read_rep(group, rep, default):
         return rep, None
     if (group.type_label, group.rank) != ("A", 1):
         raise ValidationError("--rep sym:k needs an SL2 group token")
-    return rep, _rep_int(rep, "sym:")
+    return rep, _int(rep[4:], "k in --rep sym:k")
 
 
 def resolve_connection(group, rep):
@@ -165,13 +158,13 @@ def resolve_weight(group, rep):
         return tuple(0 if i < group.rank - 1 else 1
                      for i in range(group.rank))
     if rep.startswith("fund:"):
-        i = _rep_int(rep, "fund:")
+        i = _int(rep[5:], "i in --rep fund:i")
         if not 1 <= i <= group.rank:
             raise ValidationError("fundamental weight index %d out of range "
                                   "1..%d" % (i, group.rank))
         return rs.fundamental_weight(i - 1)
     if re.fullmatch(r"-?\d+(,-?\d+)*", rep):
-        coords = tuple(int(x) for x in rep.split(","))
+        coords = tuple(_int(x, "a --rep coordinate") for x in rep.split(","))
         if len(coords) != group.rank:
             raise ValidationError("expected %d coordinates for %s, got %d"
                                   % (group.rank, group.label(), len(coords)))

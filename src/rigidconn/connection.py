@@ -15,7 +15,7 @@ from .errors import (ConsistencyError, CyclicVectorError,
                      SlopeVerificationError, ValidationError)
 from .linalg import _cleared, _primitive, graded_cycle_check, zeros
 from .poly import (RatFun, _zgcd, padd, pmul, pneg, pscale, psub, ptrim,
-                   pzdivmod, render_poly, render_terms)
+                   pzdivmod, render_poly, render_rational, render_terms)
 
 
 class MatrixConnection:
@@ -69,13 +69,14 @@ class MatrixConnection:
             for i, row in enumerate(mat):
                 for j, x in enumerate(row):
                     if x:
-                        entries.setdefault((i, j), {})[str(k)] = str(x)
+                        cell = entries.setdefault((i, j), {})
+                        cell[str(k)] = render_rational(x)
         return {"dimension": self.dim, "label": self.label,
                 "entries": {"%d,%d" % ij: terms
                             for ij, terms in sorted(entries.items())}}
 
     def render_entry(self, i, j):
-        return render_terms((k, str(mat[i][j]))
+        return render_terms((k, render_rational(mat[i][j]))
                             for k, mat in sorted(self.coeffs.items())
                             if mat[i][j])
 
@@ -253,7 +254,8 @@ def gauge_transform(conn, g):
     if not _is_monomial(d):
         raise ValidationError("gauge determinant is not a unit: up to sign "
                               "it is %s" % render_terms(
-                                  (k - n * a, str(Fraction(x, e ** n)))
+                                  (k - n * a,
+                                   render_rational(Fraction(x, e ** n)))
                                   for k, x in enumerate(d) if x))
     p_mat, f, s = _poly_matrix(conn.coeffs, n)
     left = [[psub(x, [0] * s + pscale(_theta_poly(y, a), f))
@@ -302,7 +304,8 @@ class ScalarOperator:
     def to_json_dict(self):
         maps = self.laurent_coefficients()
         if maps is not None:
-            coeffs = [{str(k): str(v) for k, v in m.items()} for m in maps]
+            coeffs = [{str(k): render_rational(v) for k, v in m.items()}
+                      for m in maps]
             return {"order": self.order, "theta_coefficients": coeffs}
         return {"order": self.order,
                 "theta_coefficients_rational": [c.render()

@@ -14,18 +14,21 @@ gives (x, L y) in the true one, v_n and the old parameters in terms of the
 new ones.  Parameters enter where T is singular or, for spaces with
 an infinite tail at t = 0, as seed layers a buffer below the window; above
 a closed top edge v_n = 0, so the block is c alone and only cuts the
-parameter space down.  A back-substituted level whose feed c is zero is
-stored as zero and stays zero when the parameters change.  Levels below
-the window are dropped once they feed no equation.  Dimensions are ranks
-over the core window [-M, M], independent of the seed placement, taken
-on its generating levels: its first max(K, 1) levels, K the degree of
-A(t), and those that took the kernel.  Every other level is
-back-substituted from the K below it, so a parameter vector that kills
-the generating levels kills the window, and both row sets have the same
-pivots.  Up to M, taylor0 runs the steps of laurent_polys and two_sided
-those of taylor_inf; the closed top only adds cut levels above M, so one
-sweep serves both.  The feed c runs over the
-nonzero entries of each A_k; a report builds its Fraction basis on read.
+parameter space down.  A kernel level composes its map of the old
+parameters into one map per epoch (the levels between two kernel levels)
+and rewrites no level: the feed, the pivot pass or a basis brings a level
+into the current parameters when it reads it.  A back-substituted level
+whose feed c is zero is stored as zero.  Levels below the window are
+dropped once they feed no equation.  Dimensions are ranks over the core
+window [-M, M], independent of the seed placement, taken on its generating
+levels: its first max(K, 1) levels, K the degree of A(t), and those that
+took the kernel.  Every other level is back-substituted from the K below
+it, so a parameter vector that kills the generating levels kills the
+window, and both row sets have the same pivots.  Up to M, taylor0 runs the
+steps of laurent_polys and two_sided those of taylor_inf; the closed top
+only adds cut levels above M, so one sweep serves both.  The feed c runs
+over the nonzero entries of each A_k; a report builds its Fraction basis
+on read.
 """
 
 from fractions import Fraction
@@ -86,7 +89,7 @@ class SeriesWindow:
 
 class KernelReport:
     """A space's dimension and stabilization; basis is built on first read
-    from the sweep's levels, which are only ever replaced, never changed."""
+    from the sweep's levels, in the parameters its top had when reached."""
 
     def __init__(self, space, truncation, stabilized, dim, levels, pivots):
         self.space = space
@@ -106,11 +109,40 @@ class KernelReport:
 
 
 def _lowest(mat, den):
-    """(mat, den) divided by the gcd of den and every entry of mat."""
-    g = gcd(den, *[gcd(*row) for row in mat])
+    """(mat, den) over the gcd of den and every entry, folded from den."""
+    g = gcd(den, *[x for row in mat for x in row])
     if g == 1:
         return mat, den
     return [[x // g for x in row] for row in mat], den // g
+
+
+class _Levels:
+    """Levels {n: (M, D, epoch)}, M None for zero; an epoch is the run of
+    levels between two kernel levels, maps[epoch] the map (columns over one
+    denominator) from its parameters to the current ones, None for the
+    current epoch.  A read brings a level into these, and stores it so."""
+
+    def __init__(self, d, p, stored, maps):
+        self.d, self.p, self.stored, self.maps = d, p, stored, maps
+
+    def __setitem__(self, n, level):
+        self.stored[n] = level + (len(self.maps) - 1,)
+
+    def __getitem__(self, n):
+        mat, den, epoch = self.stored[n]
+        if mat is None:
+            return [[0] * self.p] * self.d, 1
+        if self.maps[epoch]:
+            cols, dc = self.maps[epoch]
+            self[n] = mat, den = _lowest(_int_mul(mat, cols), den * dc)
+        return mat, den
+
+    def reparametrise(self, pmap, den):
+        """A new epoch, in whose parameters the old ones are the columns
+        pmap over den: composed into the map of every earlier epoch."""
+        self.maps = [_lowest(_int_mul(pmap, list(zip(*m[0]))), m[1] * den)
+                     if m else _lowest(pmap, den) for m in self.maps] + [None]
+        self.p = len(pmap)
 
 
 def _triangular_order(a0):
@@ -170,11 +202,9 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
     layers = max(big_k, 1) if seeded else 0
     start = -m_window - (buffer_depth if seeded else 0)
     p = layers * d
-    phi = {start + j: ([[int(q == j * d + i) for q in range(p)]
-                        for i in range(d)], 1) for j in range(layers)}
-    open_top = dict(phi)
-    # levels stored as zero, which every reparametrisation keeps zero
-    zero = set()
+    phi = _Levels(d, p, {start + j: ([[int(q == j * d + i) for q in range(p)]
+                                      for i in range(d)], 1, 0)
+                         for j in range(layers)}, [None])
     # the window levels every other one is a linear function of: the first
     # max(big_k, 1), which may be fed from below the window, and those that
     # take the kernel (a back-substituted level is linear in its feed)
@@ -182,15 +212,15 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
     generating = list(range(-m_window, lead))
     for n in range(start + layers, m_window + big_k + 1):
         # a level below the window feeds big_k equations and is never
-        # reported, so it is dropped before reparametrisations touch it
+        # reported, so it is dropped
         if n - big_k - 1 < -m_window:
-            phi.pop(n - big_k - 1, None)
+            phi.stored.pop(n - big_k - 1, None)
         # above the window v_n = 0, so the block has no v_n columns
         w = d if n <= m_window else 0
         # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] is an integer block;
         # c[i] sums (x big_l / D_k) M_{n-k}[j] over nonzero x = A_k[i][j]
         feed = [(nonzero[k], phi[n - k]) for k in ks
-                if n - k in phi and n - k not in zero]
+                if phi.stored.get(n - k, (None,))[0] is not None]
         big_l = lcm(*[dk for _, (_, dk) in feed])
         c = [[0] * p for _ in range(d)]
         for entries, (mk, dk) in feed:
@@ -206,8 +236,7 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
                 y = _back_substitute(steps, diag, -abs(det), c, n, conn.label)
                 phi[n] = _lowest(y, abs(det) * big_l)
             else:
-                phi[n] = ([[0] * p] * d, 1)
-                zero.add(n)
+                phi[n] = (None, 1)
         else:
             block = [[x + n * den_a if i == j else x
                       for j, x in enumerate(a[0][i][:w])] + c[i]
@@ -219,18 +248,16 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
             scale = [big_l if f < w else 1 for f in free]
             pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, scale)]
             if pmap != [[den * (q == j) for q in range(p)] for j in range(p)]:
-                for m, (mat, dm) in phi.items():
-                    phi[m] = (([[0] * len(vecs)] * d, 1) if m in zero else
-                              _lowest(_int_mul(mat, pmap), dm * den))
+                phi.reparametrise(pmap, den)
             if w:
                 phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
                                   for i in range(d)], den * big_l)
                 if n >= lead:
                     generating.append(n)
             p = len(vecs)
-        # stored levels are only ever replaced, so a shallow copy keeps them
+        # a read replaces a level, a kernel level the maps: a copy keeps M
         if n == m_window:
-            open_top = dict(phi)
+            open_top = _Levels(d, p, dict(phi.stored), phi.maps)
     return open_top, phi, generating
 
 

@@ -6,6 +6,7 @@ int, so it serves Z[t] and Q[t] alike.  RatFun is a reduced fraction of
 two such lists with a monic denominator, used for the variable t.
 """
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -280,5 +281,11 @@ def render_terms(terms, var="t", head=None):
     return out
 
 
+def render_rational(x):
+    """str(x) for an int or Fraction; str() refuses ints past 4,300 digits."""
+    num, den = Decimal(x.numerator), Decimal(x.denominator)
+    return str(num) if den == 1 else "%s/%s" % (num, den)
+
+
 def render_poly(p):
-    return render_terms((i, str(c)) for i, c in enumerate(p) if c != 0)
+    return render_terms((i, render_rational(c)) for i, c in enumerate(p) if c)

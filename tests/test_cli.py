@@ -320,6 +320,26 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("argv", [
+    ["matrix", "--group", "sl" + "1" * 5000],
+    ["matrix", "--group", "a" + "1" * 5000],
+    ["cohomology", "--group", "a2", "--rep", "1," + "1" * 5000]],
+    ids=["sl<N>", "a<N>", "rep 1,<N>"])
+def test_overlong_integer_exits_2(tmp_path, argv):
+    """int() refuses more than 4,300 digits, and that limit stays on for
+    input: each job ends at once with exit 2 and one error line, before
+    anything is built."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, RIGIDCONN_CACHE_DIR=str(tmp_path))
+    proc = subprocess.run([sys.executable, "-m", "rigidconn"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.endswith("is not an integer of at most 4300 digits\n")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
     ["cohomology", "--group", "e6", "--rep", "adjoint", "--format", "json"],
     ["subregular"]])
 @pytest.mark.parametrize("unbuffered", ["1", ""])

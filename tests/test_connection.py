@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from conftest import ref_gauge_transform, ref_pgcd, ref_scalar_reduction
 from rigidconn import connection, poly
 from rigidconn.cli import main
-from rigidconn.connection import (MatrixConnection, adjoint_connection,
+from rigidconn.connection import (MatrixConnection, ScalarOperator,
+                                  adjoint_connection,
                                   companion_connection, g2_seven_dim,
                                   gauge_transform, scalar_reduction, sl2_sym,
                                   sl_standard, slope_at_infinity,
@@ -685,3 +686,21 @@ def test_src_has_no_assert():
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_rendering_has_no_digit_limit():
+    """str() of an int past 4,300 digits raises ValueError in CPython;
+    rendered and JSON output print a 5,000-digit coefficient in full."""
+    big = 10 ** 4999 + 1
+    digits = "1" + "0" * 4998 + "1"
+    assert RatFun([big]).render() == digits
+    assert RatFun([Fraction(-big, 3), 1]).render() == "-%s/3 + t" % digits
+    assert RatFun([big], [1, 1]).render() == "(%s)/(1 + t)" % digits
+    op = ScalarOperator([RatFun([0, big]), RatFun([big], [1, 1])])
+    assert op.to_json_dict()["theta_coefficients_rational"][1] == (
+        "(%s)/(1 + t)" % digits)
+    assert ScalarOperator([RatFun([0, big])]).to_json_dict() == {
+        "order": 1, "theta_coefficients": [{"1": digits}]}
+    conn = MatrixConnection({1: [[big]]}, "big")
+    assert conn.to_json_dict()["entries"] == {"0,0": {"1": digits}}
+    assert conn.render_entry(0, 0) == digits + "*t"

@@ -616,14 +616,39 @@ def test_sparse_feed_matches_the_fraction_solver(conn):
 
 def level_hash(conn, truncation):
     """sha256 of every stored level of both seed families' sweeps at the
-    windows truncation and truncation + h, open and closed top."""
+    windows truncation and truncation + h, open and closed top, each level
+    brought into its sweep's final parameters as a read does."""
     digest = hashlib.sha256()
     for seeded in (False, True):
         for m in (truncation, truncation + conn.h):
             for levels in formal._solve_space(conn, seeded, m,
                                               m + conn.h)[:2]:
-                digest.update(repr(sorted(levels.items())).encode())
+                digest.update(repr(sorted((n, levels[n])
+                                          for n in levels.stored)).encode())
     return digest.hexdigest()
+
+
+def test_parameter_maps_apply_on_read(monkeypatch):
+    """A kernel level composes its parameter map into one map per epoch
+    and rewrites no stored level; a level takes the composed map when it
+    is read, once.  One seeded sl5 sweep at M = 60 and the pivot pass's
+    reads of its generating levels, at both tops, take at most 8 _int_mul
+    calls, where reparametrising every stored level at every kernel level
+    took 181; reading them again takes none."""
+    calls = []
+
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return int_mul(rows, cols)
+
+    int_mul = formal._int_mul
+    monkeypatch.setattr(formal, "_int_mul", counted)
+    *tops, generating = formal._solve_space(sl_standard(5), True, 60, 65)
+    first = [levels[n] for levels in tops for n in generating]
+    assert len(calls) <= 8
+    count = len(calls)
+    assert [levels[n] for levels in tops for n in generating] == first
+    assert len(calls) == count
 
 
 @pytest.mark.parametrize("model,dim,own,dual", [
