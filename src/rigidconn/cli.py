@@ -19,10 +19,8 @@ from .errors import ConsistencyError, ValidationError
 from .formal import check_rigidity
 from .galois import cohomology_dims, subregular_table
 from .rootsys import build_root_system
-from .weights import load_weight_system, save_weight_system, weight_system
 
 SCHEMA = "v1"
-CACHE_ENV = "RIGIDCONN_CACHE_DIR"
 
 _GROUP_HELP = ("sl/so/sp with --rank as matrix size, a..g with --rank as "
                "Lie rank, or one of g2 f4 e6 e7 e8")
@@ -232,32 +230,9 @@ def cmd_scalar(args):
         "%s reduces to:" % conn.label, "  " + payload["rendered"]])
 
 
-def _cache_dir(args):
-    return (args.cache_dir or os.environ.get(CACHE_ENV)
-            or os.path.join(os.path.expanduser("~"), ".cache", "rigidconn"))
-
-
-def _warm_weight_cache(rs, highest, cache_dir):
-    """Read or fill the cache; a path it cannot use is bad input."""
-    name = "%s_%s.json" % (rs.label(), "_".join(str(x) for x in highest))
-    path = os.path.join(cache_dir, name)
-    try:
-        if os.path.exists(path):
-            return load_weight_system(path)
-        ws = weight_system(rs, highest)
-        os.makedirs(cache_dir, exist_ok=True)
-        save_weight_system(ws, path)
-    except OSError as exc:
-        raise ValidationError("weight cache %s: %s"
-                              % (path, exc.strerror or exc))
-    return ws
-
-
 def cmd_cohomology(args):
     group = parse_group(args.group, args.rank)
     highest = resolve_weight(group, args.rep)
-    rs = build_root_system(group.type_label, group.rank)
-    _warm_weight_cache(rs, highest, _cache_dir(args))
     report = cohomology_dims(group.type_label, group.rank, highest)
     job = _job_dict(args, group, rep=(args.rep or "adjoint"),
                     highest=list(highest))
@@ -355,9 +330,6 @@ def build_parser():
     sp = sub.add_parser("cohomology", help="middle-extension cohomology "
                                            "dimensions by formula")
     common(sp, "adjoint")
-    sp.add_argument("--cache-dir", help="weight-system cache directory "
-                                        "(default $%s or ~/.cache/rigidconn)"
-                                        % CACHE_ENV)
     sp.set_defaults(func=cmd_cohomology)
 
     sp = sub.add_parser("rigidity", help="formal-solution rigidity criteria")

@@ -78,9 +78,11 @@ def folding_matrix(type_label, rank):
 
 def fold_branching(ws, target_rs, rows):
     """Weight multiset of ws pushed along the folding projection."""
+    # each row is an orbit sum: only its nonzero columns enter the image
+    terms = [[(i, c) for i, c in enumerate(r) if c] for r in rows]
     out = {}
     for mu, mult in ws.table.items():
-        image = tuple(sum(r[i] * mu[i] for i in range(len(mu))) for r in rows)
+        image = tuple(sum(c * mu[i] for i, c in row) for row in terms)
         if target_rs.a_value(image) != ws.a_of[mu]:
             raise ConsistencyError("projected weight %s changed a-value"
                                    % (mu,))

@@ -488,3 +488,38 @@ def ref_zero_weight_irr(type_label, rank, coords):
     irr, rem = divmod(ws.dim - table.get((0,) * rs_t.rank, 0), h)
     assert rem == 0, (type_label, rank, coords)
     return irr
+
+
+def ref_principal_specialisation(rs, highest):
+    """The a-histogram {a: N_a} of the irreducible module with highest
+    weight lambda by Weyl's principal specialisation, with no weights and
+    no Freudenthal:
+
+        sum_mu m(mu) z^a(mu) = prod_{alpha > 0} (z^A - z^-A) / (z^B - z^-B),
+
+    A = <lambda + rho, alpha-check>, B = <rho, alpha-check> (Kostant 1959;
+    Kac, Infinite-dimensional Lie algebras, ch. 10).  That is
+    z^(sum B - sum A) prod (z^2A - 1) / prod (z^2B - 1): the numerator
+    factors are multiplied out first, each a shift and a subtraction, and
+    then each z^2B - 1 is divided out by a running sum with a zero
+    remainder.  A quotient of one factor pair at a time is not a
+    polynomial in general (G2 adjoint), so the order matters.
+    """
+    num, den = [], []
+    for beta in rs.pos_roots:
+        coeffs = rs.coroot_coeffs(beta)
+        num.append(sum((x + 1) * c for x, c in zip(highest, coeffs)))
+        den.append(sum(coeffs))
+    poly = [1]
+    for a in num:
+        poly = [s - p for s, p in itertools.zip_longest(
+            [0] * (2 * a) + poly, poly, fillvalue=0)]
+    for b in den:
+        # p_k = q_(k - 2b) - q_k
+        quot = []
+        for k, p in enumerate(poly):
+            quot.append((quot[k - 2 * b] if k >= 2 * b else 0) - p)
+        poly, rest = quot[:-2 * b], quot[-2 * b:]
+        assert not any(rest), (rs.label(), highest, b)
+    shift = sum(den) - sum(num)
+    return {k + shift: n for k, n in enumerate(poly) if n}

@@ -49,16 +49,15 @@ def test_benchmark_jobs_answer_correctly(tmp_path, monkeypatch):
 
 def test_cli_jobs_print_the_recorded_output(tmp_path, monkeypatch):
     """Every job of workloads.CLI_JOBS, run as the cli workload runs it
-    (python -m rigidconn ... --format json, HOME and the weight cache in a
-    fresh directory, each cohomology job cold, then warm), passes
-    workloads.check: its stdout has the sha256 recorded in
+    (python -m rigidconn ... --format json, HOME in a fresh directory),
+    passes workloads.check: its stdout has the sha256 recorded in
     perfbench/cli_expected.json, so any byte change in the output the
-    benchmark gates on shows here."""
+    benchmark gates on shows here.  No job writes a file under HOME."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import workloads
 
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
-               HOME=str(tmp_path), RIGIDCONN_CACHE_DIR=str(tmp_path / "cache"))
+               HOME=str(tmp_path))
     wrong = {}
     for job in workloads.make_jobs("cli", 1):
         proc = subprocess.run([sys.executable, "-m", "rigidconn"]
@@ -69,3 +68,4 @@ def test_cli_jobs_print_the_recorded_output(tmp_path, monkeypatch):
             "stderr": proc.stderr[-400:]})
     assert len(wrong) == len(workloads.CLI_JOBS)
     assert not {k: v for k, v in wrong.items() if v}
+    assert os.listdir(tmp_path) == []

@@ -1,14 +1,16 @@
 """End-to-end runs of the command line interface."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from rigidconn import chevalley
-from rigidconn.cli import main, parse_group
+from rigidconn.cli import build_parser, main, parse_group
 from rigidconn.errors import ValidationError
 
 
@@ -76,82 +78,66 @@ def test_scalar_json(capsys):
 
 # --------------------------------------------------------- cohomology
 
-def test_cohomology_e6_adjoint(capsys, tmp_path):
+def test_cohomology_e6_adjoint(capsys):
     code, out, _ = run_cli(capsys, "cohomology", "--group", "e6",
-                           "--rep", "adjoint", "--cache-dir", str(tmp_path))
+                           "--rep", "adjoint")
     assert code == 0
     assert "h0 0, h1 0, h2 0" in out
     assert "folded E6 -> F4; V restricts as 52 + 26" in out
-    cached = [p for p in os.listdir(tmp_path) if p.startswith("E6_")]
-    assert len(cached) == 1
 
 
-def test_cohomology_json_deterministic(capsys, tmp_path):
+def test_cohomology_json_deterministic(capsys):
     argv = ("cohomology", "--group", "a2", "--rep", "adjoint",
-            "--format", "json", "--cache-dir", str(tmp_path))
-    code1, cold, _ = run_cli(capsys, *argv)
+            "--format", "json")
+    code1, first, _ = run_cli(capsys, *argv)
     assert code1 == 0
-    assert (tmp_path / "A2_1_1.json").exists()
-    code2, warm, _ = run_cli(capsys, *argv)
+    code2, second, _ = run_cli(capsys, *argv)
     assert code2 == 0
-    assert cold == warm
-    payload = json.loads(cold)
+    assert first == second
+    payload = json.loads(first)
     report = payload["report"]
     assert report["irr"] == 2
     assert report["h1"] == 0
     assert report["galois_group"] == "A2"
 
 
-def test_cohomology_cache_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("RIGIDCONN_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_cli(capsys, "cohomology", "--group", "g2",
-                         "--rep", "dim7")
-    assert code == 0
-    assert (tmp_path / "G2_1_0.json").exists()
-
-
-def test_tampered_cache_is_a_consistency_failure(capsys, tmp_path):
-    argv = ("cohomology", "--group", "a1", "--rep", "2",
-            "--cache-dir", str(tmp_path))
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == 0
-    path = tmp_path / "A1_2.json"
-    data = json.loads(path.read_text())
-    data["entries"][0][-2] += 1
-    path.write_text(json.dumps(data))
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert err.startswith("consistency failure:")
-
-
-def test_unusable_cache_dir_is_bad_input(capsys, tmp_path):
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_text("")
-    code, out, err = run_cli(capsys, "cohomology", "--group", "a2",
-                             "--cache-dir", str(blocker))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: weight cache %s" % blocker)
-
-
-@pytest.mark.parametrize("text", ["{bad", '{"type": "A", "rank": 2}'])
-def test_malformed_cache_is_a_consistency_failure(capsys, tmp_path, text):
-    (tmp_path / "A2_1_1.json").write_text(text)
-    code, out, err = run_cli(capsys, "cohomology", "--group", "a2",
-                             "--cache-dir", str(tmp_path))
-    assert (code, out) == (3, "")
-    assert err.startswith("consistency failure: cached weight table %s"
-                          % (tmp_path / "A2_1_1.json"))
-
-
-def test_cohomology_so3_standard(capsys, tmp_path):
+def test_cohomology_so3_standard(capsys):
     code, out, _ = run_cli(capsys, "cohomology", "--group", "so3",
-                           "--rep", "standard", "--format", "json",
-                           "--cache-dir", str(tmp_path))
+                           "--rep", "standard", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["job"]["highest"] == [2]
     assert payload["report"]["lambda"] == [2]
     assert payload["report"]["h1"] == 0
+
+
+def test_cohomology_needs_no_home_and_writes_nothing(tmp_path):
+    """cohomology computes in memory: with HOME below a regular file it
+    prints what it prints with a usable HOME, and neither run creates a
+    file.  The removed --cache-dir is an unknown option (exit 2)."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    home = tmp_path / "home"
+    home.mkdir()
+
+    def run(home_dir, *extra):
+        env = dict(os.environ, PYTHONPATH=src, HOME=str(home_dir))
+        return subprocess.run([sys.executable, "-m", "rigidconn",
+                               "cohomology", "--group", "a2",
+                               "--format", "json", *extra],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=60)
+
+    usual, blocked = run(home), run(blocker / "home")
+    assert (usual.returncode, usual.stderr) == (0, "")
+    assert (blocked.returncode, blocked.stderr) == (0, "")
+    assert blocked.stdout == usual.stdout
+    assert json.loads(usual.stdout)["report"]["h1"] == 0
+    flag = run(home, "--cache-dir", str(tmp_path / "cache"))
+    assert (flag.returncode, flag.stdout) == (2, "")
+    assert "unrecognized arguments: --cache-dir" in flag.stderr
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "home"]
 
 
 # ----------------------------------------------------------- rigidity
@@ -329,7 +315,7 @@ def test_overlong_integer_exits_2(tmp_path, argv):
     input: each job ends at once with exit 2 and one error line, before
     anything is built."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=src, RIGIDCONN_CACHE_DIR=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=src, HOME=str(tmp_path))
     proc = subprocess.run([sys.executable, "-m", "rigidconn"] + argv,
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2
@@ -350,7 +336,7 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path, argv,
     error would come from the interpreter's final flush."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered,
-               RIGIDCONN_CACHE_DIR=str(tmp_path))
+               HOME=str(tmp_path))
     proc = subprocess.Popen([sys.executable, "-m", "rigidconn"] + argv,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             env=env)
@@ -359,3 +345,26 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path, argv,
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+    assert os.listdir(tmp_path) == []
+
+
+# ------------------------------------------------------------- README
+
+# options the README names for perfbench/run.py and for pip
+_OTHER_TOOLS = {"--workload", "--seed", "--seconds", "--no-build-isolation"}
+
+
+def test_readme_and_parser_name_the_same_options():
+    """Every option of every subcommand is named in the README, and every
+    rigidconn option the README names exists."""
+    sub, = [action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    options = {opt for sp in sub.choices.values() for action in sp._actions
+               if not isinstance(action, argparse._HelpAction)
+               for opt in action.option_strings}
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "README.md")
+    with open(readme) as fh:
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", fh.read()))
+    assert options - named == set()
+    assert named - _OTHER_TOOLS - options == set()

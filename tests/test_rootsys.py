@@ -273,9 +273,10 @@ def test_projector_check_is_cli_exit_3(monkeypatch, tmp_path, capsys):
     galois._torus_rows.cache_clear()
     monkeypatch.setattr("rigidconn.rootsys.poly_at_matrix",
                         _identity_poly_at_matrix)
-    monkeypatch.setenv("RIGIDCONN_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv("HOME", str(tmp_path))
     assert cli.main(["cohomology", "--group", "a2"]) == 3
     assert "Coxeter projector" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def _disconnected_cartan(type_label, rank_):

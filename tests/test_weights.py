@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ref_principal_specialisation
 from rigidconn import cohomology_dims, weights
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.rootsys import SUPPORTED, build_root_system
@@ -307,3 +308,46 @@ def test_orbit_a_values_on_the_cohomology_jobs(monkeypatch):
     for ws in weights._MEM_CACHE.values():
         coeffs = ws.rs.a_coeffs
         assert ws.a_of == {mu: sum(map(mul, mu, coeffs)) for mu in ws.table}
+
+
+ADJOINTS = [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
+            for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("type_label,rank", ADJOINTS,
+                         ids=["%s%d" % key for key in ADJOINTS])
+def test_principal_specialisation_of_the_adjoint(type_label, rank):
+    rs = build_root_system(type_label, rank)
+    assert (a_histogram(weight_system(rs, rs.theta))
+            == ref_principal_specialisation(rs, rs.theta))
+
+
+def test_principal_specialisation_on_the_cohomology_jobs(monkeypatch):
+    """Weyl's product and the weight build give one a-histogram on every
+    highest weight of the benchmark's cohomology job lists (seeds 1-3)
+    and on E8 (1,0,0,0,0,0,0,1), of dimension 779,247."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+
+    cases = {(job["type"], job["rank"], tuple(job["highest"]))
+             for seed in (1, 2, 3)
+             for job in workloads.make_jobs("cohomology", seed)}
+    cases.add(("E", 8, (1, 0, 0, 0, 0, 0, 0, 1)))
+    assert len(cases) > 50
+    for type_label, rank, highest in sorted(cases):
+        rs = build_root_system(type_label, rank)
+        assert (a_histogram(weight_system(rs, highest))
+                == ref_principal_specialisation(rs, highest)), highest
+
+
+def test_principal_specialisation_sees_a_wrong_multiplicity(monkeypatch):
+    """A Freudenthal step one too high, at the zero weight of the A2
+    adjoint, is caught by the comparison."""
+    monkeypatch.setattr(weights, "_MEM_CACHE", {})
+    monkeypatch.setattr(weights, "divmod", lambda a, b: (a // b + 1, a % b),
+                        raising=False)
+    rs = build_root_system("A", 2)
+    ws = weight_system(rs, rs.theta)
+    assert ws.table[(0, 0)] == 3
+    assert a_histogram(ws) != ref_principal_specialisation(rs, rs.theta)
