@@ -8,10 +8,9 @@ two such lists with a monic denominator, used for the variable t.
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ValidationError
 from .linalg import _cleared, _primitive
 
 
@@ -119,36 +118,6 @@ def pgcd(p, q):
     """Monic gcd: _zgcd of the inputs over one denominator."""
     a = _zgcd(*_cleared([p, q])[0])
     return [Fraction(x, a[-1]) for x in a]
-
-
-def pbezout(p, q):
-    """(u, v, g) with u p + v q = g, g the monic gcd."""
-    r0, r1 = list(p), list(q)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        quot, rem = pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        u0, u1 = u1, psub(u0, pmul(quot, u1))
-        v0, v1 = v1, psub(v0, pmul(quot, v1))
-    if not r0:
-        return [], [], []
-    lead = r0[-1]
-    return pscale(u0, 1 / lead), pscale(v0, 1 / lead), pmonic(r0)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic(d):
-    """Coefficients of the d-th cyclotomic polynomial (ascending)."""
-    num = [Fraction(0)] * d + [Fraction(1)]
-    num[0] = Fraction(-1)
-    for e in range(1, d):
-        if d % e == 0:
-            num, rem = pdivmod(num, cyclotomic(e))
-            if rem:
-                raise ConsistencyError("cyclotomic: Phi_%d does not divide "
-                                       "the numerator of Phi_%d" % (e, d))
-    return tuple(num)
 
 
 class RatFun:

@@ -12,9 +12,7 @@ from math import gcd, prod
 from operator import mul
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (_cleared, _int_mul, charpoly, identity, inverse,
-                     mat_vec, poly_at_matrix)
-from .poly import cyclotomic, pbezout, pdeg, pdivmod, pmul
+from .linalg import _cleared, _int_mul, inverse, mat_vec
 
 SUPPORTED = {"A": (1, 8), "B": (2, 9), "C": (2, 8), "D": (4, 8),
              "E": (6, 8), "F": (4, 4), "G": (2, 2)}
@@ -237,66 +235,49 @@ def coxeter_element(rs):
     return w
 
 
-def cyclotomic_factorization(p, h):
-    """Factor p as a product of cyclotomic polynomials Phi_d with d | h.
-
-    Returns {d: multiplicity}.  Raises if the factorization is not exact,
-    which would mean p has an eigenvalue that is not an h-th root of unity.
-    """
-    factors = {}
-    rest = list(p)
-    for d in range(1, h + 1):
-        if h % d:
-            continue
-        phi = list(cyclotomic(d))
-        while pdeg(rest) >= pdeg(phi):
-            quot, rem = pdivmod(rest, phi)
-            if rem:
-                break
-            factors[d] = factors.get(d, 0) + 1
-            rest = quot
-    if pdeg(rest) != 0:
-        raise ConsistencyError("cyclotomic factorization: the charpoly has a "
-                               "factor that is not cyclotomic with d | h = %d"
-                               % h)
-    return factors
+def _mobius(n):
+    """The Moebius function mu(n), by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 def coxeter_primitive_projector(w, h):
-    """Projector onto the primitive h-th root-of-unity eigenspaces of w,
-    as a polynomial in w over Q."""
-    chi = charpoly(w)
-    factors = cyclotomic_factorization(chi, h)
-    if h not in factors:
+    """Projector onto the primitive h-th root-of-unity eigenspaces of w, an
+    integer matrix (Fractions of denominator 1 pass) with w^h = I.
+
+    P = (1/h) sum_{k<h} c_h(k) w^k, where Ramanujan's sum c_h(k) = sum over
+    d | gcd(k, h) of d mu(h/d) is the sum of zeta^k over the primitive h-th
+    roots of unity zeta.  As a polynomial in w, P commutes with w and is
+    killed by Phi_h(w); the checks are w^h = I, P != 0 and P P = P, on hP.
+    """
+    n = len(w)
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    w_cols = [[int(x) for x in col] for col in zip(*w)]
+    power, hp = one, [[0] * n for _ in range(n)]
+    for k in range(h):
+        g = gcd(k, h)
+        c = sum(d * _mobius(h // d) for d in range(1, g + 1) if g % d == 0)
+        hp = [[x + c * y for x, y in zip(row, prow)]
+              for row, prow in zip(hp, power)]
+        power = _int_mul(power, w_cols)
+    if power != one or any(x != int(x) for row in w for x in row):
+        raise ConsistencyError("Coxeter projector: w is not an integer "
+                               "matrix with w^h = I, h = %d" % h)
+    if not any(map(any, hp)):
         raise ConsistencyError("Coxeter projector: the Coxeter element has no "
                                "primitive h-th root of unity as eigenvalue, "
                                "h = %d" % h)
-    rest = [Fraction(1)]
-    for d in factors:
-        if d != h:
-            rest = pmul(rest, list(cyclotomic(d)))
-    if pdeg(rest) == 0:
-        p, e = _cleared(identity(len(w)))
-    else:
-        u, _v, g = pbezout(rest, list(cyclotomic(h)))
-        if g != [Fraction(1)]:
-            raise ConsistencyError("Coxeter projector: the cyclotomic factors "
-                                   "of the charpoly are not coprime, h = %d"
-                                   % h)
-        p, e = _cleared(poly_at_matrix(pmul(u, rest), w))
-    # P = p / e: P P = P, P w = w P and Phi_h(w) P = 0, all over Z
-    p_cols = list(zip(*p))
-    if _int_mul(p, p_cols) != [[e * x for x in row] for row in p]:
+    if _int_mul(hp, list(zip(*hp))) != [[h * x for x in row] for row in hp]:
         raise ConsistencyError("Coxeter projector: the projector is not "
                                "idempotent, h = %d" % h)
-    w_int, _ = _cleared(w)
-    phi, _ = _cleared(poly_at_matrix(list(cyclotomic(h)), w))
-    if (_int_mul(p, list(zip(*w_int))) != _int_mul(w_int, p_cols)
-            or any(map(any, _int_mul(phi, p_cols)))):
-        raise ConsistencyError("Coxeter projector: the projector does not "
-                               "commute with w or is not killed by Phi_h(w), "
-                               "h = %d" % h)
-    return [[Fraction(x, e) for x in row] for row in p]
+    return [[Fraction(x, h) for x in row] for row in hp]
 
 
 def primitive_rank(rs):

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from rigidconn.connection import MatrixConnection, ScalarOperator
@@ -9,9 +10,9 @@ from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               ValidationError)
 from rigidconn.galois import fold_branching, folding_matrix, galois_group
 from rigidconn.linalg import identity, mat_mul, zeros
-from rigidconn.poly import (RatFun, cyclotomic, pbezout, pderiv, pdivmod,
-                            pmonic, pmul)
-from rigidconn.rootsys import build_root_system, cyclotomic_factorization
+from rigidconn.poly import (RatFun, pdeg, pderiv, pdivmod, pmonic, pmul,
+                            pscale, psub)
+from rigidconn.rootsys import build_root_system
 from rigidconn.weights import weight_system
 
 
@@ -271,9 +272,59 @@ def ref_coxeter_element(rs):
     return w
 
 
+@lru_cache(maxsize=None)
+def cyclotomic(d):
+    """Coefficients of the d-th cyclotomic polynomial (ascending): x^d - 1
+    divided by Phi_e for every proper divisor e of d."""
+    num = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+    for e in range(1, d):
+        if d % e == 0:
+            num, rem = pdivmod(num, cyclotomic(e))
+            assert not rem
+    return tuple(num)
+
+
+def cyclotomic_factorization(p, h):
+    """{d: multiplicity} for p a product of Phi_d with d | h; asserts that
+    the factorization is exact."""
+    factors = {}
+    rest = list(p)
+    for d in range(1, h + 1):
+        if h % d:
+            continue
+        phi = list(cyclotomic(d))
+        while pdeg(rest) >= pdeg(phi):
+            quot, rem = pdivmod(rest, phi)
+            if rem:
+                break
+            factors[d] = factors.get(d, 0) + 1
+            rest = quot
+    assert pdeg(rest) == 0
+    return factors
+
+
+def pbezout(p, q):
+    """(u, v, g) with u p + v q = g, g the monic gcd, by the extended
+    Euclidean algorithm over Q."""
+    r0, r1 = list(p), list(q)
+    u0, u1 = [Fraction(1)], []
+    v0, v1 = [], [Fraction(1)]
+    while r1:
+        quot, rem = pdivmod(r0, r1)
+        r0, r1 = r1, rem
+        u0, u1 = u1, psub(u0, pmul(quot, u1))
+        v0, v1 = v1, psub(v0, pmul(quot, v1))
+    if not r0:
+        return [], [], []
+    lead = r0[-1]
+    return pscale(u0, 1 / lead), pscale(v0, 1 / lead), pmonic(r0)
+
+
 def ref_primitive_projector(w, h):
-    """The primitive projector of w as a polynomial in w, evaluated by
-    Horner's rule on Fractions and checked by Fraction products."""
+    """The primitive projector of w as a polynomial in w: the Bezout inverse
+    of the non-primitive cyclotomic factors of the charpoly modulo Phi_h,
+    times those factors, evaluated by Horner's rule on Fractions and
+    checked by Fraction products."""
     factors = cyclotomic_factorization(ref_charpoly(w), h)
     rest = [Fraction(1)]
     for d in factors:

@@ -18,7 +18,9 @@ from rigidconn import formal
 from rigidconn.chevalley import KacWindow, build_chevalley
 from rigidconn.cli import main
 from rigidconn.connection import (MatrixConnection, adjoint_connection,
-                                  sl2_sym, sl_standard, so_odd_standard)
+                                  g2_seven_dim, sl2_sym, sl_standard,
+                                  slope_at_infinity, so_odd_standard,
+                                  sp_standard)
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.formal import (SPACES, SeriesWindow, _h1, _kernel_reports,
                               _triangular_order, apply_connection,
@@ -26,6 +28,7 @@ from rigidconn.formal import (SPACES, SeriesWindow, _h1, _kernel_reports,
                               kernel_dimension, residue_pair,
                               sl2_double_cover_h1)
 from rigidconn.galois import cohomology_dims, peel_components
+from rigidconn.linalg import rank
 from rigidconn.rootsys import build_root_system
 from rigidconn.weights import weight_system
 
@@ -380,39 +383,67 @@ def test_solver_higher_degree_and_singular_levels(conn, two_sided):
 
 def kronecker_sum(v, w):
     """theta + A_k (x) 1 + 1 (x) B_k, the connection of V (x) W: basis vector
-    (i, q) of the product is i dim W + q."""
+    (i, q) of the product is i dim W + q, with rho-check weight the sum."""
     dv, dw = v.dim, w.dim
     coeffs = {k: [[a[i][j] * (q == s) + (i == j) * b[q][s]
                    for j in range(dv) for s in range(dw)]
                   for i in range(dv) for q in range(dw)]
               for k in set(v.coeffs) | set(w.coeffs)
               for a, b in [(v.coefficient(k), w.coefficient(k))]}
-    return MatrixConnection(coeffs, "%s x %s" % (v.label, w.label), h=v.h)
+    return MatrixConnection(coeffs, "%s x %s" % (v.label, w.label), h=v.h,
+                            rho_weights=[x + y for x in v.rho_weights
+                                         for y in w.rho_weights])
 
 
-@pytest.mark.parametrize("n,dual", [(3, False), (3, True), (4, False),
-                                    (4, True)],
-                         ids=["sl3 x sl3", "sl3 x sl3*", "sl4 x sl4",
-                              "sl4 x sl4*"])
-def test_tensor_products_match_their_components(n, dual):
-    """sl_n (x) sl_n and sl_n (x) sl_n*: the product character, split into
-    irreducibles, predicts the flat sections (sum of m h0) and, when there
-    are none, the middle h1 (sum of m h1)."""
-    v = sl_standard(n)
-    conn = kronecker_sum(v, v.dual() if dual else v)
+def _square_cases(name, conn, top, duals):
+    """V (x) V, and V (x) V* when True is in duals, for V = conn of highest
+    weight top."""
+    return [pytest.param(conn, top, conn, top, dual, id="%s x %s%s"
+                         % (name, name, "*" if dual else ""))
+            for dual in duals]
+
+
+# (V, its highest weight, W, its highest weight, whether W is dualised)
+_TENSOR_CASES = (
+    _square_cases("sl3", sl_standard(3), (1, 0), (False, True))
+    + _square_cases("sl4", sl_standard(4), (1, 0, 0), (False, True))
+    + [pytest.param(sl2_sym(a), (a,), sl2_sym(b), (b,), False,
+                    id="Sym^%d x Sym^%d" % (a, b))
+       for b in range(1, 5) for a in range(1, b + 1)]
+    + _square_cases("sp4", sp_standard(4), (1, 0), (False, True))
+    + _square_cases("so5", so_odd_standard(5), (1, 0), (False, True))
+    + _square_cases("g2 dim7", g2_seven_dim(), (1, 0), (False,))
+    + _square_cases("sl5", sl_standard(5), (1, 0, 0, 0), (True,))
+    + [pytest.param(sl2_sym(2), (2,), sl2_sym(3), (3,), True,
+                    id="Sym^2 x Sym^3*")])
+
+
+@pytest.mark.parametrize("v,hv,w,hw,dual", _TENSOR_CASES)
+def test_tensor_products_match_their_components(v, hv, w, hw, dual):
+    """V (x) W and V (x) W*: the product character, split into irreducibles,
+    predicts the flat sections (sum of m h0), the irregularity at infinity
+    (sum of m irr = rank L / h, L the leading term there), the inertia
+    invariants at 0 (sum of m inv_I0 = dim ker A(0)) and, when there are
+    no flat sections, the middle h1 (sum of m h1)."""
+    conn = kronecker_sum(v, w.dual() if dual else w)
     assert _triangular_order(conn.coefficient(0)) is not None
-    rs = build_root_system("A", n - 1)
-    top = (1,) + (0,) * (n - 2)
+    rs = build_root_system(*v.group)
+    right = weight_system(rs, hw).table
+    if dual:
+        right = {tuple(-x for x in nu): m for nu, m in right.items()}
     table = {}
-    for mu, m1 in weight_system(rs, top).table.items():
-        for nu, m2 in weight_system(rs, top[::-1] if dual else top
-                                    ).table.items():
+    for mu, m1 in weight_system(rs, hv).table.items():
+        for nu, m2 in right.items():
             key = tuple(map(sum, zip(mu, nu)))
             table[key] = table.get(key, 0) + m1 * m2
-    parts = [(cohomology_dims("A", n - 1, mu), m)
+    parts = [(cohomology_dims(*v.group, mu), m)
              for mu, m in peel_components(rs, table)]
+    leading = slope_at_infinity(conn, details=True)["leading"]
+    assert rank(leading) == conn.h * sum(r.irr * m for r, m in parts)
+    assert conn.dim - rank(conn.coefficient(0)) == sum(
+        r.inv_I0 * m for r, m in parts)
     h0 = sum(r.h0 * m for r, m in parts)
-    trunc = 2 * conn.dim + 2 * n
+    trunc = 2 * conn.dim + 2 * conn.h
     assert kernel_dimension(conn, "laurent_polys", trunc).dimension == h0
     if h0 == 0:
         assert h1_middle_via_solver(conn, conn.dual(), trunc) == sum(

@@ -1,9 +1,10 @@
 """Root-system tables, the Coxeter element, and the primitive projector.
 
 Closed-form data (dimensions, Weyl orders, exponents) is frozen from the
-standard tables; the projector rank is checked against a floating-point
-eigenvalue count, which is independent of the exact cyclotomic route the
-implementation takes.
+standard tables; the projector, a sum of powers of the Coxeter element
+weighted by Ramanujan sums, is checked against the charpoly and Bezout
+reference in conftest and its rank against a floating-point eigenvalue
+count.
 """
 
 import math
@@ -15,14 +16,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (mat_pow, ref_coxeter_element, ref_height,
-                      ref_primitive_projector, ref_reflection_matrix, ref_rref)
+from conftest import (cyclotomic_factorization, mat_pow, ref_charpoly,
+                      ref_coxeter_element, ref_height, ref_primitive_projector,
+                      ref_reflection_matrix, ref_rref)
 from rigidconn import cli, galois
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import identity, mat_mul, mat_vec, rank
 from rigidconn.rootsys import (SUPPORTED, RootSystem, build_root_system,
                                coxeter_element, coxeter_primitive_projector,
-                               cyclotomic_factorization, primitive_rank)
+                               primitive_rank)
 
 ALL_TYPES = ([("A", n) for n in range(1, 9)]
              + [("B", n) for n in range(2, 10)]
@@ -171,8 +173,7 @@ def test_coxeter_element_order_and_charpoly(type_label, rank_):
     w = coxeter_element(rs)
     h = rs.coxeter_number
     assert mat_pow(w, h) == identity(rank_)
-    from rigidconn.linalg import charpoly
-    factors = cyclotomic_factorization(charpoly(w), h)
+    factors = cyclotomic_factorization(ref_charpoly(w), h)
     want = {}
     for m in rs.exponents:
         d = h // math.gcd(m, h)
@@ -219,49 +220,64 @@ def test_primitive_projector_rank_numeric_oracle():
     assert rank(coxeter_primitive_projector(w, 4)) == count
 
 
-def _identity_poly_at_matrix(coeffs, m):
-    """A wrong polynomial evaluation: the identity matrix for any input."""
-    return identity(len(m))
+@pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
+def test_primitive_projector_matches_reference(type_label, rank_):
+    rs = build_root_system(type_label, rank_)
+    w = coxeter_element(rs)
+    h = rs.coxeter_number
+    assert coxeter_primitive_projector(w, h) == ref_primitive_projector(w, h)
+
+
+def _s1(rs):
+    """The simple reflection s_1, a wrong Coxeter element of order 2."""
+    return [[int(x) for x in row] for row in ref_reflection_matrix(rs, 0)]
 
 
 @pytest.mark.parametrize("type_label,rank_", [("A", 2), ("A", 3), ("E", 8)])
 def test_projector_checks_raise_on_wrong_matrix(monkeypatch, type_label,
                                                 rank_):
-    """A2 and E8 take the identity projector, A3 a polynomial in w; a wrong
-    poly_at_matrix is caught on every route."""
+    """A wrong order, a non-integral w and a wrong Moebius function are
+    each caught, on h = 3 (A2), 4 (A3) and 30 (E8).  With mu = 2 the sum
+    is 2 #{d | h : ord(lambda) | d} on the lambda-eigenspace, at least 2,
+    so P P = P fails for every w."""
     rs = build_root_system(type_label, rank_)
     h = rs.coxeter_number
-    monkeypatch.setattr("rigidconn.rootsys.poly_at_matrix",
-                        _identity_poly_at_matrix)
+    w = coxeter_element(rs)
     with pytest.raises(ConsistencyError,
-                       match=r"Coxeter projector: .* h = %d$" % h):
-        coxeter_primitive_projector(coxeter_element(rs), h)
+                       match=r"^Coxeter projector: .* w\^h = I, h = %d$"
+                       % (h + 1)):
+        coxeter_primitive_projector(w, h + 1)
+    half = [[Fraction(x, 2) for x in row] for row in mat_pow(w, 2)]
+    with pytest.raises(ConsistencyError,
+                       match=r"^Coxeter projector: w is not an integer"):
+        coxeter_primitive_projector(half, h)
+    monkeypatch.setattr("rigidconn.rootsys._mobius", lambda n: 2)
+    with pytest.raises(ConsistencyError,
+                       match=r"^Coxeter projector: .* not idempotent, "
+                             r"h = %d$" % h):
+        coxeter_primitive_projector(w, h)
 
 
-def test_projector_checks_raise_on_bad_factorization(monkeypatch):
-    with pytest.raises(ConsistencyError, match=r"not cyclotomic .* h = 3$"):
-        cyclotomic_factorization([Fraction(-2), Fraction(1)], 3)
+def test_projector_checks_raise_on_bad_factorization():
+    """No primitive h-th root of unity: the identity, or s_1 at even h."""
     with pytest.raises(ConsistencyError,
-                       match=r"no primitive h-th root .* h = 3$"):
+                       match=r"^Coxeter projector: .* no primitive h-th root "
+                             r".* h = 3$"):
         coxeter_primitive_projector(identity(2), 3)
-    monkeypatch.setattr("rigidconn.rootsys.pbezout",
-                        lambda a, b: ([Fraction(1)], [Fraction(0)],
-                                      [Fraction(2)]))
-    w = coxeter_element(build_root_system("A", 3))
-    with pytest.raises(ConsistencyError, match=r"not coprime, h = 4$"):
-        coxeter_primitive_projector(w, 4)
+    with pytest.raises(ConsistencyError,
+                       match=r"no primitive h-th root .* h = 4$"):
+        coxeter_primitive_projector(_s1(build_root_system("A", 3)), 4)
 
 
 def test_projector_checks_survive_optimize():
-    code = ("from rigidconn import rootsys\n"
+    """A wrong Coxeter element in the cohomology route raises under -O."""
+    code = ("from rigidconn import galois, rootsys\n"
             "from rigidconn.errors import ConsistencyError\n"
-            "from rigidconn.linalg import identity\n"
-            "rootsys.poly_at_matrix = lambda c, m: identity(len(m))\n"
-            "w = rootsys.coxeter_element(rootsys.build_root_system('A', 3))\n"
+            "galois.coxeter_element = lambda rs: [[-1, 0], [1, 1]]\n"
             "try:\n"
-            "    rootsys.coxeter_primitive_projector(w, 4)\n"
-            "except ConsistencyError:\n"
-            "    raise SystemExit(3)\n")
+            "    galois._torus_rows(rootsys.build_root_system('A', 2))\n"
+            "except ConsistencyError as exc:\n"
+            "    raise SystemExit(3 if 'w^h = I' in str(exc) else 1)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
@@ -271,10 +287,12 @@ def test_projector_checks_survive_optimize():
 def test_projector_check_is_cli_exit_3(monkeypatch, tmp_path, capsys):
     # the V^S rows are kept per root system; start without A2's
     galois._torus_rows.cache_clear()
-    monkeypatch.setattr("rigidconn.rootsys.poly_at_matrix",
-                        _identity_poly_at_matrix)
+    monkeypatch.setattr("rigidconn.galois.coxeter_element", _s1)
     monkeypatch.setenv("HOME", str(tmp_path))
-    assert cli.main(["cohomology", "--group", "a2"]) == 3
+    try:
+        assert cli.main(["cohomology", "--group", "a2"]) == 3
+    finally:
+        galois._torus_rows.cache_clear()
     assert "Coxeter projector" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 

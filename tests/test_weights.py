@@ -4,6 +4,7 @@ The reflection-based build the package used before its orbit expansion
 and integer Freudenthal sums is kept here as the reference.
 """
 
+import copy
 import itertools
 import json
 import os
@@ -351,3 +352,26 @@ def test_principal_specialisation_sees_a_wrong_multiplicity(monkeypatch):
     ws = weight_system(rs, rs.theta)
     assert ws.table[(0, 0)] == 3
     assert a_histogram(ws) != ref_principal_specialisation(rs, rs.theta)
+
+
+@pytest.mark.parametrize("type_label,rank,highest",
+                         [("A", 2, (1, 1)), ("G", 2, (1, 1)),
+                          ("B", 3, (0, 0, 1))])
+def test_principal_specialisation_sees_a_wrong_orbit_a_value(type_label,
+                                                             rank, highest):
+    """An a-value moved by 2 at any one non-dominant weight, as a wrong
+    a(s_j nu) = a(nu) - 2 nu[j] step of the orbit expansion would give,
+    fails both Weyl's product and the symmetry of the a-histogram."""
+    rs = build_root_system(type_label, rank)
+    ws = weight_system(rs, highest)
+    want = ref_principal_specialisation(rs, highest)
+    assert a_histogram(ws) == want
+    moved = [mu for mu in ws.table if min(mu) < 0]
+    assert moved
+    for mu in moved:
+        bad = copy.copy(ws)
+        bad.a_of = dict(ws.a_of)
+        bad.a_of[mu] += 2
+        assert a_histogram(bad) != want, mu
+        with pytest.raises(ConsistencyError, match="not symmetric"):
+            Sl2Decomposition(a_histogram(bad), bad.dim, bad.label())
