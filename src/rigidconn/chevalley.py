@@ -250,7 +250,7 @@ def kostant_check(alg):
     """Kernel dimension and semisimplicity of ad(N + E).
 
     ad(N + E) lowers the rho-check degree by one modulo h, so
-    graded_cycle_check computes both per degree class.
+    graded_cycle_check decides both on its blocks between degree classes.
     """
     n, e, _ = principal_triple(alg)
     x = dict(n)

@@ -33,6 +33,9 @@ class MatrixConnection:
                 cleaned[int(k)] = rows
         if dim is None:
             raise ValidationError("a connection needs at least one coefficient")
+        if h is not None and (type(h) is not int or h < 1):
+            raise ValidationError("the Coxeter number h of %s must be a "
+                                  "positive integer, not %r" % (label, h))
         self.dim = dim
         self.coeffs = cleaned
         self.label = label
@@ -438,7 +441,7 @@ def slope_at_infinity(conn, details=False):
     weights, and checks a second-order pole whose leading coefficient is
     semisimple and not nilpotent (it equals -h(N+E) in the representation).
     Its entries have w_i = w_j - 1 mod h, so graded_cycle_check decides
-    both from the blocks of its h-th power on the degree classes of w.
+    both on its blocks between the degree classes of w.
     """
     h = conn.h
     if h is None:

@@ -35,9 +35,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
+from .connection import sl2_sym
 from .errors import ConsistencyError, ValidationError
 from .linalg import (_cleared, _int_mul, _kernel, _row_reduce, identity,
-                     inverse, mat_mul, rank, zeros)
+                     inverse, mat_mul, rank)
 
 SPACES = ("taylor0", "taylor_inf", "two_sided", "laurent_polys")
 # the unseeded and the seeded family, each (open-top, closed-top space)
@@ -271,10 +272,14 @@ def _basis(d, phi, pivots, m_window):
             for col in pivots]
 
 
+def _h_step(conn):
+    return conn.h or conn.dim + 1  # dim + 1 for a connection without h
+
+
 def _kernel_reports(conn, spaces, truncation):
     """{space: KernelReport}, two sweeps per seed family, unseeded first,
     at any truncation."""
-    h_step = conn.h if conn.h else conn.dim + 1
+    h_step = _h_step(conn)
     windows = (truncation, truncation + h_step)
     reports = {}
     for seeded, family in enumerate(_FAMILIES):
@@ -295,7 +300,7 @@ def _kernel_reports(conn, spaces, truncation):
 
 def _floored_reports(conn, spaces, truncation):
     """_kernel_reports, once the truncation reaches the floor."""
-    floor = 2 * conn.dim + 2 * (conn.h if conn.h else conn.dim + 1)
+    floor = 2 * conn.dim + 2 * _h_step(conn)
     if truncation < floor:
         raise ValidationError("truncation %d is below the floor %d for %s"
                               % (truncation, floor, conn.label))
@@ -363,17 +368,15 @@ def h1_middle_via_solver(conn, conn_dual, truncation):
     """dim two_sided - dim taylor0 - dim taylor_inf for V.
 
     This equals the middle-extension h^1 when the connection has no flat
-    sections over the punctured line, which is checked first.  conn_dual
-    is unused, kept only until ROADMAP item 2 drops it.
+    sections over the punctured line, checked on check_rigidity's sweeps.
+    conn_dual is unused, kept only until ROADMAP item 2 drops it.
     """
-    dims = {}
-    for family in _FAMILIES:
-        dims.update((space, report.dimension) for space, report
-                    in _floored_reports(conn, family, truncation).items())
-        if dims["laurent_polys"] != 0:
-            raise ConsistencyError("solver h1 needs a vanishing global "
-                                   "kernel; %s has dimension %d"
-                                   % (conn.label, dims["laurent_polys"]))
+    dims = {space: report.dimension for space, report
+            in _floored_reports(conn, SPACES, truncation).items()}
+    if dims["laurent_polys"] != 0:
+        raise ConsistencyError("solver h1 needs a vanishing global kernel; "
+                               "%s has dimension %d"
+                               % (conn.label, dims["laurent_polys"]))
     return _h1(conn.label, dict(dims, laurent_V=0))
 
 
@@ -419,19 +422,12 @@ def sl2_double_cover_h1(n):
     if n < 2 or n % 2:
         raise ValidationError("the double-cover computation needs even "
                               "dimension n >= 2")
-    e = zeros(n, n)
-    for i in range(1, n):
-        e[i - 1][i] = Fraction(i * (n - i))
-    f = zeros(n, n)
-    for i in range(1, n):
-        f[i][i - 1] = Fraction(1)
-    ef = [[e[i][j] + f[i][j] for j in range(n)] for i in range(n)]
-    ef_inv = inverse(ef)
+    sym = sl2_sym(n - 1)  # E + N of Sym^(n-1)
+    ef_inv = inverse([[x + y for x, y in zip(*rows)]
+                      for rows in zip(sym.coefficient(1), sym.coefficient(0))])
     down = identity(n)
     for m in range(n, 0, -1):
         step = [[Fraction(-1, 2) * ef_inv[i][j] * (m - (j + 1))
                  for j in range(n)] for i in range(n)]
         down = mat_mul(step, down)
-    even_cols = [j for j in range(n) if (j + 1) % 2 == 0]
-    selected = [[down[i][j] for j in even_cols] for i in range(n)]
-    return rank(selected)
+    return rank([row[1::2] for row in down])  # the even-level seeds

@@ -215,17 +215,17 @@ def graded_cycle_check(m, degrees, h, stage, label):
 
     m must lower the grading by one modulo h: every nonzero m[i][j] has
     degrees[i] = degrees[j] - 1 mod h (degrees may be half-integers), else
-    ConsistencyError names the stage, the matrix and the entry.  Then m^h
-    is block diagonal over the degree classes, its block on class c being
-    the product of the h blocks of m around the cycle c -> c-1 -> ... -> c
-    (zero if a class on the cycle is empty).  m is nilpotent iff every
-    block of m^h is.  m is semisimple iff every block of m^h is and
-    dim ker m = dim ker m^h: x^h - a is squarefree for a != 0, and m
-    vanishes on its generalized kernel exactly when ker m = ker m^h.
-
-    The blocks of den m, with den the lcm of the denominators of m, are
-    ints; _int_mul takes each h-fold product as its transpose (same rank
-    and charpoly), and _row_reduce gets copies of the blocks' row lists.
+    ConsistencyError names the stage, the matrix and the entry.  With M_c
+    the block of m from class c to class c - 1, ker m and ker m^2 are sums
+    over the classes of ker M_c and ker M_{c-1} M_c.  Each coset of Z among
+    the classes is a cycle; m^h on it has as blocks the rotations of one
+    product P = M_{c+1} ... M_c (zero if a class on the cycle is empty),
+    which share their Jordan blocks at every nonzero eigenvalue.  So m is
+    nilpotent iff every P is.  ker m = ker m^2 iff 0 is a semisimple
+    eigenvalue of m, and then the zero part of m^h is semisimple too.  Off
+    its generalized kernel m is invertible and x^h - a is squarefree for
+    a != 0, so m is semisimple there iff m^h is.  Hence m is semisimple iff
+    ker m = ker m^2 and every P is.  The blocks are of den m, in ints.
     """
     cls = [Fraction(d) % h for d in degrees]
     classes = {}
@@ -239,26 +239,26 @@ def graded_cycle_check(m, degrees, h, stage, label):
                     "%s: %s does not lower the degree by one mod %d at "
                     "entry (%d, %d), degree %s -> %s"
                     % (stage, label, h, i, j, degrees[j], degrees[i]))
-    # blocks[c] maps class c to class c - 1
+    # blocks[c] = M_c by rows: _int_mul(x, blocks[c]) is x M_c^T
     blocks = {c: [[a[i][j] for j in cols]
                   for i in classes.get((c - 1) % h, [])]
               for c, cols in classes.items()}
-    kernel_dim = kernel_dim_h = 0
-    semisimple = nilpotent = True
+    kernel_dim = kernel_dim_2 = 0
     for c, cols in classes.items():
         kernel_dim += len(cols) - len(_row_reduce(list(blocks[c])))
-        power = [[int(i == j) for j in cols] for i in cols]
-        cur = c
-        for _ in range(h):
-            if cur not in blocks:
-                power = [[0] * len(cols) for _ in cols]
+        square = _int_mul(blocks.get((c - 1) % h, []), list(zip(*blocks[c])))
+        kernel_dim_2 += len(cols) - len(_row_reduce(square))
+    semisimple, nilpotent = kernel_dim == kernel_dim_2, True
+    for c in {c % 1: c for c in classes}.values():
+        n = len(classes[c])
+        power = [[int(i == j) for j in range(n)] for i in range(n)]
+        for k in range(h):
+            if (c - k) % h not in blocks:
+                power = [[0] * n for _ in range(n)]
                 break
-            power = _int_mul(power, blocks[cur])
-            cur = (cur - 1) % h
-        kernel_dim_h += len(cols) - len(_row_reduce(list(power)))
+            power = _int_mul(power, blocks[(c - k) % h])
         nilpotent = nilpotent and is_nilpotent(power)
         semisimple = semisimple and is_semisimple(
             power, stage, "the class-%s block of (%s)^%d" % (c, label, h))
-    return {"kernel_dim": kernel_dim,
-            "semisimple": semisimple and kernel_dim == kernel_dim_h,
+    return {"kernel_dim": kernel_dim, "semisimple": semisimple,
             "nilpotent": nilpotent}

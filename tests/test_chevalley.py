@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import jacobi_scan, loop_bracket, mat_pow, ref_killing_form
+from rigidconn import linalg
 from rigidconn.chevalley import (ChevalleyAlgebra, KacWindow, build_chevalley,
                                  heisenberg_pairing_check, kostant_check,
                                  principal_triple)
@@ -121,6 +122,25 @@ def test_kostant_blocked_path_agrees_with_direct():
     assert is_semisimple(m)
     out = kostant_check(alg)
     assert out == {"kernel_dim": 2, "minpoly_squarefree": True}
+
+
+
+def test_kostant_check_forms_one_cycle_product(monkeypatch):
+    """E8: h = 30 classes, all of integer degree, so one cycle.  One
+    product per class for ker (ad)^2, one h-fold product for the cycle and
+    the charpoly and squarefree part of that 8 x 8 product: at most 120
+    integer products (the h-fold product of every class took 1,404)."""
+    alg = build_chevalley("E", 8)
+    calls = []
+
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return int_mul(rows, cols)
+
+    int_mul = linalg._int_mul
+    monkeypatch.setattr(linalg, "_int_mul", counted)
+    assert kostant_check(alg) == {"kernel_dim": 8, "minpoly_squarefree": True}
+    assert 0 < len(calls) <= 120
 
 
 KAC_CASES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("D", 4)]

@@ -215,6 +215,16 @@ def test_slope_needs_h():
         slope_at_infinity(conn)
 
 
+
+@pytest.mark.parametrize("h", [0, -3, 2.0, Fraction(3), True, "3"])
+def test_connection_rejects_a_bad_coxeter_number(h):
+    """A bad h is bad input, not a failed slope check further on."""
+    base = sl_standard(3)
+    with pytest.raises(ValidationError, match="Coxeter number h of sl3"):
+        MatrixConnection(base.coeffs, base.label, h=h,
+                         rho_weights=base.rho_weights)
+
+
 @pytest.mark.parametrize("conn", [sl_standard(3), so_odd_standard(5),
                                   g2_seven_dim()], ids=lambda c: c.label)
 def test_companion_form_has_same_solution_spaces(conn):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from operator import mul
 
 import pytest
@@ -124,7 +125,8 @@ def test_h1_needs_vanishing_global_kernel():
 def test_one_sweep_pair_per_seed_family(monkeypatch):
     """taylor0 is read off the laurent_polys sweep and two_sided off the
     taylor_inf one, so each seed family costs two sweeps (M and M + h);
-    h1 sweeps the unseeded family first and stops there on a flat section."""
+    h1 runs the sweeps of check_rigidity on V, unseeded family first, and
+    only then rejects a flat section."""
     sweeps = []
 
     def counted(conn, seeded, m_window, buffer_depth):
@@ -145,7 +147,7 @@ def test_one_sweep_pair_per_seed_family(monkeypatch):
     flat = MatrixConnection({0: [[Fraction(-3)]]}, "theta minus 3", h=1)
     with pytest.raises(ConsistencyError):
         h1_middle_via_solver(flat, flat.dual(), 10)
-    assert sweeps == [(False, 10), (False, 11)]
+    assert sweeps == [(False, 10), (False, 11), (True, 10), (True, 11)]
 
 
 @pytest.mark.parametrize("model,dim", [(("sl", 5), 5),
@@ -395,48 +397,61 @@ def kronecker_sum(v, w):
                                          for y in w.rho_weights])
 
 
-def _square_cases(name, conn, top, duals):
-    """V (x) V, and V (x) V* when True is in duals, for V = conn of highest
-    weight top."""
-    return [pytest.param(conn, top, conn, top, dual, id="%s x %s%s"
-                         % (name, name, "*" if dual else ""))
-            for dual in duals]
+def _case(*factors):
+    """V_1 (x) ... (x) V_k from (name, connection, highest weight, whether
+    it is dualised) factors, all of one group."""
+    return pytest.param([f[1:] for f in factors], id=" x ".join(
+        name + "*" * dual for name, _, _, dual in factors))
 
 
-# (V, its highest weight, W, its highest weight, whether W is dualised)
+def _dual(factor):
+    return factor[:3] + (True,)
+
+
+def _sym(a):
+    return "Sym^%d" % a, sl2_sym(a), (a,), False
+
+
+_SL3 = ("sl3", sl_standard(3), (1, 0), False)
+_G2 = ("g2 dim7", g2_seven_dim(), (1, 0), False)
+_SL5 = ("sl5", sl_standard(5), (1, 0, 0, 0), False)
 _TENSOR_CASES = (
-    _square_cases("sl3", sl_standard(3), (1, 0), (False, True))
-    + _square_cases("sl4", sl_standard(4), (1, 0, 0), (False, True))
-    + [pytest.param(sl2_sym(a), (a,), sl2_sym(b), (b,), False,
-                    id="Sym^%d x Sym^%d" % (a, b))
-       for b in range(1, 5) for a in range(1, b + 1)]
-    + _square_cases("sp4", sp_standard(4), (1, 0), (False, True))
-    + _square_cases("so5", so_odd_standard(5), (1, 0), (False, True))
-    + _square_cases("g2 dim7", g2_seven_dim(), (1, 0), (False,))
-    + _square_cases("sl5", sl_standard(5), (1, 0, 0, 0), (True,))
-    + [pytest.param(sl2_sym(2), (2,), sl2_sym(3), (3,), True,
-                    id="Sym^2 x Sym^3*")])
+    [_case(f, w)
+     for f in [_SL3, ("sl4", sl_standard(4), (1, 0, 0), False),
+               ("sp4", sp_standard(4), (1, 0), False),
+               ("so5", so_odd_standard(5), (1, 0), False)]
+     for w in (f, _dual(f))]
+    + [_case(_sym(a), _sym(b)) for b in range(1, 5) for a in range(1, b + 1)]
+    + [_case(_G2, _G2), _case(_SL5, _dual(_SL5)),
+       _case(_sym(2), _dual(_sym(3)))]
+    # triple and quadruple products, whose components repeat
+    + [_case(*map(_sym, sizes))
+       for sizes in [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 1, 3), (2, 2, 2),
+                     (1, 1, 1, 1)]]
+    + [_case(_sym(1), _dual(_sym(2)), _sym(1)), _case(_SL3, _SL3, _SL3),
+       _case(_SL3, _SL3, _dual(_SL3))])
 
 
-@pytest.mark.parametrize("v,hv,w,hw,dual", _TENSOR_CASES)
-def test_tensor_products_match_their_components(v, hv, w, hw, dual):
-    """V (x) W and V (x) W*: the product character, split into irreducibles,
-    predicts the flat sections (sum of m h0), the irregularity at infinity
-    (sum of m irr = rank L / h, L the leading term there), the inertia
-    invariants at 0 (sum of m inv_I0 = dim ker A(0)) and, when there are
-    no flat sections, the middle h1 (sum of m h1)."""
-    conn = kronecker_sum(v, w.dual() if dual else w)
+@pytest.mark.parametrize("factors", _TENSOR_CASES)
+def test_tensor_products_match_their_components(factors):
+    """V_1 (x) ... (x) V_k, some factors dualised: the product character,
+    split into irreducibles, predicts the flat sections (sum of m h0), the
+    irregularity at infinity (sum of m irr = rank L / h, L the leading term
+    there), the inertia invariants at 0 (sum of m inv_I0 = dim ker A(0))
+    and, when there are no flat sections, the middle h1 (sum of m h1)."""
+    conn = reduce(kronecker_sum, [w.dual() if dual else w
+                                  for w, _, dual in factors])
     assert _triangular_order(conn.coefficient(0)) is not None
-    rs = build_root_system(*v.group)
-    right = weight_system(rs, hw).table
-    if dual:
-        right = {tuple(-x for x in nu): m for nu, m in right.items()}
-    table = {}
-    for mu, m1 in weight_system(rs, hv).table.items():
-        for nu, m2 in right.items():
-            key = tuple(map(sum, zip(mu, nu)))
-            table[key] = table.get(key, 0) + m1 * m2
-    parts = [(cohomology_dims(*v.group, mu), m)
+    rs = build_root_system(*factors[0][0].group)
+    table = {(0,) * rs.rank: 1}
+    for _, top, dual in factors:
+        product = {}
+        for mu, m1 in table.items():
+            for nu, m2 in weight_system(rs, top).table.items():
+                key = tuple(x + (-y if dual else y) for x, y in zip(mu, nu))
+                product[key] = product.get(key, 0) + m1 * m2
+        table = product
+    parts = [(cohomology_dims(*factors[0][0].group, mu), m)
              for mu, m in peel_components(rs, table)]
     leading = slope_at_infinity(conn, details=True)["leading"]
     assert rank(leading) == conn.h * sum(r.irr * m for r, m in parts)

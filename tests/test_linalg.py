@@ -15,6 +15,7 @@ from conftest import (ref_charpoly, ref_graded_cycle_check,
                       ref_is_nilpotent, ref_is_semisimple, ref_mat_mul,
                       ref_nullspace, ref_poly_at_matrix, ref_rref)
 
+from rigidconn import linalg
 from rigidconn.connection import (adjoint_connection, g2_seven_dim,
                                   sl_standard, slope_at_infinity,
                                   so_odd_standard, sp_standard)
@@ -126,6 +127,11 @@ def _criterion_02_leading_terms():
         yield leading, conn.rho_weights, conn.h
 
 
+def _dense(m):
+    return {"kernel_dim": len(nullspace(m)), "semisimple": is_semisimple(m),
+            "nilpotent": is_nilpotent(m)}
+
+
 def test_graded_cycle_check_agrees_with_dense():
     empty_class = ([[Fraction(0), Fraction(5)], [Fraction(0), Fraction(0)]],
                    [0, 1], 3)
@@ -133,13 +139,71 @@ def test_graded_cycle_check_agrees_with_dense():
     cases += [_mixed_leading_term(), empty_class]
     for m, degrees, h in cases:
         got = graded_cycle_check(m, degrees, h, "test", "leading term")
-        assert got == {"kernel_dim": len(nullspace(m)),
-                       "semisimple": is_semisimple(m),
-                       "nilpotent": is_nilpotent(m)}
+        assert got == _dense(m)
     assert graded_cycle_check(*_mixed_leading_term(), "test", "mixed") == {
         "kernel_dim": 1, "semisimple": False, "nilpotent": False}
     assert graded_cycle_check(*empty_class, "test", "empty") == {
         "kernel_dim": 1, "semisimple": False, "nilpotent": True}
+
+
+def _permuted(m, degrees, order):
+    return ([[m[i][j] for j in order] for i in order],
+            [degrees[i] for i in order])
+
+
+def test_graded_cycle_check_two_cosets():
+    """h = 2: the integer cycle on 0, 1 swaps them (eigenvalues +-1) or,
+    with m[1][0] = 0, is nilpotent; the half-integer cycle on 2..5 has
+    product [[1, 1], [0, 1]], a Jordan block at 1.  Only the second cycle
+    is not semisimple, and it is not nilpotent: each cycle must be
+    checked, whichever class comes last."""
+    m = [[Fraction(0)] * 6 for _ in range(6)]
+    m[0][1] = m[2][4] = m[3][5] = m[4][2] = m[4][3] = m[5][3] = 1
+    half = Fraction(1, 2)
+    degrees = [0, 1, half, half, -half, -half]
+    for back, kernel_dim in [(1, 0), (0, 1)]:
+        m[1][0] = back
+        want = {"kernel_dim": kernel_dim, "semisimple": False,
+                "nilpotent": False}
+        for order in ([0, 1, 2, 3, 4, 5], [2, 3, 4, 5, 0, 1]):
+            case = _permuted(m, degrees, order)
+            assert _dense(case[0]) == want
+            assert graded_cycle_check(*case, 2, "test", "two cosets") == want
+
+
+def test_graded_cycle_check_zero_cycle_product():
+    """h = 2, m = [[0, 1], [0, 0]] on two classes: m^2 = 0, so the cycle
+    product is the semisimple 1 x 1 zero, yet m is a Jordan block; only
+    ker m != ker m^2 tells."""
+    m = [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(0)]]
+    want = {"kernel_dim": 1, "semisimple": False, "nilpotent": True}
+    assert _dense(m) == want
+    assert graded_cycle_check(m, [0, 1], 2, "test", "jordan") == want
+
+
+@pytest.mark.parametrize("m,degrees,h", [
+    ([[0, 7], [0, 0]], [1, 2], 3),
+    ([[0, 7], [0, 0]], [2, 3], 4),
+    ([[0, 2, 0], [0, 0, 3], [0, 0, 0]], [1, 2, 3], 4),
+    ([[0, 1, 0], [0, 0, 0], [0, 0, 0]], [Fraction(1, 2), Fraction(3, 2), 0],
+     3),
+], ids=["h=3", "h=4, two empty", "h=4, chain", "two cosets"])
+def test_graded_cycle_check_empty_last_class(monkeypatch, m, degrees, h):
+    """Every cycle here has an empty class, in most of them the last class
+    the product passes before it closes; the product is the n_c x n_c
+    zero block of its class all the same."""
+    shapes = []
+
+    def recorded(power):
+        shapes.append((len(power), {len(row) for row in power}))
+        return nilpotent(power)
+
+    nilpotent = linalg.is_nilpotent
+    monkeypatch.setattr(linalg, "is_nilpotent", recorded)
+    m = [[Fraction(x) for x in row] for row in m]
+    got = graded_cycle_check(m, degrees, h, "test", "empty class")
+    assert got == _dense(m)
+    assert shapes and all(cols == {rows} for rows, cols in shapes)
 
 
 def test_graded_cycle_check_rejects_wrong_grading():
