@@ -2,7 +2,8 @@
 
 Structure constants come from the extraspecial-pair normalization: for
 each non-simple positive root gamma the special pair (alpha, beta) with
-alpha + beta = gamma and alpha minimal gets N(alpha, beta) = p + 1 > 0,
+alpha + beta = gamma and alpha the least simple root for which beta is a
+root gets N(alpha, beta) = p + 1 > 0, p read off RootSystem.down,
 and every other constant follows from the standard identities relating
 N on rotated, negated, and quadruple configurations.  Elements are
 sparse dicts {basis index: Fraction}.
@@ -43,39 +44,22 @@ class ChevalleyAlgebra:
             self.index_of_root[neg] = rs.rank + self.npos + k
         self._order = {beta: k for k, beta in enumerate(self.pos)}
         self._nc = {}
-        self._extraspecial = {}
         self._bracket_cache = {}
         self._kappa = None
 
     # -- structure constants ----------------------------------------------
 
-    def _chain_down(self, alpha, beta):
-        """Largest p with beta - p*alpha a root."""
-        p = 0
-        cur = beta
-        while True:
-            cur = tuple(b - a for b, a in zip(cur, alpha))
-            if cur in self.rs.root_set:
-                p += 1
-            else:
-                return p
-
     def extraspecial_pair(self, gamma):
-        """The special pair (alpha, beta) for gamma with alpha minimal."""
-        pair = self._extraspecial.get(gamma)
-        if pair is not None:
-            return pair
-        order = self._order
-        for alpha in self.pos:
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            if beta in order and order[alpha] < order[beta]:
-                pair = (alpha, beta)
-                break
-        if pair is None:
+        """The special pair (alpha, gamma - alpha), alpha the least simple
+        root (in tuple order, the root order at height 1) below gamma."""
+        rs = self.rs
+        down = rs.down.get(gamma, ())
+        below = [alpha for alpha, p in zip(rs.simple_roots, down) if p]
+        if not below:
             raise ConsistencyError("chevalley: no special pair for the root "
-                                   "%s of %s" % (gamma, self.rs.label()))
-        self._extraspecial[gamma] = pair
-        return pair
+                                   "%s of %s" % (gamma, rs.label()))
+        alpha = min(below)
+        return alpha, tuple(g - a for g, a in zip(gamma, alpha))
 
     def structure_constant(self, a, b):
         """N(a, b) with [x_a, x_b] = N(a, b) x_{a+b}; a, b, a+b roots."""
@@ -97,7 +81,8 @@ class ChevalleyAlgebra:
             gamma = tuple(x + y for x, y in zip(a, b))
             a0, b0 = self.extraspecial_pair(gamma)
             if (a, b) == (a0, b0):
-                return Fraction(self._chain_down(a, b) + 1)
+                # a is simple: p is the length of its string below b
+                return Fraction(rs.down[b][rs.simple_roots.index(a)] + 1)
             # quadruple (a0, b0, -a, -b) sums to zero, no two summing to zero
             na = tuple(-x for x in a)
             nb = tuple(-x for x in b)

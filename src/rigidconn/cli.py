@@ -89,84 +89,89 @@ def _int(text, what):
 
 
 def _read_rep(group, rep, default):
-    """The --rep token, stripped and lower-cased, and k for sym:k (else
-    None).  dim7 and sym:k are checked against the group here, the same
-    way for every command."""
+    """The canonical --rep token, stripped and lower-cased with its numbers
+    written without leading zeros, and the integers it carries: k of sym:k,
+    i of fund:i or the tuple of coordinates, else None.  dim7 and sym:k are
+    checked against the group here, the same way for every command."""
     rep = (rep or default).strip().lower()
     if rep == "dim7" and (group.type_label, group.rank) != ("G", 2):
         raise ValidationError("--rep dim7 is the G2 case only")
-    if not rep.startswith("sym:"):
-        return rep, None
-    if (group.type_label, group.rank) != ("A", 1):
+    if rep.startswith("sym:") and (group.type_label, group.rank) != ("A", 1):
         raise ValidationError("--rep sym:k needs an SL2 group token")
-    return rep, _int(rep[4:], "k in --rep sym:k")
+    for prefix, what in (("sym:", "k in --rep sym:k"),
+                         ("fund:", "i in --rep fund:i")):
+        if rep.startswith(prefix):
+            n = _int(rep[len(prefix):], what)
+            return prefix + str(n), n
+    if re.fullmatch(r"-?\d+(,-?\d+)*", rep):
+        coords = tuple(_int(x, "a --rep coordinate") for x in rep.split(","))
+        return ",".join(map(str, coords)), coords
+    return rep, None
 
 
 def resolve_connection(group, rep):
-    """MatrixConnection for the matrix-level commands."""
+    """The canonical --rep token and its MatrixConnection, for matrices."""
     rep, k = _read_rep(group, rep, "standard")
     if rep == "adjoint":
-        return adjoint_connection(group.type_label, group.rank)
+        return rep, adjoint_connection(group.type_label, group.rank)
     if rep == "standard":
         if group.family == "sl":
-            return sl_standard(group.size)
+            return rep, sl_standard(group.size)
         if group.family == "sp":
-            return sp_standard(group.size)
+            return rep, sp_standard(group.size)
         if group.family == "so":
-            return so_odd_standard(group.size)
+            return rep, so_odd_standard(group.size)
         if group.type_label == "A":
-            return sl_standard(group.rank + 1)
+            return rep, sl_standard(group.rank + 1)
         if group.type_label == "C":
-            return sp_standard(2 * group.rank)
+            return rep, sp_standard(2 * group.rank)
         if group.type_label == "B":
-            return so_odd_standard(2 * group.rank + 1)
+            return rep, so_odd_standard(2 * group.rank + 1)
         raise ValidationError("no standard matrix model for %s; try "
                               "--rep adjoint%s" % (group.label(),
                                                    " or --rep dim7"
                                                    if group.type_label == "G"
                                                    else ""))
     if rep == "dim7":
-        return g2_seven_dim()
-    if k is not None:
-        return sl2_sym(k)
+        return rep, g2_seven_dim()
+    if rep.startswith("sym:"):
+        return rep, sl2_sym(k)
     raise ValidationError("representation %r has no matrix model; expected "
                           "standard, adjoint, sym:k or dim7" % rep)
 
 
 def resolve_weight(group, rep):
-    """Highest weight in fundamental-weight coordinates."""
-    rep, k = _read_rep(group, rep, "adjoint")
+    """The canonical --rep token and its fundamental-weight coordinates."""
+    rep, value = _read_rep(group, rep, "adjoint")
     rs = build_root_system(group.type_label, group.rank)
     if rep == "adjoint":
-        return rs.theta
+        return rep, rs.theta
     if rep == "standard":
         if group.family == "so" and group.size == 3:
-            return (2,)
+            return rep, (2,)
         if group.type_label in ("A", "B", "C", "D"):
-            return rs.fundamental_weight(0)
+            return rep, rs.fundamental_weight(0)
         raise ValidationError("no standard representation for %s"
                               % group.label())
     if rep == "dim7":
-        return (1, 0)
-    if k is not None:
-        return (k,)
+        return rep, (1, 0)
+    if rep.startswith("sym:"):
+        return rep, (value,)
     if rep == "spin":
         if group.type_label != "B":
             raise ValidationError("--rep spin needs a type B group")
-        return tuple(0 if i < group.rank - 1 else 1
-                     for i in range(group.rank))
+        return rep, tuple(0 if i < group.rank - 1 else 1
+                          for i in range(group.rank))
     if rep.startswith("fund:"):
-        i = _int(rep[5:], "i in --rep fund:i")
-        if not 1 <= i <= group.rank:
+        if not 1 <= value <= group.rank:
             raise ValidationError("fundamental weight index %d out of range "
-                                  "1..%d" % (i, group.rank))
-        return rs.fundamental_weight(i - 1)
-    if re.fullmatch(r"-?\d+(,-?\d+)*", rep):
-        coords = tuple(_int(x, "a --rep coordinate") for x in rep.split(","))
-        if len(coords) != group.rank:
+                                  "1..%d" % (value, group.rank))
+        return rep, rs.fundamental_weight(value - 1)
+    if value is not None:
+        if len(value) != group.rank:
             raise ValidationError("expected %d coordinates for %s, got %d"
-                                  % (group.rank, group.label(), len(coords)))
-        return coords
+                                  % (group.rank, group.label(), len(value)))
+        return rep, value
     raise ValidationError("cannot parse representation %r; expected %s"
                           % (rep, _REP_HELP))
 
@@ -208,8 +213,8 @@ def _matrix_lines(conn):
 
 def cmd_matrix(args):
     group = parse_group(args.group, args.rank)
-    conn = resolve_connection(group, args.rep)
-    job = _job_dict(args, group, rep=(args.rep or "standard"))
+    rep, conn = resolve_connection(group, args.rep)
+    job = _job_dict(args, group, rep=rep)
     payload = {"schema": SCHEMA, "job": job,
                "connection": conn.to_json_dict()}
     return _emit(args, payload, lambda: [
@@ -220,9 +225,9 @@ def cmd_matrix(args):
 
 def cmd_scalar(args):
     group = parse_group(args.group, args.rank)
-    conn = resolve_connection(group, args.rep)
+    rep, conn = resolve_connection(group, args.rep)
     op = scalar_reduction(conn)
-    job = _job_dict(args, group, rep=(args.rep or "standard"))
+    job = _job_dict(args, group, rep=rep)
     payload = {"schema": SCHEMA, "job": job, "operator": op.to_json_dict(),
                "rendered": op.render()}
     return _emit(args, payload, lambda: [
@@ -232,10 +237,9 @@ def cmd_scalar(args):
 
 def cmd_cohomology(args):
     group = parse_group(args.group, args.rank)
-    highest = resolve_weight(group, args.rep)
+    rep, highest = resolve_weight(group, args.rep)
     report = cohomology_dims(group.type_label, group.rank, highest)
-    job = _job_dict(args, group, rep=(args.rep or "adjoint"),
-                    highest=list(highest))
+    job = _job_dict(args, group, rep=rep, highest=list(highest))
     payload = {"schema": SCHEMA, "job": job, "report": report.to_json_dict()}
     return _emit(args, payload, lambda: [
         "job: %s" % json.dumps(job, sort_keys=True),
@@ -250,11 +254,10 @@ def cmd_cohomology(args):
 
 def cmd_rigidity(args):
     group = parse_group(args.group, args.rank)
-    conn = resolve_connection(group, args.rep)
+    rep, conn = resolve_connection(group, args.rep)
     result = check_rigidity(conn, conn.dual(), args.trunc)
     dims, h1 = result["dimensions"], result["h1"]
-    job = _job_dict(args, group, rep=(args.rep or "standard"),
-                    truncation=args.trunc)
+    job = _job_dict(args, group, rep=rep, truncation=args.trunc)
     payload = {"schema": SCHEMA, "job": job, "passed": result["passed"],
                "stabilized": result["stabilized"], "dimensions": dims,
                "h1": h1}

@@ -248,8 +248,7 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
             # f < w
             scale = [big_l if f < w else 1 for f in free]
             pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, scale)]
-            if pmap != [[den * (q == j) for q in range(p)] for j in range(p)]:
-                phi.reparametrise(pmap, den)
+            phi.reparametrise(pmap, den)
             if w:
                 phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
                                   for i in range(d)], den * big_l)

@@ -40,8 +40,7 @@ def _folding(type_label, rank):
 
 def galois_group(type_label, rank):
     """(type, rank) of the differential Galois group, as _folding decides."""
-    source = (type_label.upper(), rank)
-    build_root_system(*source)
+    source = (build_root_system(type_label, rank).type_label, rank)
     folding = _folding(*source)
     return folding[0] if folding else source
 
@@ -54,12 +53,12 @@ def folding_matrix(type_label, rank):
     diagram automorphism).  The folding must keep the Coxeter number and
     the principal grading.
     """
-    folding = _folding(type_label, rank)
+    rs = build_root_system(type_label, rank)
+    folding = _folding(rs.type_label, rank)
     if folding is None:
-        raise ValidationError("type %s%d does not fold" % (type_label, rank))
+        raise ValidationError("type %s does not fold" % rs.label())
     target, orbits = folding
     rows = [[int(c in orbit) for c in range(1, rank + 1)] for orbit in orbits]
-    rs = build_root_system(type_label, rank)
     rs_t = build_root_system(*target)
     if rs_t.coxeter_number != rs.coxeter_number:
         raise ConsistencyError("folding %s -> %s changes the Coxeter number "
@@ -242,9 +241,8 @@ def cohomology_dims(type_label, rank, highest):
     group; for folded types that means projecting the weights first and
     working in the smaller system.
     """
-    type_label = type_label.upper()
     rs = build_root_system(type_label, rank)
-    ws = weight_system(rs, tuple(int(x) for x in highest))
+    ws = weight_system(rs, highest)
     epsilon = epsilon_on(ws)
     rs_t, table, comps = _restrict_to_galois(ws)
     inv_g = sum(c for mu, c in comps if not any(mu))
@@ -265,7 +263,7 @@ def cohomology_dims(type_label, rank, highest):
                      % (inv["n_fixed"], inv["irr"], inv["Iinf"]))
     else:
         trace.append("epsilon = -1 forbids the trivial character: I_inf = 0")
-    return CohomologyReport(type_label, rank, ws.highest, ws.dim, epsilon,
+    return CohomologyReport(rs.type_label, rank, ws.highest, ws.dim, epsilon,
                             inv["irr"], inv["I0"], inv["n_fixed"],
                             inv["Iinf"], inv_g, rs_t.label(), trace)
 

@@ -257,8 +257,10 @@ def graded_cycle_check(m, degrees, h, stage, label):
                 power = [[0] * n for _ in range(n)]
                 break
             power = _int_mul(power, blocks[(c - k) % h])
-        nilpotent = nilpotent and is_nilpotent(power)
         semisimple = semisimple and is_semisimple(
             power, stage, "the class-%s block of (%s)^%d" % (c, label, h))
+        # a semisimple product is nilpotent iff it is zero
+        nilpotent = nilpotent and (not any(map(any, power)) if semisimple
+                                   else is_nilpotent(power))
     return {"kernel_dim": kernel_dim, "semisimple": semisimple,
             "nilpotent": nilpotent}

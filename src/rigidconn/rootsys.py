@@ -63,7 +63,6 @@ def cartan_matrix(type_label, rank):
 
 class RootSystem:
     def __init__(self, type_label, rank):
-        type_label = type_label.upper()
         if type_label not in SUPPORTED:
             raise ValidationError("unknown type %r" % type_label)
         lo, hi = SUPPORTED[type_label]
@@ -89,7 +88,7 @@ class RootSystem:
         simples = self.simple_roots
         height = {beta: 1 for beta in simples}
         # down[beta][i]: p, the length of the alpha_i-string below beta
-        down = {beta: [0] * n for beta in simples}
+        self.down = down = {beta: [0] * n for beta in simples}
         layer = list(simples)
         ht = 1
         while layer:
@@ -218,10 +217,13 @@ class RootSystem:
         return "%s%d" % (self.type_label, self.rank)
 
 
-@lru_cache(maxsize=None)
 def build_root_system(type_label, rank):
-    """The shared, read-only RootSystem of a type; built once per process."""
-    return RootSystem(type_label, rank)
+    """The shared, read-only RootSystem of a type, either case of its letter;
+    built once per process."""
+    return _root_system(type_label.upper(), rank)
+
+
+_root_system = lru_cache(maxsize=None)(RootSystem)
 
 
 def coxeter_element(rs):

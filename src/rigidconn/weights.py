@@ -12,6 +12,7 @@ decomposition of V under the principal SL2 and epsilon = (-1)^{a(lambda)}.
 from fractions import Fraction
 import json
 from math import prod
+from numbers import Real
 from operator import mul
 import os
 
@@ -19,11 +20,20 @@ from .errors import ConsistencyError, ValidationError
 from .rootsys import build_root_system
 
 
+def _integral(highest):
+    """highest as a tuple of ints; any other coordinate is bad input."""
+    highest = tuple(highest)
+    if not all(isinstance(x, Real) and x % 1 == 0 for x in highest):
+        raise ValidationError("highest weight %r has a coordinate that is "
+                              "not an integer" % (highest,))
+    return tuple(map(int, highest))
+
+
 class WeightSystem:
     """All weights of the irreducible module with a given highest weight."""
 
     def __init__(self, rs, highest):
-        highest = tuple(int(x) for x in highest)
+        highest = _integral(highest)
         if len(highest) != rs.rank:
             raise ValidationError("highest weight length %d does not match rank %d"
                                   % (len(highest), rs.rank))
@@ -173,7 +183,7 @@ def epsilon_on(ws):
 
 def weyl_dim(rs, highest):
     """Weyl dimension formula; an independent check on Freudenthal sums."""
-    highest = tuple(int(x) for x in highest)
+    highest = _integral(highest)
     rho = (1,) * rs.rank
     lam_rho = tuple(x + 1 for x in highest)
     out = Fraction(prod(rs.gram_pair(lam_rho, b) for b in rs.pos_roots),
@@ -189,10 +199,10 @@ _MEM_CACHE = {}
 
 
 def weight_system(rs, highest):
-    key = (rs.type_label, rs.rank, tuple(int(x) for x in highest))
+    key = (rs.type_label, rs.rank, _integral(highest))
     got = _MEM_CACHE.get(key)
     if got is None:
-        got = _MEM_CACHE[key] = WeightSystem(rs, highest)
+        got = _MEM_CACHE[key] = WeightSystem(rs, key[2])
     return got
 
 

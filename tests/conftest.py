@@ -255,6 +255,17 @@ def ref_height(rs):
     return height
 
 
+def ref_string_below(rs, alpha, beta):
+    """The largest p with beta - p alpha a root, walking the alpha-string
+    down from beta one root at a time."""
+    p = 0
+    cur = tuple(b - a for b, a in zip(beta, alpha))
+    while cur in rs.root_set:
+        p += 1
+        cur = tuple(b - a for b, a in zip(cur, alpha))
+    return p
+
+
 def ref_reflection_matrix(rs, i):
     """The simple reflection s_i on fundamental-weight coordinates, as a
     Fraction matrix: s_i mu = mu - mu[i] alpha_i."""

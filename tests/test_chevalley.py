@@ -1,12 +1,14 @@
 """Chevalley structure constants, the principal triple, and the loop window."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import jacobi_scan, loop_bracket, mat_pow, ref_killing_form
+from conftest import (jacobi_scan, loop_bracket, mat_pow, ref_killing_form,
+                      ref_string_below)
 from rigidconn import linalg
 from rigidconn.chevalley import (ChevalleyAlgebra, KacWindow, build_chevalley,
                                  heisenberg_pairing_check, kostant_check,
@@ -34,7 +36,8 @@ def test_dimension(key):
 @pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
 def test_structure_constants_are_chain_lengths(key):
     """|N(alpha, beta)| = p + 1 with p the length of the alpha-string
-    below beta, for every pair of positive roots with root sum."""
+    below beta, for every pair of positive roots with root sum; alpha
+    need not be simple, so p comes from walking the string."""
     alg = build_chevalley(*key)
     for a in alg.pos:
         for b in alg.pos:
@@ -42,8 +45,54 @@ def test_structure_constants_are_chain_lengths(key):
             if a == b or total not in alg.rs.root_set:
                 continue
             n = alg.structure_constant(a, b)
-            assert abs(n) == alg._chain_down(a, b) + 1
+            assert abs(n) == ref_string_below(alg.rs, a, b) + 1
             assert n.denominator == 1
+
+
+ALL_TYPES = [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
+             for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("key", ALL_TYPES, ids=lambda key: "%s%d" % key)
+def test_extraspecial_pair_is_the_least_in_root_order(key):
+    """The pair read off the string table is the one a search of all
+    positive roots finds: the least alpha in root order (height, then
+    tuple) with gamma - alpha a positive root after it."""
+    alg = build_chevalley(*key)
+    order = {beta: k for k, beta in enumerate(alg.pos)}
+    for gamma in alg.pos:
+        pairs = [(a, tuple(g - x for g, x in zip(gamma, a))) for a in alg.pos]
+        pairs = [(a, b) for a, b in pairs if order.get(b, -1) > order[a]]
+        if not pairs:
+            assert alg.rs.height[gamma] == 1
+            with pytest.raises(ConsistencyError, match="no special pair"):
+                alg.extraspecial_pair(gamma)
+        else:
+            assert alg.rs.height[pairs[0][0]] == 1
+            assert alg.extraspecial_pair(gamma) == pairs[0]
+
+
+# sha256 of every N(a, b) over all pairs of roots with a root sum, and of
+# ad N and ad E, on the 33 supported types, recorded before the structure
+# constants read the string table of RootSystem
+STRUCTURE_HASH = ("f799c726c7729187bdde78c3a4c82aa3"
+                  "f658e3d69f986c7594013fff1252c11f")
+
+
+def test_structure_constants_are_pinned():
+    digest = hashlib.sha256()
+    for key in ALL_TYPES:
+        alg = build_chevalley(*key)
+        roots = alg.root_of_index[alg.rank:]
+        for a in roots:
+            for b in roots:
+                if tuple(x + y for x, y in zip(a, b)) in alg.rs.root_set:
+                    digest.update(("%s%s%s;" % (
+                        a, b, alg.structure_constant(a, b))).encode())
+        n, e, _ = principal_triple(alg)
+        for m in (alg.ad_matrix(n), alg.ad_matrix(e)):
+            digest.update(repr([[str(x) for x in row] for row in m]).encode())
+    assert digest.hexdigest() == STRUCTURE_HASH
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2)])
@@ -57,10 +106,6 @@ def test_kappa_invariance_and_normalization(key):
         x, y, z = {i: one}, {j: one}, {k: one}
         assert (alg.kappa(alg.bracket(x, y), z)
                 + alg.kappa(y, alg.bracket(x, z))) == 0
-
-
-ALL_TYPES = [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
-             for n in range(lo, hi + 1)]
 
 
 @pytest.mark.parametrize("key", ALL_TYPES, ids=lambda key: "%s%d" % key)
@@ -141,6 +186,25 @@ def test_kostant_check_forms_one_cycle_product(monkeypatch):
     monkeypatch.setattr(linalg, "_int_mul", counted)
     assert kostant_check(alg) == {"kernel_dim": 8, "minpoly_squarefree": True}
     assert 0 < len(calls) <= 120
+
+
+def test_kostant_check_takes_one_charpoly_per_cycle(monkeypatch):
+    """E8: the one cycle product is semisimple and nonzero, so it is not
+    nilpotent without a second charpoly: at most 78 integer products (87
+    when is_nilpotent ran its own charpoly on it)."""
+    alg = build_chevalley("E", 8)
+    calls, nilpotent = [], []
+
+    def counted(rows, cols):
+        calls.append(len(rows))
+        return int_mul(rows, cols)
+
+    int_mul = linalg._int_mul
+    monkeypatch.setattr(linalg, "_int_mul", counted)
+    monkeypatch.setattr(linalg, "is_nilpotent", nilpotent.append)
+    assert kostant_check(alg) == {"kernel_dim": 8, "minpoly_squarefree": True}
+    assert 0 < len(calls) <= 78
+    assert nilpotent == []
 
 
 KAC_CASES = [("A", 1), ("A", 2), ("B", 2), ("G", 2), ("D", 4)]

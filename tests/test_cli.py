@@ -163,6 +163,29 @@ def test_rigidity_sym5(capsys):
     assert dims["two_sided"] == dims["taylor0"] + dims["taylor_inf"] + 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,canonical,spelling", [
+    (("matrix", "--group", "sl2"), "sym:2", " SYM:02 "),
+    (("matrix", "--group", "sl3"), "standard", "Standard "),
+    (("scalar", "--group", "sl2"), "sym:3", "Sym:+003"),
+    (("rigidity", "--group", "sl2", "--trunc", "10"), "sym:1", "sym:01"),
+    (("cohomology", "--group", "e6"), "fund:1", " FUND:01 "),
+    (("cohomology", "--group", "b3"), "1,0,1", "01,-0,001"),
+    (("cohomology", "--group", "g2"), "adjoint", "ADJOINT"),
+], ids=["matrix", "matrix-standard", "scalar", "rigidity", "fund",
+        "coordinates", "adjoint"])
+def test_job_echoes_the_canonical_rep(capsys, fmt, argv, canonical,
+                                      spelling):
+    """A --rep spelled with spaces, upper case or leading zeros prints
+    what its canonical spelling prints, job echo included."""
+    runs = [run_cli(capsys, *argv, "--rep", rep, "--format", fmt)
+            for rep in (canonical, spelling)]
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+    if fmt == "json":
+        assert json.loads(runs[1][1])["job"]["rep"] == canonical
+
+
 # --------------------------------------------------------- subregular
 
 def test_subregular_table_output(capsys):

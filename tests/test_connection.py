@@ -643,9 +643,10 @@ def test_poly_checks_raise():
 
 
 def test_poly_and_chevalley_checks_survive_optimize():
-    """The five checks that were asserts raise under python -O."""
+    """The five checks that were asserts raise under python -O, and so
+    does the check for a non-integral weight coordinate."""
     code = ("from fractions import Fraction\n"
-            "from rigidconn import chevalley, poly\n"
+            "from rigidconn import chevalley, poly, weights\n"
             "from rigidconn.errors import ConsistencyError, ValidationError\n"
             "from rigidconn.rootsys import build_root_system\n"
             "def raises(exc, fn, *args):\n"
@@ -662,7 +663,9 @@ def test_poly_and_chevalley_checks_survive_optimize():
             "poly.RatFun(0))\n"
             "alg = chevalley.ChevalleyAlgebra(build_root_system('A', 2))\n"
             "got += raises(ConsistencyError, alg.extraspecial_pair, (1, 0))\n"
-            "raise SystemExit(3 if got == 5 else 1)\n")
+            "got += raises(ValidationError, weights.weight_system, "
+            "alg.rs, (2.5, 0))\n"
+            "raise SystemExit(3 if got == 6 else 1)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)

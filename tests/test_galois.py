@@ -104,6 +104,24 @@ def test_epsilon_rule_by_type():
             assert all(c % 2 == 0 for c in rs.a_coeffs) == expect, type_rank
 
 
+def test_lower_case_letters_give_the_same_results():
+    """galois_group, folding_matrix and cohomology_dims read the letter off
+    the root system, so either case gives the same answer."""
+    assert folding_matrix("e", 6) == folding_matrix("E", 6)
+    assert folding_matrix("a", 5) == folding_matrix("A", 5)
+    for source in [("e", 6), ("d", 5), ("g", 2), ("a", 1)]:
+        upper = (source[0].upper(), source[1])
+        assert galois_group(*source) == galois_group(*upper)
+        theta = build_root_system(*upper).theta
+        lower_rep = cohomology_dims(*source, theta)
+        upper_rep = cohomology_dims(*upper, theta)
+        assert lower_rep.to_json_dict() == upper_rep.to_json_dict()
+        assert lower_rep.trace == upper_rep.trace
+        assert lower_rep.group == upper[0]
+    with pytest.raises(ValidationError, match="^type E7 does not fold$"):
+        folding_matrix("e", 7)
+
+
 def test_folding_matrix_shape():
     for source, target in FOLDING_TARGETS.items():
         if target is None:

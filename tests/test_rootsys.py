@@ -18,7 +18,7 @@ import pytest
 
 from conftest import (cyclotomic_factorization, mat_pow, ref_charpoly,
                       ref_coxeter_element, ref_height, ref_primitive_projector,
-                      ref_reflection_matrix, ref_rref)
+                      ref_reflection_matrix, ref_rref, ref_string_below)
 from rigidconn import cli, galois
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import identity, mat_mul, mat_vec, rank
@@ -116,6 +116,17 @@ def test_root_strings_match_reference(type_label, rank_):
     assert rs.height == height
     assert rs.pos_roots == sorted(height, key=lambda b: (height[b], b))
     assert rs.theta == max(height, key=height.get)
+
+
+@pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
+def test_string_table_matches_string_walk(type_label, rank_):
+    """down[beta][i] is the length of the alpha_i-string below beta, for
+    every positive root beta and every node i."""
+    rs = build_root_system(type_label, rank_)
+    assert set(rs.down) == set(rs.pos_roots)
+    for beta, row in rs.down.items():
+        assert row == [ref_string_below(rs, alpha, beta)
+                       for alpha in rs.simple_roots]
 
 
 @pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
@@ -384,6 +395,16 @@ def test_unsupported_types_rejected():
         build_root_system("E", 9)
     with pytest.raises(ValidationError):
         build_root_system("H", 3)
+
+
+def test_type_letter_case_is_decided_once():
+    """build_root_system takes the letter in either case and shares one
+    root system; RootSystem itself takes the upper-case letter only."""
+    rs = build_root_system("e", 6)
+    assert rs is build_root_system("E", 6)
+    assert rs.type_label == "E" and rs.label() == "E6"
+    with pytest.raises(ValidationError, match="unknown type 'e'"):
+        RootSystem("e", 6)
 
 
 @pytest.mark.parametrize("type_label,rank_", [("A", 4), ("C", 3), ("D", 5)])

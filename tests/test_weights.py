@@ -145,6 +145,37 @@ def test_non_dominant_rejected():
         weight_system(rs, (-1, 0))
 
 
+@pytest.mark.parametrize("bad", [2.5, 1.9, Fraction(1, 2), "1", None,
+                                 float("nan"), float("inf")],
+                         ids=["2.5", "1.9", "1/2", "str", "None", "nan",
+                              "inf"])
+def test_non_integral_coordinate_is_bad_input(monkeypatch, bad):
+    """A coordinate that is not an integer is refused, never rounded: by
+    WeightSystem, weyl_dim, the weight_system cache and cohomology_dims."""
+    monkeypatch.setattr(weights, "_MEM_CACHE", {})
+    a1, e6 = build_root_system("A", 1), build_root_system("E", 6)
+    msg = "has a coordinate that is not an integer"
+    weight_system(a1, (1,))
+    with pytest.raises(ValidationError, match=msg):
+        weight_system(a1, (bad,))
+    with pytest.raises(ValidationError, match=msg):
+        weights.WeightSystem(a1, (bad,))
+    with pytest.raises(ValidationError, match=msg):
+        weyl_dim(e6, (bad, 0, 0, 0, 0, 0))
+    with pytest.raises(ValidationError, match=msg):
+        cohomology_dims("A", 1, (bad,))
+    assert list(weights._MEM_CACHE) == [("A", 1, (1,))]
+
+
+def test_integral_coordinates_of_other_types_are_ints():
+    rs = build_root_system("A", 2)
+    ws = weight_system(rs, (Fraction(1), 1.0))
+    assert ws is weight_system(rs, (1, 1))
+    assert all(type(x) is int for x in ws.highest)
+    assert weyl_dim(rs, (2.0, Fraction(0))) == 6
+    assert cohomology_dims("A", 1, (2.0,)).to_json_dict()["lambda"] == [2]
+
+
 def test_cache_round_trip(tmp_path):
     rs = build_root_system("B", 2)
     ws = weight_system(rs, (1, 1))
