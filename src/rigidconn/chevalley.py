@@ -5,15 +5,16 @@ each non-simple positive root gamma the special pair (alpha, beta) with
 alpha + beta = gamma and alpha the least simple root for which beta is a
 root gets N(alpha, beta) = p + 1 > 0, p read off RootSystem.down,
 and every other constant follows from the standard identities relating
-N on rotated, negated, and quadruple configurations.  Elements are
-sparse dicts {basis index: Fraction}.
+N on rotated, negated, and quadruple configurations, each an exact
+division of integers.  Elements are sparse dicts {basis index: int};
+only rho_check and the form kappa take Fraction values.
 """
 
 from fractions import Fraction
 
 from .errors import ConsistencyError, ValidationError
 from .linalg import (_cleared, _row_reduce, graded_cycle_check, nullspace,
-                     rank, zeros)
+                     rank)
 from .rootsys import build_root_system
 
 
@@ -82,23 +83,24 @@ class ChevalleyAlgebra:
             a0, b0 = self.extraspecial_pair(gamma)
             if (a, b) == (a0, b0):
                 # a is simple: p is the length of its string below b
-                return Fraction(rs.down[b][rs.simple_roots.index(a)] + 1)
-            # quadruple (a0, b0, -a, -b) sums to zero, no two summing to zero
+                return rs.down[b][rs.simple_roots.index(a)] + 1
+            # quadruple (a0, b0, -a, -b) sums to zero, no two summing to
+            # zero: N(a, b) = |gamma|^2 / N(a0, b0) times the sum of the
+            # products below over |d|^2, summed as num / den
             na = tuple(-x for x in a)
             nb = tuple(-x for x in b)
-            total = Fraction(0)
-            d1 = tuple(x - y for x, y in zip(b0, a))
-            if d1 in rs.root_set:
-                total += (self.structure_constant(b0, na)
-                          * self.structure_constant(a0, nb)
-                          / rs.root_length_sq(d1))
-            d2 = tuple(x - y for x, y in zip(a0, a))
-            if d2 in rs.root_set:
-                total += (self.structure_constant(na, a0)
-                          * self.structure_constant(b0, nb)
-                          / rs.root_length_sq(d2))
-            n_neg = -total * rs.root_length_sq(gamma) / self.structure_constant(a0, b0)
-            return -n_neg
+            num, den = 0, 1
+            for c, pair1, pair2 in ((b0, (b0, na), (a0, nb)),
+                                    (a0, (na, a0), (b0, nb))):
+                d = tuple(x - y for x, y in zip(c, a))
+                if d in rs.root_set:
+                    ld = rs.gram_pair(d, d)
+                    num = (num * ld + den * self.structure_constant(*pair1)
+                           * self.structure_constant(*pair2))
+                    den *= ld
+            return self._exact(num * rs.gram_pair(gamma, gamma),
+                               den * self.structure_constant(a0, b0),
+                               "quadruple", a, b)
         if not pos_a and not pos_b:
             return -self.structure_constant(tuple(-x for x in a),
                                             tuple(-x for x in b))
@@ -108,18 +110,28 @@ class ChevalleyAlgebra:
         v = tuple(-x for x in b)
         c = tuple(x + y for x, y in zip(a, b))
         if c in order:
-            return (-self.structure_constant(v, c)
-                    * rs.root_length_sq(c) / rs.root_length_sq(a))
+            return self._exact(-self.structure_constant(v, c)
+                               * rs.gram_pair(c, c), rs.gram_pair(a, a),
+                               "rotation", a, b)
         w = tuple(-x for x in c)
-        return (self.structure_constant(w, a)
-                * rs.root_length_sq(c) / rs.root_length_sq(v))
+        return self._exact(self.structure_constant(w, a) * rs.gram_pair(c, c),
+                           rs.gram_pair(v, v), "rotation", a, b)
+
+    def _exact(self, num, den, identity, a, b):
+        """num / den, which the identity for N(a, b) makes an integer."""
+        quot, rem = divmod(num, den)
+        if rem:
+            raise ConsistencyError("chevalley: the %s identity gives N(%s, %s)"
+                                   " = %d/%d of %s, not an integer"
+                                   % (identity, a, b, num, den,
+                                      self.rs.label()))
+        return quot
 
     # -- brackets -----------------------------------------------------------
 
     def coroot_element(self, beta):
         """h_beta = beta-check as an element, for beta a positive root."""
-        return {i: Fraction(c) for i, c in enumerate(self.rs.coroot_coeffs(beta))
-                if c != 0}
+        return {i: c for i, c in enumerate(self.rs.coroot_coeffs(beta)) if c}
 
     def bracket_indices(self, i, j):
         out = self._bracket_cache.get((i, j))
@@ -133,13 +145,13 @@ class ChevalleyAlgebra:
         if alpha is None and beta is None:
             return {}
         if alpha is None:
-            return {j: Fraction(beta[i])} if beta[i] else {}
+            return {j: beta[i]} if beta[i] else {}
         if beta is None:
-            return {i: Fraction(-alpha[j])} if alpha[j] else {}
+            return {i: -alpha[j]} if alpha[j] else {}
         total = tuple(x + y for x, y in zip(alpha, beta))
         if all(x == 0 for x in total):
             if i < j:  # [e, f] = h_alpha
-                return dict(self.coroot_element(alpha))
+                return self.coroot_element(alpha)
             return {k: -v for k, v in self.coroot_element(beta).items()}
         if total in self.rs.root_set:
             n = self.structure_constant(alpha, beta)
@@ -155,7 +167,7 @@ class ChevalleyAlgebra:
         return acc
 
     def ad_matrix(self, x):
-        m = zeros(self.dim, self.dim)
+        m = [[0] * self.dim for _ in range(self.dim)]
         for j in range(self.dim):
             for i, xi in x.items():
                 for k, c in self.bracket_indices(i, j).items():
@@ -166,14 +178,14 @@ class ChevalleyAlgebra:
 
     def simple_f(self, i):
         neg = tuple(-x for x in self.rs.simple_roots[i])
-        return {self.index_of_root[neg]: Fraction(1)}
+        return {self.index_of_root[neg]: 1}
 
     def e_theta(self):
-        return {self.index_of_root[self.rs.theta]: Fraction(1)}
+        return {self.index_of_root[self.rs.theta]: 1}
 
     def f_theta(self):
         neg = tuple(-x for x in self.rs.theta)
-        return {self.index_of_root[neg]: Fraction(1)}
+        return {self.index_of_root[neg]: 1}
 
     def rho_check(self):
         return {i: Fraction(c, 2) for i, c in enumerate(self.rs.a_coeffs)}
@@ -284,7 +296,7 @@ class KacWindow:
         if n not in self._p1:
             ad, cols = self._ad, self.slice_basis(n)
             self._p1[n] = [[ad[l - k][j][i] if 0 <= l - k <= 1
-                            else Fraction(0) for i, k in cols]
+                            else 0 for i, k in cols]
                            for j, l in self.slice_basis(n + 1)]
         return self._p1[n]
 

@@ -23,7 +23,8 @@ class MatrixConnection:
         cleaned = {}
         dim = None
         for k, mat in coeffs.items():
-            rows = [[Fraction(x) for x in row] for row in mat]
+            rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
+                    for row in mat]
             if dim is None:
                 dim = len(rows)
             if len(rows) != dim or any(len(r) != dim for r in rows):
@@ -40,8 +41,9 @@ class MatrixConnection:
         self.coeffs = cleaned
         self.label = label
         self.h = h
-        self.rho_weights = (None if rho_weights is None
-                            else [Fraction(w) for w in rho_weights])
+        self.rho_weights = (None if rho_weights is None else
+                            [w if type(w) is Fraction else Fraction(w)
+                             for w in rho_weights])
         self.group = group
 
     def coefficient(self, k):
@@ -458,22 +460,25 @@ def slope_at_infinity(conn, details=False):
         if (wi * 2 * h).denominator != 1:
             raise ValidationError("rho weight %s at index %d of %s is not "
                                   "in (1/%d) Z" % (wi, i, conn.label, 2 * h))
+    w2 = [int(wi * 2 * h) for wi in w]
     # after the gauge, entry (i, j) of -h A_k sits at u^(w_i - w_j - hk)
     # and -diag(w) at u^0: the lowest exponent gives the pole order, and
-    # the leading term is the part at u^-1
+    # the leading term is the part at u^-1; exponents are kept times 2h
     leading = zeros(n, n)
-    low = Fraction(0)
+    low = 0
     for k, mat in conn.coeffs.items():
+        shift = 2 * h * h * k
         for i, row in enumerate(mat):
             for j, x in enumerate(row):
                 if x:
-                    exp = -h * k + w[i] - w[j]
+                    exp = w2[i] - w2[j] - shift
                     low = min(low, exp)
-                    if exp == -1:
+                    if exp == -2 * h:
                         leading[i][j] = -h * x
-    if low < -1:
+    if low < -2 * h:
         raise SlopeVerificationError("pole order %s at infinity exceeds 2 "
-                                     "for %s" % (1 - low, conn.label))
+                                     "for %s" % (1 - Fraction(low, 2 * h),
+                                                 conn.label))
     if not any(map(any, leading)):
         raise SlopeVerificationError("no second-order pole at infinity "
                                      "for %s" % conn.label)

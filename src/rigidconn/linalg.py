@@ -227,38 +227,42 @@ def graded_cycle_check(m, degrees, h, stage, label):
     a != 0, so m is semisimple there iff m^h is.  Hence m is semisimple iff
     ker m = ker m^2 and every P is.  The blocks are of den m, in ints.
     """
-    cls = [Fraction(d) % h for d in degrees]
+    # class of degree d: q d mod q h, q the lcm of the denominators
+    q = lcm(*[d.denominator for d in degrees])
+    qh = q * h
+    cls = [d.numerator * (q // d.denominator) % qh for d in degrees]
     classes = {}
     for i, c in enumerate(cls):
         classes.setdefault(c, []).append(i)
     a, _ = _cleared(m)
     for i, row in enumerate(a):
         for j, x in enumerate(row):
-            if x and cls[i] != (cls[j] - 1) % h:
+            if x and cls[i] != (cls[j] - q) % qh:
                 raise ConsistencyError(
                     "%s: %s does not lower the degree by one mod %d at "
                     "entry (%d, %d), degree %s -> %s"
                     % (stage, label, h, i, j, degrees[j], degrees[i]))
     # blocks[c] = M_c by rows: _int_mul(x, blocks[c]) is x M_c^T
     blocks = {c: [[a[i][j] for j in cols]
-                  for i in classes.get((c - 1) % h, [])]
+                  for i in classes.get((c - q) % qh, [])]
               for c, cols in classes.items()}
     kernel_dim = kernel_dim_2 = 0
     for c, cols in classes.items():
         kernel_dim += len(cols) - len(_row_reduce(list(blocks[c])))
-        square = _int_mul(blocks.get((c - 1) % h, []), list(zip(*blocks[c])))
+        square = _int_mul(blocks.get((c - q) % qh, []), list(zip(*blocks[c])))
         kernel_dim_2 += len(cols) - len(_row_reduce(square))
     semisimple, nilpotent = kernel_dim == kernel_dim_2, True
-    for c in {c % 1: c for c in classes}.values():
+    for c in {c % q: c for c in classes}.values():
         n = len(classes[c])
         power = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(h):
-            if (c - k) % h not in blocks:
+            if (c - k * q) % qh not in blocks:
                 power = [[0] * n for _ in range(n)]
                 break
-            power = _int_mul(power, blocks[(c - k) % h])
+            power = _int_mul(power, blocks[(c - k * q) % qh])
         semisimple = semisimple and is_semisimple(
-            power, stage, "the class-%s block of (%s)^%d" % (c, label, h))
+            power, stage, "the class-%s block of (%s)^%d"
+            % (Fraction(c, q), label, h))
         # a semisimple product is nilpotent iff it is zero
         nilpotent = nilpotent and (not any(map(any, power)) if semisimple
                                    else is_nilpotent(power))

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from rigidconn.chevalley import (ChevalleyAlgebra, KacWindow, build_chevalley,
 from rigidconn.errors import ConsistencyError, ValidationError
 from rigidconn.linalg import (is_semisimple, is_zero_matrix, mat_vec,
                               nullspace, rank)
-from rigidconn.rootsys import SUPPORTED, build_root_system
+from rigidconn.rootsys import SUPPORTED, RootSystem, build_root_system
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
          ("G", 2)]
@@ -93,6 +94,44 @@ def test_structure_constants_are_pinned():
         for m in (alg.ad_matrix(n), alg.ad_matrix(e)):
             digest.update(repr([[str(x) for x in row] for row in m]).encode())
     assert digest.hexdigest() == STRUCTURE_HASH
+
+
+@pytest.mark.parametrize("key", ALL_TYPES, ids=lambda key: "%s%d" % key)
+def test_chevalley_data_are_ints(key):
+    """Structure constants, brackets, N, E and their ad matrices are
+    Python ints; rho-check alone holds Fractions."""
+    alg = build_chevalley(*key)
+    roots = alg.root_of_index[alg.rank:]
+    got = [alg.structure_constant(a, b) for a in roots for b in roots
+           if tuple(x + y for x, y in zip(a, b)) in alg.rs.root_set]
+    got += [c for i in range(alg.dim) for j in range(alg.dim)
+            for c in alg.bracket_indices(i, j).values()]
+    n, e, rho = principal_triple(alg)
+    got += list(n.values()) + list(e.values())
+    got += [x for m in (alg.ad_matrix(n), alg.ad_matrix(e)) for row in m
+            for x in row]
+    assert {type(x) for x in got} == {int}
+    assert {type(x) for x in rho.values()} == {Fraction}
+
+
+@pytest.mark.parametrize("key,beta,i,pair,identity,quotient", [
+    (("B", 2), (1, 0), 1, ((-1, 2), (0, -2)), "rotation", "-6/4"),
+    (("A", 3), (1, 1, -1), 2, ((2, -1, 0), (-1, 1, 1)), "quadruple",
+     "8/16"),
+], ids=["rotation", "quadruple"])
+def test_inexact_structure_constant_is_a_consistency_error(
+        key, beta, i, pair, identity, quotient):
+    """One alpha_i-string below beta made one step too long changes a
+    structure constant read off the string table, and an identity that
+    reads it divides inexactly.  The corrupted root system is a fresh
+    one: the shared one keeps its table."""
+    rs = RootSystem(*key)
+    rs.down[beta][i] += 1
+    with pytest.raises(ConsistencyError, match="^%s$" % re.escape(
+            "chevalley: the %s identity gives N(%s, %s) = %s of %s, not an "
+            "integer" % (identity, pair[0], pair[1], quotient, rs.label()))):
+        ChevalleyAlgebra(rs).structure_constant(*pair)
+    assert build_root_system(*key).down[beta][i] == rs.down[beta][i] - 1
 
 
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2)])

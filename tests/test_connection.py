@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ref_gauge_transform, ref_pgcd, ref_scalar_reduction
-from rigidconn import connection, poly
+from rigidconn import connection, linalg, poly
 from rigidconn.cli import main
 from rigidconn.connection import (MatrixConnection, ScalarOperator,
                                   adjoint_connection,
@@ -177,6 +177,76 @@ def test_slope_rejects_mixed_leading_term():
                            rho_weights=[half, -half, half, -half])
     with pytest.raises(SlopeVerificationError, match="not semisimple"):
         slope_at_infinity(bad)
+
+
+def _sl2_with(coeffs, label):
+    return MatrixConnection(coeffs, label, h=2,
+                            rho_weights=sl_standard(2).rho_weights)
+
+
+def test_slope_rejects_a_pole_of_order_four():
+    """E at t and at t^2: entry (0, 1) of A_2 sits at u^(1 - 4), a pole of
+    order 4 after the gauge; with the weights 1/2, 0 instead, entry
+    (1, 0) of A_1 sits at u^(-5/2)."""
+    base = sl_standard(2)
+    e = base.coefficient(1)
+    bad = _sl2_with({0: base.coefficient(0), 1: e, 2: e}, "sl2 E at t, t^2")
+    with pytest.raises(SlopeVerificationError,
+                       match=r"^pole order 4 at infinity exceeds 2 for "
+                             r"sl2 E at t, t\^2$"):
+        slope_at_infinity(bad)
+    half = MatrixConnection({1: [[0, 0], [1, 0]]}, "half step", h=2,
+                            rho_weights=[Fraction(1, 2), 0])
+    with pytest.raises(SlopeVerificationError,
+                       match=r"^pole order 7/2 at infinity exceeds 2 for "
+                             r"half step$"):
+        slope_at_infinity(half)
+
+
+def test_slope_rejects_a_connection_without_second_order_pole():
+    """A(1) = 0 and a diagonal A(0): every exponent is 0."""
+    bad = _sl2_with({0: [[1, 0], [0, 2]]}, "diagonal")
+    with pytest.raises(SlopeVerificationError,
+                       match=r"^no second-order pole at infinity for "
+                             r"diagonal$"):
+        slope_at_infinity(bad)
+
+
+def test_slope_with_half_integer_weights(monkeypatch):
+    """sl4 standard has the weights 3/2, 1/2, -1/2, -3/2: its one cycle of
+    degree classes is labelled by a half-integer, and its leading term is
+    -4 (N + E)."""
+    labels = []
+
+    def recorded(power, stage, label):
+        labels.append(label)
+        return semisimple(power, stage, label)
+
+    semisimple = linalg.is_semisimple
+    monkeypatch.setattr(linalg, "is_semisimple", recorded)
+    report = slope_at_infinity(sl_standard(4), details=True)
+    assert report["slope"] == Fraction(1, 4)
+    assert report["leading"] == [[0, 0, 0, -4], [-4, 0, 0, 0],
+                                 [0, -4, 0, 0], [0, 0, -4, 0]]
+    assert labels == ["the class-5/2 block of (the leading term at "
+                      "infinity of sl4 standard)^4"]
+
+
+def test_connection_keeps_its_fractions():
+    """Fraction entries and rho weights are kept as handed over; ints and
+    other numbers become Fractions."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    conn = MatrixConnection({0: [[half, 2], [0, third]]}, "kept",
+                            rho_weights=[half, 1])
+    mat = conn.coeffs[0]
+    assert mat[0][0] is half and mat[1][1] is third
+    assert conn.rho_weights[0] is half
+    assert [type(x) for row in mat for x in row] == [Fraction] * 4
+    assert type(conn.rho_weights[1]) is Fraction
+    assert mat[0][1] == 2 and conn.rho_weights[1] == 1
+    adjoint = adjoint_connection("G", 2)
+    assert {type(x) for mat in adjoint.coeffs.values() for row in mat
+            for x in row} == {Fraction}
 
 
 @pytest.mark.parametrize("weights,match", [
@@ -644,11 +714,12 @@ def test_poly_checks_raise():
 
 def test_poly_and_chevalley_checks_survive_optimize():
     """The five checks that were asserts raise under python -O, and so
-    does the check for a non-integral weight coordinate."""
+    do the check for a non-integral weight coordinate and the exact
+    division of a structure constant."""
     code = ("from fractions import Fraction\n"
             "from rigidconn import chevalley, poly, weights\n"
             "from rigidconn.errors import ConsistencyError, ValidationError\n"
-            "from rigidconn.rootsys import build_root_system\n"
+            "from rigidconn.rootsys import RootSystem, build_root_system\n"
             "def raises(exc, fn, *args):\n"
             "    try:\n"
             "        fn(*args)\n"
@@ -665,7 +736,11 @@ def test_poly_and_chevalley_checks_survive_optimize():
             "got += raises(ConsistencyError, alg.extraspecial_pair, (1, 0))\n"
             "got += raises(ValidationError, weights.weight_system, "
             "alg.rs, (2.5, 0))\n"
-            "raise SystemExit(3 if got == 6 else 1)\n")
+            "rs = RootSystem('B', 2)\n"
+            "rs.down[(1, 0)][1] += 1\n"
+            "got += raises(ConsistencyError, chevalley.ChevalleyAlgebra(rs)"
+            ".structure_constant, (-1, 2), (0, -2))\n"
+            "raise SystemExit(3 if got == 7 else 1)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
