@@ -167,7 +167,8 @@ class ChevalleyAlgebra:
         return acc
 
     def ad_matrix(self, x):
-        m = [[0] * self.dim for _ in range(self.dim)]
+        zero = 0 * next(iter(x.values()), 0)  # int, or Fraction for rho-check
+        m = [[zero] * self.dim for _ in range(self.dim)]
         for j in range(self.dim):
             for i, xi in x.items():
                 for k, c in self.bracket_indices(i, j).items():

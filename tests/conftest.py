@@ -5,8 +5,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from hypothesis import settings
-
 from rigidconn.connection import MatrixConnection, ScalarOperator
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               ValidationError)
@@ -16,12 +14,6 @@ from rigidconn.poly import (RatFun, pdeg, pderiv, pdivmod, pmonic, pmul,
                             pscale, psub)
 from rigidconn.rootsys import build_root_system
 from rigidconn.weights import weight_system
-
-# Opt in with pytest --hypothesis-profile=derandomized: every property then
-# draws the same examples on every run (each test keeps its example count),
-# so the times of two runs, or of two trees, compare.  The default profile
-# draws fresh examples.
-settings.register_profile("derandomized", derandomize=True)
 
 
 def jacobi_scan(alg):

@@ -99,7 +99,7 @@ def test_structure_constants_are_pinned():
 @pytest.mark.parametrize("key", ALL_TYPES, ids=lambda key: "%s%d" % key)
 def test_chevalley_data_are_ints(key):
     """Structure constants, brackets, N, E and their ad matrices are
-    Python ints; rho-check alone holds Fractions."""
+    Python ints; rho-check and its ad matrix alone hold Fractions."""
     alg = build_chevalley(*key)
     roots = alg.root_of_index[alg.rank:]
     got = [alg.structure_constant(a, b) for a in roots for b in roots
@@ -112,6 +112,7 @@ def test_chevalley_data_are_ints(key):
             for x in row]
     assert {type(x) for x in got} == {int}
     assert {type(x) for x in rho.values()} == {Fraction}
+    assert {type(x) for row in alg.ad_matrix(rho) for x in row} == {Fraction}
 
 
 @pytest.mark.parametrize("key,beta,i,pair,identity,quotient", [

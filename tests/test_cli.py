@@ -373,9 +373,8 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path, argv,
 
 # ------------------------------------------------------------- README
 
-# options the README names for perfbench/run.py, pip and pytest
-_OTHER_TOOLS = {"--workload", "--seed", "--seconds", "--no-build-isolation",
-                "--hypothesis-profile"}
+# options the README names for perfbench/run.py and for pip
+_OTHER_TOOLS = {"--workload", "--seed", "--seconds", "--no-build-isolation"}
 
 
 def test_readme_and_parser_name_the_same_options():
