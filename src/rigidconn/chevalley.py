@@ -66,10 +66,12 @@ class ChevalleyAlgebra:
         """N(a, b) with [x_a, x_b] = N(a, b) x_{a+b}; a, b, a+b roots."""
         key = (a, b)
         val = self._nc.get(key)
-        if val is not None:
-            return val
-        val = self._compute_nc(a, b)
-        self._nc[key] = val
+        if val is None:
+            if key in self._nc:  # None marks a constant in progress
+                raise ConsistencyError("chevalley: N(%s, %s) of %s depends on "
+                                       "itself" % (a, b, self.rs.label()))
+            self._nc[key] = None
+            val = self._nc[key] = self._compute_nc(a, b)
         return val
 
     def _compute_nc(self, a, b):

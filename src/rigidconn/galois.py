@@ -77,11 +77,11 @@ def folding_matrix(type_label, rank):
 
 def fold_branching(ws, target_rs, rows):
     """Weight multiset of ws pushed along the folding projection."""
-    # each row is an orbit sum: only its nonzero columns enter the image
-    terms = [[(i, c) for i, c in enumerate(r) if c] for r in rows]
+    # each 0/1 row of folding_matrix is the sum over one orbit of nodes
+    orbits = [[i for i, c in enumerate(r) if c] for r in rows]
     out = {}
     for mu, mult in ws.table.items():
-        image = tuple(sum(c * mu[i] for i, c in row) for row in terms)
+        image = tuple([sum([mu[i] for i in orbit]) for orbit in orbits])
         if target_rs.a_value(image) != ws.a_of[mu]:
             raise ConsistencyError("projected weight %s changed a-value"
                                    % (mu,))

@@ -7,9 +7,9 @@ equal to the j-th column of A in these coordinates.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import ConsistencyError, ValidationError
 from .linalg import _cleared, _int_mul, inverse, mat_vec
@@ -97,7 +97,7 @@ class RootSystem:
                 for i in range(n):
                     # q = p - <beta, alpha_i-check> counts the string above
                     if down[beta][i] > beta[i]:
-                        gamma = tuple(b + a for b, a in zip(beta, simples[i]))
+                        gamma = tuple(map(add, beta, simples[i]))
                         if gamma not in height:
                             height[gamma] = ht + 1
                             down[gamma] = [0] * n
@@ -195,6 +195,13 @@ class RootSystem:
     def root_length_sq(self, beta):
         return self.form(beta, beta)
 
+    @cached_property
+    def strings(self):
+        """(beta, gram_den (beta, beta), gram beta) for each positive beta."""
+        return [(beta, self.gram_pair(beta, beta),
+                 [sum(map(mul, row, beta)) for row in self.gram])
+                for beta in self.pos_roots]
+
     def coroot_coeffs(self, beta):
         """Coordinates of beta-check in the simple coroot basis (integers):
         <omega_i, beta-check> = 2 (omega_i, beta) / (beta, beta)."""
@@ -208,7 +215,7 @@ class RootSystem:
 
     def a_value(self, mu):
         """Pairing <mu, 2 rho-check>; the principal grading of the weight mu."""
-        return sum(m * c for m, c in zip(mu, self.a_coeffs))
+        return sum(map(mul, mu, self.a_coeffs))
 
     def fundamental_weight(self, i):
         return tuple(1 if j == i else 0 for j in range(self.rank))

@@ -2,8 +2,10 @@
 
 The weights of V are the W-orbits of the dominant weights below lambda,
 each orbit generated by simple reflections where a coordinate is
-positive.  Multiplicities come from the Freudenthal recursion on the
-dominant weights, in integers over the root system's integer Gram form.
+positive; s_j with j above nu's first negative coordinate f and not
+next to it is skipped unbuilt.  Multiplicities come from the Freudenthal
+recursion on the dominant weights, in integers over the Gram form and
+the root strings that RootSystem.strings builds once per root system.
 The a-grading a(mu) = <mu, 2rho-check> is a dot product only at the
 dominant weights and is carried along each orbit; it drives the
 decomposition of V under the principal SL2 and epsilon = (-1)^{a(lambda)}.
@@ -13,7 +15,7 @@ from fractions import Fraction
 import json
 from math import prod
 from numbers import Real
-from operator import mul
+from operator import add, mul, sub
 import os
 
 from .errors import ConsistencyError, ValidationError
@@ -53,7 +55,7 @@ class WeightSystem:
         dominant = [lam]
         for mu in dominant:
             for beta in rs.pos_roots:
-                nu = tuple(a - b for a, b in zip(mu, beta))
+                nu = tuple(map(sub, mu, beta))
                 if min(nu) >= 0 and nu not in depth:
                     depth[nu] = depth[mu] + rs.height[beta]
                     dominant.append(nu)
@@ -61,41 +63,45 @@ class WeightSystem:
         # their W-orbits (Snow, ACM TOMS 16, 1990): s_j nu with nu[j] > 0 is
         # kept only when j is its first negative coordinate, so it has one
         # parent and every orbit element comes once.  s_j nu changes only
-        # nu[j] and its Dynkin neighbours, and a(s_j nu) = a(nu) - 2 nu[j]
+        # nu[j] and its Dynkin neighbours, and a(s_j nu) = a(nu) - 2 nu[j].
+        # Given nu's first negative coordinate f (rank if none), every j < f
+        # passes; a j > f passes only if it neighbours f, else child[f] < 0
         links = [[(k, rs.cartan[k][j]) for k in range(rs.rank)
                   if k != j and rs.cartan[k][j]] for j in range(rs.rank)]
+        tries = [[*range(f), *(k for k, _x in links[f] if k > f)]
+                 for f in range(rs.rank)] + [list(range(rs.rank))]
         rep = {}
         self.a_of = a_of = {}
         for mu in dominant:
-            orbit = [(mu, rs.a_value(mu))]
-            for nu, a in orbit:
+            orbit = [(mu, rs.a_value(mu), rs.rank)]
+            for nu, a, f in orbit:
                 rep[nu] = mu
                 a_of[nu] = a
-                for j, c in enumerate(nu):
+                for j in tries[f]:
+                    c = nu[j]
                     if c > 0:
                         child = list(nu)
                         child[j] = -c
                         for k, x in links[j]:
                             child[k] -= c * x
-                        if min(child[:j], default=0) >= 0:
-                            orbit.append((tuple(child), a - 2 * c))
+                        if j < f or min(child[:j]) >= 0:
+                            orbit.append((tuple(child), a - 2 * c, j))
         # Freudenthal in integers: gram_den * (nu, beta) grows by
         # gram_den * (beta, beta) along each root string
-        strings = [(beta, rs.gram_pair(beta, beta),
-                    [sum(map(mul, row, beta)) for row in rs.gram])
-                   for beta in rs.pos_roots]
         lam_rho = tuple(x + 1 for x in lam)
         norm_top = rs.gram_pair(lam_rho, lam_rho)
         dom_mult = {lam: 1}
         for mu in dominant[1:]:
             total = 0
-            for beta, step, g_beta in strings:
+            for beta, step, g_beta in rs.strings:
                 pair = sum(map(mul, mu, g_beta))
-                nu = tuple(a + b for a, b in zip(mu, beta))
-                while nu in rep:
+                nu = tuple(map(add, mu, beta))
+                top = rep.get(nu)
+                while top is not None:
                     pair += step
-                    total += pair * dom_mult[rep[nu]]
-                    nu = tuple(a + b for a, b in zip(nu, beta))
+                    total += pair * dom_mult[top]
+                    nu = tuple(map(add, nu, beta))
+                    top = rep.get(nu)
             mu_rho = tuple(x + 1 for x in mu)
             denom = norm_top - rs.gram_pair(mu_rho, mu_rho)
             m, rem = divmod(2 * total, denom)

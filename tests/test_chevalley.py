@@ -135,6 +135,27 @@ def test_inexact_structure_constant_is_a_consistency_error(
     assert build_root_system(*key).down[beta][i] == rs.down[beta][i] - 1
 
 
+@pytest.mark.parametrize("key,beta,i,pair,cycle", [
+    (("G", 2), (3, -1), 1, ((2, -1), (1, 0)), ((-3, 2), (6, -3))),
+    (("C", 3), (2, 0, 0), 2, ((2, -1, 0), (0, 1, 0)),
+     ((0, -2, 2), (2, 2, -2))),
+    (("B", 3), (1, -1, 2), 1, ((0, -1, 2), (1, 0, 0)),
+     ((-1, 2, -2), (2, -3, 4))),
+], ids=["G2", "C3", "B3"])
+def test_cyclic_structure_constant_is_a_consistency_error(key, beta, i, pair,
+                                                          cycle):
+    """A string table whose rotation and sign rules call each other in a
+    cycle raises ConsistencyError at the constant that recurs, not
+    RecursionError.  The corrupted root system is a fresh one."""
+    rs = RootSystem(*key)
+    rs.down[beta][i] += 1
+    with pytest.raises(ConsistencyError, match="^%s$" % re.escape(
+            "chevalley: N(%s, %s) of %s depends on itself"
+            % (cycle[0], cycle[1], rs.label()))):
+        ChevalleyAlgebra(rs).structure_constant(*pair)
+    assert build_root_system(*key).down[beta][i] == rs.down[beta][i] - 1
+
+
 @pytest.mark.parametrize("key", [("A", 2), ("B", 2), ("G", 2)])
 def test_kappa_invariance_and_normalization(key):
     alg = build_chevalley(*key)

@@ -711,8 +711,8 @@ def test_poly_checks_raise():
 
 def test_poly_and_chevalley_checks_survive_optimize():
     """The five checks that were asserts raise under python -O, and so
-    do the check for a non-integral weight coordinate and the exact
-    division of a structure constant."""
+    do the check for a non-integral weight coordinate, the exact
+    division of a structure constant and its cycle check."""
     code = ("from fractions import Fraction\n"
             "from rigidconn import chevalley, poly, weights\n"
             "from rigidconn.errors import ConsistencyError, ValidationError\n"
@@ -737,7 +737,11 @@ def test_poly_and_chevalley_checks_survive_optimize():
             "rs.down[(1, 0)][1] += 1\n"
             "got += raises(ConsistencyError, chevalley.ChevalleyAlgebra(rs)"
             ".structure_constant, (-1, 2), (0, -2))\n"
-            "raise SystemExit(3 if got == 7 else 1)\n")
+            "rs = RootSystem('G', 2)\n"
+            "rs.down[(3, -1)][1] += 1\n"
+            "got += raises(ConsistencyError, chevalley.ChevalleyAlgebra(rs)"
+            ".structure_constant, (2, -1), (1, 0))\n"
+            "raise SystemExit(3 if got == 8 else 1)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
@@ -758,16 +762,10 @@ def test_src_has_no_assert():
     assert found == []
 
 
-def test_src_imports_are_used():
-    """Every name a module of the package imports is used in it, so a
-    deletion leaves no stale import behind; __init__.py re-exports."""
-    pkg = os.path.dirname(connection.__file__)
-    paths = sorted(glob.glob(os.path.join(pkg, "*.py")))
-    assert paths
+def _unused_imports(paths):
+    """'file:line name' for each name that a module imports and never uses."""
     unused = []
     for path in paths:
-        if os.path.basename(path) == "__init__.py":
-            continue
         with open(path, encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), filename=path)
         imported = {}
@@ -780,7 +778,24 @@ def test_src_imports_are_used():
                 if isinstance(node, ast.Name)}
         unused += ["%s:%d %s" % (os.path.basename(path), line, name)
                    for name, line in imported.items() if name not in used]
-    assert unused == []
+    return unused
+
+
+def test_src_imports_are_used():
+    """Every name a module of the package imports is used in it, so a
+    deletion leaves no stale import behind; __init__.py re-exports."""
+    pkg = os.path.dirname(connection.__file__)
+    paths = [path for path in sorted(glob.glob(os.path.join(pkg, "*.py")))
+             if os.path.basename(path) != "__init__.py"]
+    assert paths
+    assert _unused_imports(paths) == []
+
+
+def test_test_imports_are_used():
+    """The same for the test modules, conftest.py included."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "*.py")))
+    assert os.path.join(os.path.dirname(__file__), "conftest.py") in paths
+    assert _unused_imports(paths) == []
 
 
 def test_rendering_has_no_digit_limit():

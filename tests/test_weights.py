@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import ref_principal_specialisation
 from rigidconn import cohomology_dims, weights
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.rootsys import SUPPORTED, build_root_system
+from rigidconn.rootsys import SUPPORTED, RootSystem, build_root_system
 from rigidconn.weights import (Sl2Decomposition, a_histogram, epsilon_on,
                                load_weight_system,
                                principal_sl2_decomposition,
@@ -289,6 +289,24 @@ def ref_weight_table(rs, highest):
     return {mu: dom[ref_dominant_rep(rs, mu)] for mu in weights}
 
 
+def ref_orbit_order(rs, dominant):
+    """The W-orbits of the dominant weights, in order, by the walk that
+    builds every s_j nu with nu[j] > 0 and keeps it when j is its first
+    negative coordinate."""
+    out = []
+    for mu in dominant:
+        orbit = [mu]
+        for nu in orbit:
+            for j, c in enumerate(nu):
+                if c > 0:
+                    child = tuple(x - c * y
+                                  for x, y in zip(nu, rs.simple_roots[j]))
+                    if min(child[:j], default=0) >= 0:
+                        orbit.append(child)
+        out += orbit
+    return out
+
+
 def reference_sweep(type_label, rank):
     """The adjoint and the fundamental weights of Weyl dimension <= 5000."""
     rs = build_root_system(type_label, rank)
@@ -298,8 +316,10 @@ def reference_sweep(type_label, rank):
     return sorted(out)
 
 
+# B9 is the one rank above 8; every cohomology job list builds its spin
+# module
 SWEEP_TYPES = [(t, n) for t, (lo, hi) in sorted(SUPPORTED.items())
-               for n in range(lo, min(hi, 8) + 1)]
+               for n in range(lo, min(hi, 8) + 1)] + [("B", 9)]
 
 
 @pytest.mark.parametrize("type_label,rank", SWEEP_TYPES)
@@ -321,6 +341,29 @@ def test_weight_system_matches_reflection_reference(type_label, rank):
                 == {mu: m for mu, m in want.items() if min(mu) >= 0})
         assert ws.a_of == {mu: sum(map(mul, mu, a_coeffs)) for mu in want}
         assert ws.dim == weyl_dim(rs, highest)
+        order = ref_orbit_order(rs, [mu for mu in ws.table if min(mu) >= 0])
+        assert list(ws.table) == list(ws.a_of) == order
+
+
+def test_freudenthal_root_data_are_built_once_per_root_system(monkeypatch):
+    """(beta, beta) and gram beta of the positive roots are computed once
+    per root system: over two weight systems of a fresh E6, gram_pair
+    runs once per positive root and once per dominant weight (the norm
+    of lambda + rho, then of mu + rho at each lower one)."""
+    monkeypatch.setattr(weights, "_MEM_CACHE", {})
+    rs = RootSystem("E", 6)
+    calls = []
+    pair = RootSystem.gram_pair
+
+    def counted(self, mu, nu):
+        calls.append(mu)
+        return pair(self, mu, nu)
+
+    monkeypatch.setattr(RootSystem, "gram_pair", counted)
+    built = [weight_system(rs, rs.theta),
+             weight_system(rs, rs.fundamental_weight(0))]
+    dominant = sum(1 for ws in built for mu in ws.table if min(mu) >= 0)
+    assert len(calls) == len(rs.pos_roots) + dominant
 
 
 def test_orbit_a_values_on_the_cohomology_jobs(monkeypatch):
