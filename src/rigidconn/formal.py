@@ -7,32 +7,33 @@ solves den(A) [n Id + A(0) | L sum A_k v_{n-k}] = [T | c], L the lcm of
 the fed D_{n-k}.  Where T is nonsingular and den(A) A(0) is triangular in
 some order of its rows (found once per sweep; A(0) = N raises the grading,
 so every built model has one, permuted or dual), v_n = -T^-1 c / L by back
-substitution along that order, scaled by |det T| so each division is
-exact.  Elsewhere (T singular, a cut level above a closed top, or no such
+substitution along that order, scaled by the least exact scale of T's
+chains.  Elsewhere (T singular, a cut level above a closed top, or no such
 order) the Gauss-Jordan kernel of [T | c] runs: a kernel vector (x, y)
 gives (x, L y) in the true one, v_n and the old parameters in terms of the
-new ones.  Parameters enter where T is singular or, for spaces with
-an infinite tail at t = 0, as seed layers a buffer below the window; above
-a closed top edge v_n = 0, so the block is c alone and only cuts the
+new ones.  Parameters enter where T is singular or, for spaces with an
+infinite tail at t = 0, as seed layers a buffer below the window; above a
+closed top edge v_n = 0, so the block is c alone and only cuts the
 parameter space down.  A kernel level composes its map of the old
-parameters into one map per epoch (the levels between two kernel levels)
-and rewrites no level: the feed, the pivot pass or a basis brings a level
-into the current parameters when it reads it.  A back-substituted level
-whose feed c is zero is stored as zero.  Levels below the window are
-dropped once they feed no equation.  Dimensions are ranks over the core
-window [-M, M], independent of the seed placement, taken on its generating
-levels: its first max(K, 1) levels, K the degree of A(t), and those that
-took the kernel.  Every other level is back-substituted from the K below
-it, so a parameter vector that kills the generating levels kills the
-window, and both row sets have the same pivots.  Up to M, taylor0 runs the
-steps of laurent_polys and two_sided those of taylor_inf; the closed top
-only adds cut levels above M, so one sweep serves both.  The feed c runs
-over the nonzero entries of each A_k; a report builds its Fraction basis
-on read.
+parameters, unless it is the identity, into one map per epoch (the levels
+between two kernel levels) and rewrites no level: the feed, the pivot pass
+or a basis brings a level into the current parameters when it reads it.  A
+back-substituted level whose feed c is zero or empty is stored as zero.
+Levels below the window are dropped once they feed no equation.
+Dimensions are ranks over the core window [-M, M], independent of the seed
+placement, taken on its generating levels: its first max(K, 1) levels, K
+the degree of A(t), and those that took the kernel.  Every other level is
+back-substituted from the K below it, so a parameter vector that kills the
+generating levels kills the window, and both row sets have the same
+pivots.  Up to M, taylor0 runs the steps of laurent_polys and two_sided
+those of taylor_inf; the closed top only adds cut levels above M, so one
+sweep serves both.  The feed c runs over the nonzero entries of each A_k;
+a report builds its Fraction basis on read.
 """
 
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm, prod
 
 from .connection import sl2_sym
@@ -110,10 +111,11 @@ class KernelReport:
 
 
 def _lowest(mat, den):
-    """(mat, den) over the gcd of den and every entry, folded from den."""
-    g = gcd(den, *[x for row in mat for x in row])
-    if g == 1:
-        return mat, den
+    """(mat, den) over the gcd of den and every entry, folded row by row."""
+    g = den
+    for row in mat:
+        if (g := gcd(g, *row)) == 1:
+            return mat, den
     return [[x // g for x in row] for row in mat], den // g
 
 
@@ -164,16 +166,32 @@ def _triangular_order(a0):
     return [(i, deps[i]) for i in order] if len(order) == len(a0) else None
 
 
-def _back_substitute(steps, diag, scale, c, n, label):
-    """The int rows y with T y = scale c, T triangular along steps (from
-    _triangular_order) with diagonal diag: y_i = (scale c_i - sum_j T[i][j]
-    y_j) / diag[i].  Each division is exact when det T = prod(diag) divides
-    scale, and a remainder is a ConsistencyError at level n of label."""
+def _chain_exponents(steps, a0):
+    """{v: E_v}, E_v the most rows of diagonal entry v of the int matrix a0
+    on one chain of steps (from _triangular_order); | keeps larger counts."""
+    ends = {}
+    for i, dep in steps:
+        ends[i] = reduce(Counter.__or__, [ends[j] for j, _ in dep], Counter())
+        ends[i][a0[i][i]] += 1
+    return reduce(Counter.__or__, ends.values())
+
+
+def _add(acc, x, row):
+    """acc + x row, formed as x row when acc is zero."""
+    return ([u + x * v for u, v in zip(acc, row)] if any(acc)
+            else [x * v for v in row])
+
+
+def _back_substitute(steps, diag, c, n, label):
+    """The int rows y with T y = c, T triangular along steps (from
+    _triangular_order) with diagonal diag.  Row i is exact once c is a
+    multiple of diag[j] over the rows j of any chain ending at i (see
+    _chain_exponents); a remainder is a ConsistencyError at level n."""
     y = [None] * len(diag)
     for i, dep in steps:
-        acc = [scale * x for x in c[i]]
+        acc = c[i]
         for j, x in dep:
-            acc = [s - x * t for s, t in zip(acc, y[j])]
+            acc = _add(acc, -x, y[j])
         y[i] = []
         for s in acc:
             q, r = divmod(s, diag[i])
@@ -198,6 +216,7 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
                             for row in conn.coefficient(k)])
     a = {k: rows[i * d:i * d + d] for i, k in enumerate([0] + ks)}
     steps = _triangular_order(a[0])
+    exps = steps and _chain_exponents(steps, a[0])
     nonzero = {k: [(i, j, x) for i, row in enumerate(a[k])
                    for j, x in enumerate(row) if x] for k in ks}
     layers = max(big_k, 1) if seeded else 0
@@ -218,24 +237,24 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
             phi.stored.pop(n - big_k - 1, None)
         # above the window v_n = 0, so the block has no v_n columns
         w = d if n <= m_window else 0
-        # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] is an integer block;
-        # c[i] sums (x big_l / D_k) M_{n-k}[j] over nonzero x = A_k[i][j]
+        # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] = [T | c], c[i] summing
+        # (x big_l / D_k) M_{n-k}[j] over nonzero x = A_k[i][j] once p > 0;
+        # scale is 0 (kernel) or T y = -scale c and v_n = y / (scale big_l)
+        scale = prod(abs(n * den_a + v) ** e
+                     for v, e in exps.items()) if w and exps else 0
         feed = [(nonzero[k], phi[n - k]) for k in ks
-                if phi.stored.get(n - k, (None,))[0] is not None]
+                if p and phi.stored.get(n - k, (None,))[0] is not None]
         big_l = lcm(*[dk for _, (_, dk) in feed])
-        c = [[0] * p for _ in range(d)]
+        c = [[0] * p] * d  # rows are replaced, never changed
         for entries, (mk, dk) in feed:
-            s = big_l // dk
+            s = big_l // dk * (-scale if scale else 1)
             for i, j, x in entries:
-                c[i] = [u + x * s * v for u, v in zip(c[i], mk[j])]
-        diag = [n * den_a + a[0][i][i] for i in range(d)]
-        det = prod(diag)
-        if w and det and steps is not None:
-            # v_n = -T^-1 c / big_l = y / (|det| big_l), T = den_a n Id + a0
-            # and T y = -|det| c; the parameters stay as they are
+                c[i] = _add(c[i], x * s, mk[j])
+        if scale:
             if any(map(any, c)):
-                y = _back_substitute(steps, diag, -abs(det), c, n, conn.label)
-                phi[n] = _lowest(y, abs(det) * big_l)
+                diag = [n * den_a + a[0][i][i] for i in range(d)]
+                y = _back_substitute(steps, diag, c, n, conn.label)
+                phi[n] = _lowest(y, scale * big_l)
             else:
                 phi[n] = (None, 1)
         else:
@@ -246,11 +265,12 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
             # (x, y) in its kernel is (x, big_l y) in the true one: normalised
             # at the free entry, y / den and x / (den big_l), times big_l if
             # f < w
-            scale = [big_l if f < w else 1 for f in free]
-            pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, scale)]
-            phi.reparametrise(pmap, den)
+            lift = [big_l if f < w else 1 for f in free]
+            pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, lift)]
+            if pmap != [[den * (i == j) for j in range(p)] for i in range(p)]:
+                phi.reparametrise(pmap, den)
             if w:
-                phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, scale)]
+                phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, lift)]
                                   for i in range(d)], den * big_l)
                 if n >= lead:
                     generating.append(n)

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -201,13 +202,14 @@ def test_pivot_pass_stacks_only_generating_levels(monkeypatch):
 
 
 def test_back_substitution_remainder_survives_optimize():
-    """T = [[2, 1], [0, 2]] has det 4, so T y = -2 c is not integral for
-    c = (1, 1): row 1 gives y_1 = -1, row 0 leaves (-2 + 1) / 2."""
+    """T = [[2, 1], [0, 2]] is one chain of two rows of value 2, so T y = c
+    is integral only for c a multiple of 4: for c = (-2, -2) row 1 gives
+    y_1 = -1, row 0 leaves (-2 + 1) / 2."""
     code = ("from rigidconn import formal\n"
             "from rigidconn.errors import ConsistencyError\n"
             "steps = formal._triangular_order([[0, 1], [0, 0]])\n"
             "try:\n"
-            "    formal._back_substitute(steps, [2, 2], -2, [[1], [1]], 7,"
+            "    formal._back_substitute(steps, [2, 2], [[-2], [-2]], 7,"
             " 'T')\n"
             "except ConsistencyError as exc:\n"
             "    print(exc)\n"
@@ -221,10 +223,10 @@ def test_back_substitution_remainder_survives_optimize():
 
 
 def test_back_substitution_remainder_exits_3(monkeypatch, capsys):
-    """With the diagonal doubled, the scale |det T| is no longer a multiple
-    of the product of the diagonal, and the first remainder exits 3."""
-    def doubled(steps, diag, scale, c, n, label):
-        return substitute(steps, [2 * x for x in diag], scale, c, n, label)
+    """With the diagonal doubled, the scale of T's chains no longer covers
+    the product of the diagonal, and the first remainder exits 3."""
+    def doubled(steps, diag, c, n, label):
+        return substitute(steps, [2 * x for x in diag], c, n, label)
 
     substitute = formal._back_substitute
     monkeypatch.setattr(formal, "_back_substitute", doubled)
@@ -660,6 +662,16 @@ def test_sparse_feed_matches_the_fraction_solver(conn):
         assert [w.coeffs for w in got.basis] == [w.coeffs for w in basis]
 
 
+# den_a A(0) triangular with diagonal (1, 0, 1, 0) on the two chains 1 -> 0
+# and 3 -> 2: the scale of a back-substituted level is |n (n + 1)|, a
+# proper divisor of det T = n^2 (n + 1)^2 and no power of one factor
+_TWO_CHAINS = MatrixConnection({0: [[1, 1, 0, 0], [0, 0, 0, 0],
+                                    [0, 0, 1, -2], [0, 0, 0, 0]],
+                                1: [[0, 0, 0, 0], [1, 0, 0, 1],
+                                    [0, 0, 0, 0], [0, 1, 1, 0]]},
+                               "A(0) with two chains", h=1)
+
+
 def level_hash(conn, truncation):
     """sha256 of every stored level of both seed families' sweeps at the
     windows truncation and truncation + h, open and closed top, each level
@@ -717,16 +729,109 @@ def _model(model, dim):
     (lambda: _FEED_CASES[0],
      "c5d1cb4963ed7d16174fc74f3e6e1336a4182468f5d4552e77851e9fb41adbdd",
      "e18da673327d1b5656fb67034328adfdcdfb9f3389eb44ae25ed5d92844b4981"),
-], ids=["sl5", "adjoint A2", _FEED_CASES[0].label])
+    (_model(("adjoint", "D", 4), 28),
+     "1034b1996cb99289e511ce04cf3447aea45618e1d165abbdba0e94fc6277721e",
+     "0a2f5b2df1251a5ad44eaa3367a7c53a9017a2b21ec77a1342c6bd839afa7c7c"),
+    (lambda: _TWO_CHAINS,
+     "822fd532c38123f8b7a8128503481a199cc5dd32f495718e7850e80e6172c95d",
+     "62f77d691d7e4c8c8ff342dfac123e5ecb69196d610a828b7d2aeb14e43dadf0"),
+], ids=["sl5", "adjoint A2", _FEED_CASES[0].label, "adjoint D4",
+        _TWO_CHAINS.label])
 def test_stored_levels_are_pinned(build, own, dual, monkeypatch):
     """The stored levels (M_n, D_n) at truncation 24 of two permuted
     models, hashed as recorded before the feed ran over nonzero entries
-    only, and of a model with A(1) = 0 and A(2) nonzero, where the feed
-    above M reads levels below M, so a defect in how the open top keeps
-    them shows."""
+    only; of a model with A(1) = 0 and A(2) nonzero, where the feed above
+    M reads levels below M, so a defect in how the open top keeps them
+    shows; and, hashed as recorded while back substitution was scaled by
+    |det T|, of the permuted adjoint D4 (scale n^11 where |det T| is n^28)
+    and of a triangular A(0) with two chains (scale |n (n + 1)|)."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     conn = build()
     assert (level_hash(conn, 24), level_hash(conn.dual(), 24)) == (own, dual)
+
+
+@pytest.mark.parametrize("build,exponents", [
+    (_model(("sl", 5), 5), {0: 5}),
+    (_model(("adjoint", "A", 2), 8), {0: 5}),
+    (lambda: adjoint_connection("E", 6), {0: 23}),
+    (lambda: _FEED_CASES[0], {1: 1, 0: 1, -1: 1}),
+    (lambda: _TWO_CHAINS, {1: 1, 0: 1}),
+], ids=["sl5", "adjoint A2", "adjoint E6", _FEED_CASES[0].label,
+        _TWO_CHAINS.label])
+def test_chain_exponents(build, exponents, monkeypatch):
+    """A back-substituted level n is scaled by prod |n den_a + v|^E_v, E_v
+    the most rows of diagonal value v on one chain of den_a A(0)'s
+    triangular order.  E_v never exceeds the number of rows of value v, so
+    the scale divides |det T|; it equals it on a single chain (sl5, whose
+    N is one Jordan block, and A(1) = 0, A(2) nonzero), and for a nilpotent
+    A(0) it is n^(longest chain), as against n^dim."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    conn = build()
+    a0, den = formal._cleared(conn.coefficient(0))
+    assert den == 1
+    got = formal._chain_exponents(_triangular_order(a0), a0)
+    assert got == exponents
+    diagonal = [a0[i][i] for i in range(conn.dim)]
+    assert all(e <= diagonal.count(v) for v, e in got.items())
+
+
+@pytest.mark.parametrize("build", [_model(("sl", 5), 5),
+                                   _model(("adjoint", "A", 2), 8),
+                                   _model(("adjoint", "D", 4), 28)],
+                         ids=["sl5", "adjoint A2", "adjoint D4"])
+def test_a_smaller_scale_leaves_a_remainder(build, monkeypatch):
+    """The chain scale n^E_0 of a nilpotent A(0) is the least that keeps
+    back substitution exact on these models: with n^(E_0 - 1) some level
+    leaves a remainder and the sweep raises ConsistencyError.  (An exponent
+    of 1 cannot be lowered: the scale must vanish where T is singular.)"""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    conn = build()
+    exponents = formal._chain_exponents
+    monkeypatch.setattr(formal, "_chain_exponents", lambda steps, a0: (
+        exponents(steps, a0) - Counter([0])))
+    with pytest.raises(ConsistencyError, match="leaves a remainder"):
+        level_hash(conn, 24)
+
+
+def test_identity_parameter_maps_add_no_epoch(monkeypatch):
+    """A(0) a swap has no triangular order, so every level takes the
+    kernel, but T = n Id + A(0) is singular only at n = -1 and 1: there and
+    at the cut level M + 1 of the closed top the parameters change, and
+    every other kernel map is the identity and opens no epoch.  A sweep
+    takes 12 to 20 kernels and keeps 3 maps (open top) and 4 (closed)."""
+    kernels = []
+
+    def counted(block):
+        kernels.append(block)
+        return kernel(block)
+
+    kernel = formal._kernel
+    monkeypatch.setattr(formal, "_kernel", counted)
+    conn = _CYCLIC_CASES[0]
+    for seeded in (False, True):
+        for m in (5, 6):
+            kernels.clear()
+            open_top, closed, _ = formal._solve_space(conn, seeded, m, m + 1)
+            assert len(kernels) >= 12
+            assert (len(open_top.maps), len(closed.maps)) == (3, 4)
+
+
+@pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3),
+                                             ("D", 4), ("G", 2)])
+def test_adjoint_floors_match_the_weight_formula(type_label, rank):
+    """The solver and the weight formula agree on the adjoint at its floor
+    2 dim + 2h: the rigidity check passes and has stabilized, taylor0 and
+    taylor_inf are the inertia invariants at 0 and infinity, and h1 is 0
+    both ways."""
+    conn = adjoint_connection(type_label, rank)
+    result = check_rigidity(conn, conn.dual(), 2 * conn.dim + 2 * conn.h)
+    rep = cohomology_dims(type_label, rank,
+                          build_root_system(type_label, rank).theta)
+    dims = result["dimensions"]
+    assert result["passed"] and result["stabilized"]
+    assert (dims["taylor0"], dims["taylor_inf"]) == (rep.inv_I0,
+                                                      rep.inv_Iinf)
+    assert result["h1"] == rep.h1 == 0
 
 
 _PIVOT_CASES = (
