@@ -38,8 +38,7 @@ from math import gcd, lcm, prod
 
 from .connection import sl2_sym
 from .errors import ConsistencyError, ValidationError
-from .linalg import (_cleared, _int_mul, _kernel, _row_reduce, identity,
-                     inverse, mat_mul, rank)
+from .linalg import _cleared, _int_mul, _kernel, _row_reduce, inverse
 
 SPACES = ("taylor0", "taylor_inf", "two_sided", "laurent_polys")
 # the unseeded and the seeded family, each (open-top, closed-top space)
@@ -442,11 +441,13 @@ def sl2_double_cover_h1(n):
         raise ValidationError("the double-cover computation needs even "
                               "dimension n >= 2")
     sym = sl2_sym(n - 1)  # E + N of Sym^(n-1)
-    ef_inv = inverse([[x + y for x, y in zip(*rows)]
-                      for rows in zip(sym.coefficient(1), sym.coefficient(0))])
-    down = identity(n)
+    ef, _ = _cleared(inverse([[x + y for x, y in zip(*rows)]
+                              for rows in zip(sym.coefficient(1),
+                                              sym.coefficient(0))]))
+    # the even-level seed columns of the down-propagation, each step
+    # (E + N)^-1 diag(m - j - 1) without its nonzero scalar -1/2 den
+    seeds = [[int(i == j) for i in range(n)] for j in range(1, n, 2)]
     for m in range(n, 0, -1):
-        step = [[Fraction(-1, 2) * ef_inv[i][j] * (m - (j + 1))
-                 for j in range(n)] for i in range(n)]
-        down = mat_mul(step, down)
-    return rank([row[1::2] for row in down])  # the even-level seeds
+        seeds = _int_mul(seeds, [[x * (m - j - 1) for j, x in enumerate(row)]
+                                 for row in ef])
+    return len(_row_reduce(seeds))

@@ -5,7 +5,8 @@ freely and stay exact).  The kernels take Python ints only:
 _row_reduce is fraction-free Gauss-Jordan, _kernel reads a kernel basis
 over one denominator off its reduced rows, and _int_mul takes integer
 dot products.  _cleared, the one place denominators are cleared, puts
-rows over one common denominator; the Fraction-facing routines call it
+rows over one common denominator; the Fraction-facing routines
+(mat_mul, rank, nullspace, inverse, charpoly, poly_at_matrix) call it
 once before the kernels, and the formal solver, whose levels are ints,
 calls the kernels directly.  Fractions are divided out only for the
 entries returned.  There is no floating point here.
@@ -20,13 +21,6 @@ from .errors import ConsistencyError
 
 def zeros(nrows, ncols):
     return [[Fraction(0)] * ncols for _ in range(nrows)]
-
-
-def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = Fraction(1)
-    return m
 
 
 def _cleared(rows):
@@ -57,10 +51,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def is_zero_matrix(a):
-    return all(x == 0 for row in a for x in row)
 
 
 def _primitive(row):
@@ -192,17 +182,17 @@ def poly_at_matrix(coeffs, m):
 
 
 def is_semisimple(m, stage="is_semisimple", label="the matrix"):
-    """True iff the squarefree part s of the charpoly annihilates m; the
-    charpoly and s(m) are both computed on integers over one denominator."""
-    from .poly import pderiv, pgcd, pdivmod
+    """True iff the squarefree part s of the charpoly annihilates m.  Over
+    Z[t], chi cleared of denominators, s = chi / gcd(chi, chi') is exact
+    because _zgcd is primitive (Gauss's lemma); s(m) runs on integers."""
+    from .poly import _zgcd, pderiv, pzdivmod
 
-    chi = charpoly(m)
-    g = pgcd(chi, pderiv(chi))
-    s, r = pdivmod(chi, g)
-    if any(r):
+    (chi,), _ = _cleared([charpoly(m)])
+    s, r = pzdivmod(chi, _zgcd(chi, pderiv(chi)))
+    if r:
         raise ConsistencyError("%s: gcd(chi, chi') does not divide the "
                                "charpoly chi of %s" % (stage, label))
-    return is_zero_matrix(poly_at_matrix(s, m))
+    return not any(map(any, poly_at_matrix(s, m)))
 
 
 def is_nilpotent(m):

@@ -2,8 +2,10 @@
 
 A polynomial is a list [c0, c1, ...] meaning c0 + c1 x + ...; the zero
 polynomial is the empty list.  The arithmetic keeps int coefficients
-int, so it serves Z[t] and Q[t] alike.  RatFun is a reduced fraction of
-two such lists with a monic denominator, used for the variable t.
+int, and every reduction (pzdivmod, _zgcd) runs over Z[t] on lists
+cleared of denominators.  Fractions appear in the value of a RatFun, a
+reduced fraction of two such lists with a monic denominator used for the
+variable t, in pgcd's monic result and in rendering.
 """
 
 from decimal import Decimal
@@ -18,10 +20,6 @@ def ptrim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def pdeg(p):
-    return len(p) - 1
 
 
 def padd(p, q):
@@ -61,10 +59,6 @@ def pderiv(p):
     return ptrim([i * c for i, c in enumerate(p)][1:])
 
 
-def pmonic(p):
-    return [c / p[-1] for c in p]
-
-
 def pzdivmod(p, q):
     """(quot, rem) with p = quot q + rem in Z[t], for int polynomials: long
     division that stops at the first coefficient the lead of q does not
@@ -82,15 +76,6 @@ def pzdivmod(p, q):
             for j, c in enumerate(q):
                 p[i + j] -= f * c
     return ptrim(quot), ptrim(p)
-
-
-def pdivmod(p, q):
-    """Division in Q[t]: pzdivmod of lead(q)^k p by q over one denominator,
-    with k the degree of the quotient plus one, so no coefficient stops it."""
-    (a, b), den = _cleared([p, q])
-    s = b[-1] ** max(len(a) - len(b) + 1, 0) if b else 1
-    quot, rem = pzdivmod([s * x for x in a], b)
-    return [Fraction(x, s) for x in quot], [Fraction(x, s * den) for x in rem]
 
 
 def _zgcd(a, b):
@@ -131,26 +116,19 @@ class RatFun:
                 raise ValidationError("a RatFun numerator takes no denominator")
             self.num, self.den = num.num, num.den
             return
-        if not isinstance(num, list):
-            num = [Fraction(num)] if num else []
-        else:
-            num = ptrim([Fraction(c) for c in num])
         if den is None:
-            den = [Fraction(1)]
-        elif not isinstance(den, list):
-            den = [Fraction(den)]
-        else:
-            den = ptrim([Fraction(c) for c in den])
+            den = 1
+        num, den = (ptrim([Fraction(c) for c in (p if isinstance(p, list)
+                                                  else [p])])
+                    for p in (num, den))
         if not den:
             raise ValidationError("zero denominator")
-        if num:
-            g = pgcd(num, den)
-            if pdeg(g) > 0:
-                num, _ = pdivmod(num, g)
-                den, _ = pdivmod(den, g)
-        else:
-            den = [Fraction(1)]
-        self.num, self.den = [c / den[-1] for c in num], pmonic(den)
+        # over one denominator, both exact quotients by a primitive gcd (Gauss)
+        (num, den), _ = _cleared([num, den])
+        g = _zgcd(num, den)
+        num, den = pzdivmod(num, g)[0], pzdivmod(den, g)[0]
+        self.num = [Fraction(c, den[-1]) for c in num]
+        self.den = [Fraction(c, den[-1]) for c in den]
 
     @classmethod
     def _lowest(cls, num, den):

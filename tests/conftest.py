@@ -9,9 +9,8 @@ from rigidconn.connection import MatrixConnection, ScalarOperator
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               ValidationError)
 from rigidconn.galois import fold_branching, folding_matrix, galois_group
-from rigidconn.linalg import identity, mat_mul, zeros
-from rigidconn.poly import (RatFun, pdeg, pderiv, pdivmod, pmonic, pmul,
-                            pscale, psub)
+from rigidconn.linalg import mat_mul, zeros
+from rigidconn.poly import RatFun, pderiv, pmul, pscale, psub, ptrim
 from rigidconn.rootsys import build_root_system
 from rigidconn.weights import weight_system
 
@@ -62,6 +61,38 @@ def loop_bracket(alg, x, y):
                 else:
                     out.pop(key, None)
     return out
+
+
+# -- Fraction-matrix and Q[t] helpers; the library reduces over Z --------
+
+
+def identity(n):
+    """The n x n identity matrix of Fractions."""
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def is_zero_matrix(a):
+    return all(x == 0 for row in a for x in row)
+
+
+def pdeg(p):
+    return len(p) - 1
+
+
+def pmonic(p):
+    return [c / p[-1] for c in p]
+
+
+def pdivmod(p, q):
+    """(quot, rem) with p = quot q + rem and deg rem < deg q, by long
+    division over Q; q must be nonzero."""
+    rem = [Fraction(c) for c in p]
+    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = f = rem[i + len(q) - 1] / q[-1]
+        for j, c in enumerate(q):
+            rem[i + j] -= f * c
+    return ptrim(quot), ptrim(rem)
 
 
 def mat_pow(a, k):

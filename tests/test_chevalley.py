@@ -8,15 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (jacobi_scan, loop_bracket, mat_pow, ref_killing_form,
-                      ref_string_below)
+from conftest import (is_zero_matrix, jacobi_scan, loop_bracket, mat_pow,
+                      ref_killing_form, ref_string_below)
 from rigidconn import linalg
 from rigidconn.chevalley import (ChevalleyAlgebra, KacWindow, build_chevalley,
                                  heisenberg_pairing_check, kostant_check,
                                  principal_triple)
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.linalg import (is_semisimple, is_zero_matrix, mat_vec,
-                              nullspace, rank)
+from rigidconn.linalg import is_semisimple, mat_vec, nullspace, rank
 from rigidconn.rootsys import SUPPORTED, RootSystem, build_root_system
 
 SMALL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),

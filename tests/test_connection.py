@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ref_gauge_transform, ref_pgcd, ref_scalar_reduction
+from conftest import (pdeg, pdivmod, pmonic, ref_gauge_transform, ref_pgcd,
+                      ref_scalar_reduction)
 from rigidconn import connection, linalg, poly
 from rigidconn.cli import main
 from rigidconn.connection import (MatrixConnection, ScalarOperator,
@@ -28,7 +29,7 @@ from rigidconn.errors import (ConsistencyError, CyclicVectorError,
 from rigidconn.formal import kernel_dimension
 from rigidconn.galois import cohomology_dims
 from rigidconn.linalg import nullspace, zeros
-from rigidconn.poly import RatFun, pdeg, pdivmod
+from rigidconn.poly import RatFun
 from rigidconn.weights import (principal_sl2_decomposition, weight_system)
 from rigidconn.rootsys import build_root_system
 
@@ -690,19 +691,34 @@ POLYS = st.lists(SMALL_Q, max_size=6).map(poly.ptrim)
 @given(POLYS, POLYS, POLYS)
 def test_pgcd_matches_euclid(p, q, common):
     """The primitive remainder sequence gives Euclid's monic gcd, also
-    with a common factor put into both."""
+    with a common factor put into both; RatFun reduces over Z[t] to the
+    num/den that Euclid's gcd and long division over Q give."""
     assert poly.pgcd(p, q) == ref_pgcd(p, q)
     p, q = poly.pmul(p, common), poly.pmul(q, common)
     got = poly.pgcd(p, q)
     assert got == ref_pgcd(p, q)
     assert all(type(x) is Fraction for x in got)
+    if not q:
+        with pytest.raises(ValidationError, match="zero denominator"):
+            RatFun(p, q)
+        return
+    g = ref_pgcd(p, q)
+    num, den = pdivmod(p, g)[0], pdivmod(q, g)[0]
+    f = RatFun(p, q)
+    assert f.num == [c / den[-1] for c in num] and f.den == pmonic(den)
+    assert all(type(x) is Fraction for x in f.num + f.den)
+    assert f.den[-1] == 1
 
 
 def test_poly_checks_raise():
     with pytest.raises(ValidationError, match="by the zero polynomial"):
-        poly.pdivmod([Fraction(1)], [])
+        poly.pzdivmod([1], [])
     with pytest.raises(ValidationError, match="zero denominator"):
         RatFun([Fraction(1)], [Fraction(0)])
+    with pytest.raises(ValidationError, match="zero denominator"):
+        RatFun(1, 0)
+    with pytest.raises(ValidationError, match="zero denominator"):
+        RatFun(0, 0)
     with pytest.raises(ValidationError, match="numerator takes no denominator"):
         RatFun(RatFun(2), [Fraction(1)])
     with pytest.raises(ValidationError, match="by zero rational function"):
@@ -711,8 +727,9 @@ def test_poly_checks_raise():
 
 def test_poly_and_chevalley_checks_survive_optimize():
     """The five checks that were asserts raise under python -O, and so
-    do the check for a non-integral weight coordinate, the exact
-    division of a structure constant and its cycle check."""
+    do the scalar zero denominators, the check for a non-integral weight
+    coordinate, the exact division of a structure constant and its cycle
+    check."""
     code = ("from fractions import Fraction\n"
             "from rigidconn import chevalley, poly, weights\n"
             "from rigidconn.errors import ConsistencyError, ValidationError\n"
@@ -724,8 +741,10 @@ def test_poly_and_chevalley_checks_survive_optimize():
             "        return 1\n"
             "    return 0\n"
             "one = [Fraction(1)]\n"
-            "got = raises(ValidationError, poly.pdivmod, one, [])\n"
+            "got = raises(ValidationError, poly.pzdivmod, [1], [])\n"
             "got += raises(ValidationError, poly.RatFun, one, [0])\n"
+            "got += raises(ValidationError, poly.RatFun, 1, 0)\n"
+            "got += raises(ValidationError, poly.RatFun, 0, 0)\n"
             "got += raises(ValidationError, poly.RatFun, poly.RatFun(2), one)\n"
             "got += raises(ValidationError, poly.RatFun(2).__truediv__, "
             "poly.RatFun(0))\n"
@@ -741,7 +760,7 @@ def test_poly_and_chevalley_checks_survive_optimize():
             "rs.down[(3, -1)][1] += 1\n"
             "got += raises(ConsistencyError, chevalley.ChevalleyAlgebra(rs)"
             ".structure_constant, (2, -1), (1, 0))\n"
-            "raise SystemExit(3 if got == 8 else 1)\n")
+            "raise SystemExit(3 if got == 10 else 1)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)

@@ -11,19 +11,19 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ref_charpoly, ref_graded_cycle_check,
+from conftest import (identity, ref_charpoly, ref_graded_cycle_check,
                       ref_is_nilpotent, ref_is_semisimple, ref_mat_mul,
                       ref_nullspace, ref_poly_at_matrix, ref_rref)
 
-from rigidconn import linalg
+from rigidconn import linalg, poly
 from rigidconn.connection import (adjoint_connection, g2_seven_dim,
                                   sl_standard, slope_at_infinity,
                                   so_odd_standard, sp_standard)
 from rigidconn.errors import ConsistencyError
 from rigidconn.linalg import (_cleared, _int_mul, _kernel, _row_reduce,
-                              charpoly, graded_cycle_check, identity,
-                              inverse, is_nilpotent, is_semisimple, mat_mul,
-                              mat_vec, nullspace, poly_at_matrix, rank)
+                              charpoly, graded_cycle_check, inverse,
+                              is_nilpotent, is_semisimple, mat_mul, mat_vec,
+                              nullspace, poly_at_matrix, rank)
 
 
 def rand_matrix(rng, n, m, density=0.7):
@@ -102,6 +102,47 @@ def test_semisimple_and_nilpotent_classification():
     assert is_nilpotent(strict)
     assert not is_semisimple(strict)
     assert is_semisimple([[Fraction(0)]])
+    # denominators > 1: distinct eigenvalues 1/2, 1/5, then a Jordan block
+    # at 1/2
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    apart = [[half, third], [Fraction(0), Fraction(1, 5)]]
+    block = [[half, third], [Fraction(0), half]]
+    assert is_semisimple(apart) and ref_is_semisimple(apart)
+    assert not is_semisimple(block) and not ref_is_semisimple(block)
+    # chi = (x^2 + 1)^2: a repeated irreducible quadratic factor
+    c = [[0, -1], [1, 0]]
+    for top, want in (([[0, 0], [0, 0]], True), ([[1, 0], [0, 1]], False)):
+        m = ([row + t for row, t in zip(c, top)]
+             + [[0, 0] + row for row in c])
+        assert is_semisimple(m) is want
+        assert ref_is_semisimple(m) is want
+        assert not is_nilpotent(m)
+
+
+def test_semisimple_squarefree_remainder_raises(monkeypatch):
+    """A gcd(chi, chi') that does not divide chi names stage and label."""
+    monkeypatch.setattr(poly, "_zgcd", lambda a, b: [1, 1])
+    with pytest.raises(ConsistencyError, match=r"^stage: gcd\(chi, chi'\) "
+                       r"does not divide the charpoly chi of the label$"):
+        is_semisimple([[1, 0], [0, 2]], "stage", "the label")
+
+
+def test_semisimple_squarefree_remainder_survives_optimize():
+    code = ("from rigidconn import linalg, poly\n"
+            "from rigidconn.errors import ConsistencyError\n"
+            "poly._zgcd = lambda a, b: [1, 1]\n"
+            "try:\n"
+            "    linalg.is_semisimple([[1, 0], [0, 2]], 'stage', 'the label')\n"
+            "except ConsistencyError as exc:\n"
+            "    print(exc)\n"
+            "    raise SystemExit(3)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stdout.startswith("stage: gcd(chi, chi')")
+    assert "of the label" in proc.stdout
 
 
 def _mixed_leading_term():

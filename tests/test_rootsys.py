@@ -16,12 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import (cyclotomic_factorization, mat_pow, ref_charpoly,
-                      ref_coxeter_element, ref_height, ref_primitive_projector,
-                      ref_reflection_matrix, ref_rref, ref_string_below)
+from conftest import (cyclotomic_factorization, identity, mat_pow,
+                      ref_charpoly, ref_coxeter_element, ref_height,
+                      ref_primitive_projector, ref_reflection_matrix, ref_rref,
+                      ref_string_below)
 from rigidconn import cli, galois
 from rigidconn.errors import ConsistencyError, ValidationError
-from rigidconn.linalg import identity, mat_mul, mat_vec, rank
+from rigidconn.linalg import mat_mul, mat_vec, rank
 from rigidconn.rootsys import (SUPPORTED, RootSystem, build_root_system,
                                coxeter_element, coxeter_primitive_projector,
                                primitive_rank)
