@@ -19,16 +19,26 @@ parameters, unless it is the identity, into one map per epoch (the levels
 between two kernel levels) and rewrites no level: the feed, the pivot pass
 or a basis brings a level into the current parameters when it reads it.  A
 back-substituted level whose feed c is zero or empty is stored as zero.
-Levels below the window are dropped once they feed no equation.
-Dimensions are ranks over the core window [-M, M], independent of the seed
-placement, taken on its generating levels: its first max(K, 1) levels, K
-the degree of A(t), and those that took the kernel.  Every other level is
-back-substituted from the K below it, so a parameter vector that kills the
-generating levels kills the window, and both row sets have the same
-pivots.  Up to M, taylor0 runs the steps of laurent_polys and two_sided
-those of taylor_inf; the closed top only adds cut levels above M, so one
-sweep serves both.  The feed c runs over the nonzero entries of each A_k;
-a report builds its Fraction basis on read.
+Levels below the widest window are dropped once they feed no equation.
+Dimensions are ranks over the core window [-M, M], taken on its
+generating levels: its first max(K, 1) levels, K the degree of A(t), and
+those that took the kernel.  Every other level is back-substituted from
+the K below it, so a parameter vector that kills the generating levels
+kills the window, and both row sets have the same pivots.  Up to M,
+taylor0 runs the steps of laurent_polys and two_sided those of taylor_inf;
+the closed top only adds cut levels above M, so one sweep serves both, and
+both windows, M and M + h (the stabilization): it runs to M + h and at
+each window's top keeps [-M, M] twice, open and closed by the K cut levels
+above M.  Seeds sit M + h below -M, as for the M window alone, so the
+M + h window's sit M below its bottom, not M + 2h.  Its rank does not
+change once M reaches the floor 2 dim + 2h: ranks are independent of the
+seed placement that far below a window.  Nearer they need not be (at M = 2
+a 2 x 2 of degree 3 can read a rank one higher), so below the floor the
+M + h window is swept alone.  Unseeded, the sweep starts at -(M + h) and
+serves the M window unless a parameter entered below -M (never for a built
+model: A(0) = N is singular only at n = 0), else that window is swept
+alone.  The feed c runs over the nonzero entries of each A_k; a report
+builds its Fraction basis on read.
 """
 
 from collections import Counter
@@ -202,9 +212,10 @@ def _back_substitute(steps, diag, c, n, label):
     return y
 
 
-def _solve_space(conn, seeded, m_window, buffer_depth):
-    """The levels {n: (M_n, D_n)} of one sweep, open top at M and closed
-    top, and the window's generating levels in increasing order."""
+def _solve_space(conn, seeded, windows, buffer_depth):
+    """[(open top, closed top, generating levels)] of one sweep per window
+    M of the increasing windows: the levels {n: (M_n, D_n)} of [-M, M], top
+    open and closed, and the generating levels in increasing order."""
     if not conn.is_polynomial():
         raise ValidationError("formal solving needs polynomial A(t); %s has "
                               "poles at t = 0" % conn.label)
@@ -219,26 +230,18 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
     nonzero = {k: [(i, j, x) for i, row in enumerate(a[k])
                    for j, x in enumerate(row) if x] for k in ks}
     layers = max(big_k, 1) if seeded else 0
-    start = -m_window - (buffer_depth if seeded else 0)
+    start = -windows[0] - buffer_depth if seeded else -windows[-1]
     p = layers * d
     phi = _Levels(d, p, {start + j: ([[int(q == j * d + i) for q in range(p)]
                                       for i in range(d)], 1, 0)
                          for j in range(layers)}, [None])
-    # the window levels every other one is a linear function of: the first
-    # max(big_k, 1), which may be fed from below the window, and those that
-    # take the kernel (a back-substituted level is linear in its feed)
-    lead = -m_window + max(big_k, 1)
-    generating = list(range(-m_window, lead))
-    for n in range(start + layers, m_window + big_k + 1):
-        # a level below the window feeds big_k equations and is never
-        # reported, so it is dropped
-        if n - big_k - 1 < -m_window:
-            phi.stored.pop(n - big_k - 1, None)
-        # above the window v_n = 0, so the block has no v_n columns
-        w = d if n <= m_window else 0
-        # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] = [T | c], c[i] summing
-        # (x big_l / D_k) M_{n-k}[j] over nonzero x = A_k[i][j] once p > 0;
-        # scale is 0 (kernel) or T y = -scale c and v_n = y / (scale big_l)
+
+    def level(phi, n, w):
+        """Level n into phi, w = 0 above a closed top; True at a kernel."""
+        p = phi.p
+        # den_a [n Id + A(0) | big_l sum A_k phi[n-k]] = [T | c], c[i]
+        # summing (x big_l / D_k) M_{n-k}[j] over nonzero x = A_k[i][j] once
+        # p > 0; scale is 0 (kernel) or T y = -scale c, v_n = y / (scale big_l)
         scale = prod(abs(n * den_a + v) ** e
                      for v, e in exps.items()) if w and exps else 0
         feed = [(nonzero[k], phi[n - k]) for k in ks
@@ -256,28 +259,50 @@ def _solve_space(conn, seeded, m_window, buffer_depth):
                 phi[n] = _lowest(y, scale * big_l)
             else:
                 phi[n] = (None, 1)
-        else:
-            block = [[x + n * den_a if i == j else x
-                      for j, x in enumerate(a[0][i][:w])] + c[i]
-                     for i in range(d)]
-            vecs, den, free = _kernel(block)
-            # (x, y) in its kernel is (x, big_l y) in the true one: normalised
-            # at the free entry, y / den and x / (den big_l), times big_l if
-            # f < w
-            lift = [big_l if f < w else 1 for f in free]
-            pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, lift)]
-            if pmap != [[den * (i == j) for j in range(p)] for i in range(p)]:
-                phi.reparametrise(pmap, den)
-            if w:
-                phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, lift)]
-                                  for i in range(d)], den * big_l)
-                if n >= lead:
-                    generating.append(n)
-            p = len(vecs)
-        # a read replaces a level, a kernel level the maps: a copy keeps M
-        if n == m_window:
-            open_top = _Levels(d, p, dict(phi.stored), phi.maps)
-    return open_top, phi, generating
+            return False
+        block = [[x + n * den_a if i == j else x
+                  for j, x in enumerate(a[0][i][:w])] + c[i]
+                 for i in range(d)]
+        vecs, den, free = _kernel(block)
+        # (x, y) in its kernel is (x, big_l y) in the true one: normalised at
+        # the free entry, y / den and x / (den big_l), times big_l if f < w
+        lift = [big_l if f < w else 1 for f in free]
+        pmap = [[x * s for x in v[w:]] for v, s in zip(vecs, lift)]
+        if pmap != [[den * (i == j) for j in range(p)] for i in range(p)]:
+            phi.reparametrise(pmap, den)
+        if w:
+            phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, lift)]
+                              for i in range(d)], den * big_l)
+        return True
+
+    # the window levels every other one is a linear function of: the first
+    # max(big_k, 1), which may be fed from below the window, and those that
+    # take the kernel (a back-substituted level is linear in its feed)
+    lead = max(big_k, 1)
+    generating = {m: list(range(-m, lead - m)) for m in windows}
+    # a seeded window is served if the seeds lie the floor 2 dim + 2h (or
+    # the buffer) below it, an unseeded one if no parameter enters below it
+    depth = min(buffer_depth, 2 * d + 2 * _h_step(conn))
+    tops, own = {}, [m for m in windows if not seeded or -m - start >= depth]
+    for n in range(start + layers, own[-1] + 1):
+        # a level below the widest window feeds big_k equations, then goes
+        if n - big_k - 1 < -windows[-1]:
+            phi.stored.pop(n - big_k - 1, None)
+        if not seeded and phi.p and -n in own:
+            own.remove(-n)
+        if level(phi, n, d):
+            generating.update((m, generating[m] + [n]) for m in windows
+                              if lead - m <= n <= m)
+        if n in own:
+            # reads replace levels and kernels the maps: copies keep them
+            kept = {j: lv for j, lv in phi.stored.items() if j >= -n}
+            closed = _Levels(d, phi.p, dict(kept), phi.maps)
+            for j in range(n + 1, n + big_k + 1):
+                level(closed, j, 0)
+            tops[n] = _Levels(d, phi.p, kept, phi.maps), closed, generating[n]
+    # any other window is swept alone, its seeds as far below as the first's
+    return [tops[m] if m in own else _solve_space(
+        conn, seeded, (m,), buffer_depth + m - windows[0])[0] for m in windows]
 
 
 def _basis(d, phi, pivots, m_window):
@@ -295,15 +320,14 @@ def _h_step(conn):
 
 
 def _kernel_reports(conn, spaces, truncation):
-    """{space: KernelReport}, two sweeps per seed family, unseeded first,
-    at any truncation."""
+    """{space: KernelReport}, one sweep per seed family read at the windows
+    M and M + h, unseeded first, at any truncation."""
     h_step = _h_step(conn)
     windows = (truncation, truncation + h_step)
     reports = {}
     for seeded, family in enumerate(_FAMILIES):
         ends = [(top, s) for top, s in enumerate(family) if s in spaces]
-        sweeps = [_solve_space(conn, seeded, m, m + h_step)
-                  for m in windows if ends]
+        sweeps = ends and _solve_space(conn, seeded, windows, windows[1])
         for top, space in ends:
             # pivot columns of the generating levels of each core window:
             # the parameters they kill are those the whole window kills
@@ -328,8 +352,8 @@ def _floored_reports(conn, spaces, truncation):
 def kernel_dimension(conn, space, truncation):
     """Dimension of the truncated solution space, with stabilization.
 
-    The dimension is recomputed with the window enlarged by one h-period
-    and the report is flagged unstabilized if the two values differ.
+    The dimension is read again at the window enlarged by one h-period
+    off the same sweep; the report is flagged unstabilized if they differ.
     The truncation must reach the floor 2 dim + 2h, with dim + 1 in
     place of h when the connection has none.  taylor0 is read off the
     laurent_polys sweep at M and two_sided off the taylor_inf one.

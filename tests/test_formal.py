@@ -123,32 +123,32 @@ def test_h1_needs_vanishing_global_kernel():
     assert check_rigidity(flat, flat.dual(), 10)["h1"] is None
 
 
-def test_one_sweep_pair_per_seed_family(monkeypatch):
+def test_one_sweep_per_seed_family(monkeypatch):
     """taylor0 is read off the laurent_polys sweep and two_sided off the
-    taylor_inf one, so each seed family costs two sweeps (M and M + h);
-    h1 runs the sweeps of check_rigidity on V, unseeded family first, and
-    only then rejects a flat section."""
+    taylor_inf one, and one sweep serves both windows (M and M + h), so
+    each seed family costs one sweep; h1 runs the sweeps of check_rigidity
+    on V, unseeded family first, and only then rejects a flat section."""
     sweeps = []
 
-    def counted(conn, seeded, m_window, buffer_depth):
-        sweeps.append((seeded, m_window))
-        return solve(conn, seeded, m_window, buffer_depth)
+    def counted(conn, seeded, windows, buffer_depth):
+        sweeps.append((seeded, windows))
+        return solve(conn, seeded, windows, buffer_depth)
 
     solve = formal._solve_space
     monkeypatch.setattr(formal, "_solve_space", counted)
     conn = sl_standard(3)
-    for solver, count in [(check_rigidity, 6), (h1_middle_via_solver, 4)]:
+    for solver, count in [(check_rigidity, 3), (h1_middle_via_solver, 2)]:
         sweeps.clear()
         solver(conn, conn.dual(), 20)
         assert len(sweeps) == count
     sweeps.clear()
     kernel_dimension(conn, "taylor0", 20)
-    assert len(sweeps) == 2
+    assert len(sweeps) == 1
     sweeps.clear()
     flat = MatrixConnection({0: [[Fraction(-3)]]}, "theta minus 3", h=1)
     with pytest.raises(ConsistencyError):
         h1_middle_via_solver(flat, flat.dual(), 10)
-    assert sweeps == [(False, 10), (False, 11), (True, 10), (True, 11)]
+    assert sweeps == [(False, (10, 11)), (True, (10, 11))]
 
 
 @pytest.mark.parametrize("model,dim", [(("sl", 5), 5),
@@ -157,18 +157,19 @@ def test_one_sweep_pair_per_seed_family(monkeypatch):
 def test_kernel_runs_only_at_singular_and_cut_levels(model, dim, monkeypatch):
     """A(0) = N is strictly triangular in a permuted weight basis, so
     n Id + A(0) is singular only at n = 0: each sweep back-substitutes every
-    other level up to M and takes the Gauss-Jordan kernel at n = 0 and at
-    the cut level M + 1 alone (A(t) has degree 1)."""
+    other level up to M + h and takes the Gauss-Jordan kernel at n = 0 and
+    at the cut levels M + 1 (closing the M window on a copy) and M + h + 1
+    alone (A(t) has degree 1)."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     from worker import build_model
     sweeps = []
 
-    def counted_solve(conn, seeded, m_window, buffer_depth):
-        sweeps.append((m_window, []))
-        return solve(conn, seeded, m_window, buffer_depth)
+    def counted_solve(conn, seeded, windows, buffer_depth):
+        sweeps.append((windows, []))
+        return solve(conn, seeded, windows, buffer_depth)
 
     def counted_kernel(block):
-        # the level is the loop variable n of the calling _solve_space
+        # the level is the argument n of _solve_space's level step
         sweeps[-1][1].append(sys._getframe(1).f_locals["n"])
         return kernel(block)
 
@@ -178,8 +179,9 @@ def test_kernel_runs_only_at_singular_and_cut_levels(model, dim, monkeypatch):
     conn = build_model(rigidconn, model, random.Random(7).sample(range(dim),
                                                                  dim))
     check_rigidity(conn, conn.dual(), 24)
-    assert len(sweeps) == 6
-    assert all(levels == [0, m + 1] for m, levels in sweeps)
+    assert len(sweeps) == 3
+    assert all(levels == [0, m + 1, wide + 1]
+               for (m, wide), levels in sweeps)
 
 
 def test_pivot_pass_stacks_only_generating_levels(monkeypatch):
@@ -671,17 +673,21 @@ _TWO_CHAINS = MatrixConnection({0: [[1, 1, 0, 0], [0, 0, 0, 0],
                                "A(0) with two chains", h=1)
 
 
+def stored_levels(tops):
+    """Every stored level of a window's open and closed top, each brought
+    into its copy's final parameters as a read does, as bytes."""
+    return b"".join(repr(sorted((n, levels[n]) for n in levels.stored))
+                    .encode() for levels in tops[:2])
+
+
 def level_hash(conn, truncation):
-    """sha256 of every stored level of both seed families' sweeps at the
-    windows truncation and truncation + h, open and closed top, each level
-    brought into its sweep's final parameters as a read does."""
+    """sha256 of the stored levels of both seed families' sweeps of the
+    windows truncation and truncation + h, each swept alone."""
     digest = hashlib.sha256()
     for seeded in (False, True):
         for m in (truncation, truncation + conn.h):
-            for levels in formal._solve_space(conn, seeded, m,
-                                              m + conn.h)[:2]:
-                digest.update(repr(sorted((n, levels[n])
-                                          for n in levels.stored)).encode())
+            digest.update(stored_levels(formal._solve_space(
+                conn, seeded, (m,), m + conn.h)[0]))
     return digest.hexdigest()
 
 
@@ -700,7 +706,8 @@ def test_parameter_maps_apply_on_read(monkeypatch):
 
     int_mul = formal._int_mul
     monkeypatch.setattr(formal, "_int_mul", counted)
-    *tops, generating = formal._solve_space(sl_standard(5), True, 60, 65)
+    *tops, generating = formal._solve_space(sl_standard(5), True, (60,),
+                                            65)[0]
     first = [levels[n] for levels in tops for n in generating]
     assert len(calls) <= 8
     count = len(calls)
@@ -747,6 +754,132 @@ def test_stored_levels_are_pinned(build, own, dual, monkeypatch):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     conn = build()
     assert (level_hash(conn, 24), level_hash(conn.dual(), 24)) == (own, dual)
+
+
+_WINDOW_CASES = (
+    [(name, _model(model, dim)) for name, model, dim in [
+        ("sl5", ("sl", 5), 5), ("adjoint A2", ("adjoint", "A", 2), 8),
+        ("adjoint D4", ("adjoint", "D", 4), 28)]]
+    + [(base.label, lambda base=base: base)
+       for base in [base for base, _ in _EDGE_CASES] + _FEED_CASES
+       + _CYCLIC_CASES])
+
+
+@pytest.mark.parametrize("build,dual",
+                         [pytest.param(build, dual,
+                                       id=name + (" V*" if dual else " V"))
+                          for name, build in _WINDOW_CASES
+                          for dual in (False, True)])
+def test_shared_windows_match_their_own_sweeps(build, dual, monkeypatch):
+    """At the floor M = 2 dim + 2h one sweep per seed family serves the
+    windows M and M + h, with no window swept alone.  Its M window stores
+    the levels of a sweep of that window alone, and the seeded sweep's
+    M + h window, seeded M levels below its bottom, has the rank of a sweep
+    of its own seeded at -2M - 3h, M + 2h below it, on both tops: the
+    stabilization flag read two ways."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    calls = []
+
+    def counted(conn, seeded, windows, buffer_depth):
+        calls.append(windows)
+        return solve(conn, seeded, windows, buffer_depth)
+
+    solve = formal._solve_space
+    monkeypatch.setattr(formal, "_solve_space", counted)
+    conn = build().dual() if dual else build()
+    h_step = conn.h if conn.h else conn.dim + 1
+    floor = 2 * conn.dim + 2 * h_step
+    windows = (floor, floor + h_step)
+    for seeded in (False, True):
+        narrow, wide = formal._solve_space(conn, seeded, windows, windows[1])
+        alone = formal._solve_space(conn, seeded, windows[:1], windows[1])
+        assert calls == [windows, windows[:1]]
+        calls.clear()
+        assert stored_levels(narrow) == stored_levels(alone[0])
+    deep, = formal._solve_space(conn, True, windows[1:], windows[1] + h_step)
+    assert [rank_of(wide, top) for top in (0, 1)] == [rank_of(deep, top)
+                                                      for top in (0, 1)]
+
+
+def rank_of(sweep, top):
+    """The rank of a window's generating levels at the open (0) or closed
+    (1) top: the dimension the window reads."""
+    return len(formal._row_reduce([row for n in sweep[2]
+                                   for row in sweep[top][n][0]]))
+
+
+# A(t) of degree 3 whose seed layers at M = 2 reach the M + h window
+_NEAR_SEEDS = MatrixConnection({0: [[2, 0], [0, -1]],
+                                1: [[0, 0], [Fraction(9, 8), 0]],
+                                2: [[Fraction(-1, 3), 0], [-3, 0]],
+                                3: [[3, 0], [0, 0]]},
+                               "seeds near the window", h=1)
+
+
+@pytest.mark.parametrize("conn,ranks", [
+    (_NEAR_SEEDS, ([4, 2], [3, 1])), (_NEAR_SEEDS.dual(), ([5, 2], [4, 1]))],
+    ids=["V", "V*"])
+def test_seeds_nearer_than_the_floor_are_swept_alone(conn, ranks,
+                                                     monkeypatch):
+    """At M = 2, below the floor 6, the M + h window seeded M levels below
+    reads two_sided and taylor_inf one rank higher than seeded M + 2h below
+    (where both equal the M window's), so the seeded sweep serves the M
+    window only and the M + h window is swept alone at the old depth: every
+    space matches the reference, stabilized."""
+    near, deep = [formal._solve_space(conn, True, (3,), buffer)[0]
+                  for buffer in (2, 4)]
+    assert ([rank_of(near, top) for top in (0, 1)],
+            [rank_of(deep, top) for top in (0, 1)]) == ranks
+    calls = []
+
+    def counted(conn, seeded, windows, buffer_depth):
+        calls.append((seeded, windows, buffer_depth))
+        return solve(conn, seeded, windows, buffer_depth)
+
+    solve = formal._solve_space
+    monkeypatch.setattr(formal, "_solve_space", counted)
+    got = _kernel_reports(conn, SPACES, 2)
+    assert calls == [(False, (2, 3), 3), (True, (2, 3), 3), (True, (3,), 4)]
+    for space in SPACES:
+        dim, stable, basis = ref_kernel_dimension(conn, space, 2)
+        assert (got[space].dimension, got[space].stabilized) == (dim, stable)
+        assert stable
+        assert [w.coeffs for w in got[space].basis] == [w.coeffs
+                                                        for w in basis]
+
+
+_DEEP_CASES = [
+    MatrixConnection({0: [[6]], 1: [[1]]}, "theta + 6 + t", h=1),
+    MatrixConnection({0: [[6, 0], [1, 0]], 1: [[0, 1], [1, 0]]},
+                     "2x2, A(0) eigenvalue 6", h=1),
+]
+
+
+@pytest.mark.parametrize("conn", [pytest.param(c, id=c.label)
+                                  for base in _DEEP_CASES
+                                  for c in (base, base.dual())])
+def test_unseeded_window_past_a_parameter_is_swept_alone(conn, monkeypatch):
+    """n Id + A(0) is singular at n = -6, inside the window M + h = 6 and
+    below the window M = 5: a parameter enters the unseeded sweep below -M,
+    so the M window gets a sweep of its own, and all four spaces match the
+    reference (taylor0 of theta + 6 + t reads unstabilized).  The duals are
+    singular at n = 6 and take no such sweep."""
+    sweeps = []
+
+    def counted(conn, seeded, windows, buffer_depth):
+        sweeps.append((seeded, windows))
+        return solve(conn, seeded, windows, buffer_depth)
+
+    solve = formal._solve_space
+    monkeypatch.setattr(formal, "_solve_space", counted)
+    got = _kernel_reports(conn, SPACES, 5)
+    alone = [] if conn.label.endswith("dual") else [(5,)]
+    assert [w for seeded, w in sweeps if not seeded] == [(5, 6)] + alone
+    for space in SPACES:
+        dim, stable, basis = ref_kernel_dimension(conn, space, 5)
+        assert (got[space].dimension, got[space].stabilized) == (dim, stable)
+        assert [w.coeffs for w in got[space].basis] == [w.coeffs
+                                                        for w in basis]
 
 
 @pytest.mark.parametrize("build,exponents", [
@@ -810,7 +943,8 @@ def test_identity_parameter_maps_add_no_epoch(monkeypatch):
     for seeded in (False, True):
         for m in (5, 6):
             kernels.clear()
-            open_top, closed, _ = formal._solve_space(conn, seeded, m, m + 1)
+            open_top, closed, _ = formal._solve_space(conn, seeded, (m,),
+                                                      m + 1)[0]
             assert len(kernels) >= 12
             assert (len(open_top.maps), len(closed.maps)) == (3, 4)
 
@@ -854,16 +988,16 @@ def test_generating_levels_have_the_window_pivots(build, truncation, dual,
                                                   monkeypatch):
     """Every stored level off the generating ones is back-substituted from
     the levels below it, so the generating rows and the whole window's rows
-    have one kernel and the same pivot columns: both windows, both tops
-    (all four spaces), on permuted models, levels singular away from n = 0,
-    A(0) with no triangular order and Kronecker-sum products."""
+    have one kernel and the same pivot columns: both windows of one sweep,
+    both tops (all four spaces), on permuted models, levels singular away
+    from n = 0, A(0) with no triangular order and Kronecker-sum products."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     conn = build().dual() if dual else build()
     h_step = conn.h if conn.h else conn.dim + 1
+    windows = (truncation, truncation + h_step)
     for seeded in (False, True):
-        for m in (truncation, truncation + h_step):
-            *tops, generating = formal._solve_space(conn, seeded, m,
-                                                    m + h_step)
+        sweeps = formal._solve_space(conn, seeded, windows, windows[1])
+        for m, (*tops, generating) in zip(windows, sweeps):
             assert generating == sorted(set(generating))
             assert -m == generating[0] and generating[-1] <= m
             for levels in tops:
@@ -893,7 +1027,7 @@ def test_basis_is_built_on_first_read(monkeypatch):
     first = report.basis
     assert report.basis is first
     assert len(built) == 1 and len(first) == report.dimension > 0
-    levels = formal._solve_space(conn, True, 30, 30 + conn.h)[0]
+    levels = formal._solve_space(conn, True, (30,), 30 + conn.h)[0][0]
     pivots = formal._row_reduce([row for n in range(-30, 31)
                                  for row in levels[n][0]])
     eager = basis(conn.dim, levels, pivots, 30)
