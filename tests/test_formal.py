@@ -123,7 +123,7 @@ def test_h1_needs_vanishing_global_kernel():
     assert check_rigidity(flat, flat.dual(), 10)["h1"] is None
 
 
-def test_one_sweep_per_seed_family(monkeypatch):
+def test_one_sweep_pair_per_seed_family(monkeypatch):
     """taylor0 is read off the laurent_polys sweep and two_sided off the
     taylor_inf one, and one sweep serves both windows (M and M + h), so
     each seed family costs one sweep; h1 runs the sweeps of check_rigidity
