@@ -26,19 +26,14 @@ those that took the kernel.  Every other level is back-substituted from
 the K below it, so a parameter vector that kills the generating levels
 kills the window, and both row sets have the same pivots.  Up to M,
 taylor0 runs the steps of laurent_polys and two_sided those of taylor_inf;
-the closed top only adds cut levels above M, so one sweep serves both, and
-both windows, M and M + h (the stabilization): it runs to M + h and at
-each window's top keeps [-M, M] twice, open and closed by the K cut levels
-above M.  Seeds sit M + h below -M, as for the M window alone, so the
-M + h window's sit M below its bottom, not M + 2h.  Its rank does not
-change once M reaches the floor 2 dim + 2h: ranks are independent of the
-seed placement that far below a window.  Nearer they need not be (at M = 2
-a 2 x 2 of degree 3 can read a rank one higher), so below the floor the
-M + h window is swept alone.  Unseeded, the sweep starts at -(M + h) and
-serves the M window unless a parameter entered below -M (never for a built
-model: A(0) = N is singular only at n = 0), else that window is swept
-alone.  The feed c runs over the nonzero entries of each A_k; a report
-builds its Fraction basis on read.
+the closed top only adds cut levels above M.  One sweep serves both spaces
+and both windows, M and M + h, keeping each window open and closing a copy
+at its top.  Seeded, it starts M + h below -M, as the M window alone does,
+and the M + h window keeps the seed values that its own seeds, M + 2h below
+it, reach: ranks depend on the seed placement.  Unseeded, it starts at
+-(M + h); the M window is swept alone if a parameter entered below -M.
+The feed c runs over the nonzero entries of each A_k; a report builds its
+Fraction basis on read.
 """
 
 from collections import Counter
@@ -232,9 +227,9 @@ def _solve_space(conn, seeded, windows, buffer_depth):
     layers = max(big_k, 1) if seeded else 0
     start = -windows[0] - buffer_depth if seeded else -windows[-1]
     p = layers * d
-    phi = _Levels(d, p, {start + j: ([[int(q == j * d + i) for q in range(p)]
-                                      for i in range(d)], 1, 0)
-                         for j in range(layers)}, [None])
+    eye = [[int(i == q) for q in range(p)] for i in range(p)]
+    seeds = {start + j: (eye[j * d:j * d + d], 1, 0) for j in range(layers)}
+    phi = _Levels(d, p, dict(seeds), [None])
 
     def level(phi, n, w):
         """Level n into phi, w = 0 above a closed top; True at a kernel."""
@@ -279,12 +274,9 @@ def _solve_space(conn, seeded, windows, buffer_depth):
     # max(big_k, 1), which may be fed from below the window, and those that
     # take the kernel (a back-substituted level is linear in its feed)
     lead = max(big_k, 1)
-    generating = {m: list(range(-m, lead - m)) for m in windows}
-    # a seeded window is served if the seeds lie the floor 2 dim + 2h (or
-    # the buffer) below it, an unseeded one if no parameter enters below it
-    depth = min(buffer_depth, 2 * d + 2 * _h_step(conn))
-    tops, own = {}, [m for m in windows if not seeded or -m - start >= depth]
-    for n in range(start + layers, own[-1] + 1):
+    generating = {m: list(range(-m, min(lead - m, m + 1))) for m in windows}
+    tops, own = {}, list(windows)
+    for n in range(start + layers, windows[-1] + 1):
         # a level below the widest window feeds big_k equations, then goes
         if n - big_k - 1 < -windows[-1]:
             phi.stored.pop(n - big_k - 1, None)
@@ -294,15 +286,32 @@ def _solve_space(conn, seeded, windows, buffer_depth):
             generating.update((m, generating[m] + [n]) for m in windows
                               if lead - m <= n <= m)
         if n in own:
-            # reads replace levels and kernels the maps: copies keep them
-            kept = {j: lv for j, lv in phi.stored.items() if j >= -n}
-            closed = _Levels(d, phi.p, dict(kept), phi.maps)
+            # reads replace levels and kernels the maps: copies keep them,
+            # the closed one down to n + 1 - big_k, where its cut levels read
+            kept, closed = [{j: lv for j, lv in phi.stored.items() if j >= low}
+                            for low in (-n, min(-n, n + 1 - big_k))]
+            closed = _Levels(d, phi.p, closed, phi.maps)
             for j in range(n + 1, n + big_k + 1):
                 level(closed, j, 0)
             tops[n] = _Levels(d, phi.p, kept, phi.maps), closed, generating[n]
-    # any other window is swept alone, its seeds as far below as the first's
-    return [tops[m] if m in own else _solve_space(
-        conn, seeded, (m,), buffer_depth + m - windows[0])[0] for m in windows]
+        if seeded and n in windows[1:]:
+            # window n alone is seeded 2 (n - M) lower: keep the seed values
+            # x whose states B x = Q z a sweep from there reaches
+            low = 2 * (n - windows[0])
+            pre = _Levels(d, p, {j - low: s for j, s in seeds.items()}, [None])
+            for j in range(start - low + layers, start + layers):
+                level(pre, j, d)
+            for top in tops[n][:2]:
+                b = _Levels(d, top.p, dict(seeds), top.maps)
+                vecs, den, _ = _kernel([
+                    [x * dq for x in mb[i]] + [-x * db for x in mq[i]]
+                    for j in range(start, start + layers)
+                    for (mb, db), (mq, dq) in [(b[j], pre[j])]
+                    for i in range(d)])
+                top.reparametrise([v[:top.p] for v in vecs], den)
+    # an unseeded window a parameter entered below is swept alone
+    return [tops[m] if m in own else _solve_space(conn, seeded, (m,), 0)[0]
+            for m in windows]
 
 
 def _basis(d, phi, pivots, m_window):

@@ -159,18 +159,21 @@ def test_kernel_runs_only_at_singular_and_cut_levels(model, dim, monkeypatch):
     n Id + A(0) is singular only at n = 0: each sweep back-substitutes every
     other level up to M + h and takes the Gauss-Jordan kernel at n = 0 and
     at the cut levels M + 1 (closing the M window on a copy) and M + h + 1
-    alone (A(t) has degree 1)."""
+    alone (A(t) has degree 1).  The seeded sweep takes it twice more at
+    M + h, where it keeps the seed values that the M + h window's own,
+    deeper seeds reach, at the open and at the closed top."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     from worker import build_model
     sweeps = []
 
     def counted_solve(conn, seeded, windows, buffer_depth):
-        sweeps.append((windows, []))
+        sweeps.append((seeded, windows, []))
         return solve(conn, seeded, windows, buffer_depth)
 
     def counted_kernel(block):
-        # the level is the argument n of _solve_space's level step
-        sweeps[-1][1].append(sys._getframe(1).f_locals["n"])
+        # n of the calling frame: _solve_space's level step or its loop
+        frame = sys._getframe(1)
+        sweeps[-1][2].append((frame.f_code.co_name, frame.f_locals["n"]))
         return kernel(block)
 
     solve, kernel = formal._solve_space, formal._kernel
@@ -179,9 +182,10 @@ def test_kernel_runs_only_at_singular_and_cut_levels(model, dim, monkeypatch):
     conn = build_model(rigidconn, model, random.Random(7).sample(range(dim),
                                                                  dim))
     check_rigidity(conn, conn.dual(), 24)
-    assert len(sweeps) == 3
-    assert all(levels == [0, m + 1, wide + 1]
-               for (m, wide), levels in sweeps)
+    assert [seeded for seeded, _, _ in sweeps] == [False, True, False]
+    assert all(levels == [("level", n) for n in (0, m + 1, wide + 1)]
+               + [("_solve_space", wide)] * 2 * seeded
+               for seeded, (m, wide), levels in sweeps)
 
 
 def test_pivot_pass_stacks_only_generating_levels(monkeypatch):
@@ -774,9 +778,10 @@ def test_shared_windows_match_their_own_sweeps(build, dual, monkeypatch):
     """At the floor M = 2 dim + 2h one sweep per seed family serves the
     windows M and M + h, with no window swept alone.  Its M window stores
     the levels of a sweep of that window alone, and the seeded sweep's
-    M + h window, seeded M levels below its bottom, has the rank of a sweep
-    of its own seeded at -2M - 3h, M + 2h below it, on both tops: the
-    stabilization flag read two ways."""
+    M + h window, seeded M levels below its bottom and kept to the seed
+    values that seeds at -2M - 3h reach, has the rank of a sweep of its own
+    seeded there, M + 2h below it, on both tops: the stabilization flag
+    read two ways."""
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     calls = []
 
@@ -819,13 +824,13 @@ _NEAR_SEEDS = MatrixConnection({0: [[2, 0], [0, -1]],
 @pytest.mark.parametrize("conn,ranks", [
     (_NEAR_SEEDS, ([4, 2], [3, 1])), (_NEAR_SEEDS.dual(), ([5, 2], [4, 1]))],
     ids=["V", "V*"])
-def test_seeds_nearer_than_the_floor_are_swept_alone(conn, ranks,
+def test_wide_window_reads_the_rank_of_its_own_seeds(conn, ranks,
                                                      monkeypatch):
-    """At M = 2, below the floor 6, the M + h window seeded M levels below
-    reads two_sided and taylor_inf one rank higher than seeded M + 2h below
-    (where both equal the M window's), so the seeded sweep serves the M
-    window only and the M + h window is swept alone at the old depth: every
-    space matches the reference, stabilized."""
+    """At M = 2 the M + h window seeded M levels below reads two_sided and
+    taylor_inf one rank higher than seeded M + 2h below, as it is seeded
+    alone.  The shared seeded sweep keeps only the seed values that the
+    deeper seeds reach, so it reads the deeper ranks with no sweep of its
+    own: every space matches the reference, stabilized."""
     near, deep = [formal._solve_space(conn, True, (3,), buffer)[0]
                   for buffer in (2, 4)]
     assert ([rank_of(near, top) for top in (0, 1)],
@@ -838,14 +843,53 @@ def test_seeds_nearer_than_the_floor_are_swept_alone(conn, ranks,
 
     solve = formal._solve_space
     monkeypatch.setattr(formal, "_solve_space", counted)
+    wide = formal._solve_space(conn, True, (2, 3), 3)[1]
+    assert [rank_of(wide, top) for top in (0, 1)] == ranks[1]
+    calls.clear()
     got = _kernel_reports(conn, SPACES, 2)
-    assert calls == [(False, (2, 3), 3), (True, (2, 3), 3), (True, (3,), 4)]
+    assert calls == [(False, (2, 3), 3), (True, (2, 3), 3)]
     for space in SPACES:
         dim, stable, basis = ref_kernel_dimension(conn, space, 2)
         assert (got[space].dimension, got[space].stabilized) == (dim, stable)
         assert stable
         assert [w.coeffs for w in got[space].basis] == [w.coeffs
                                                         for w in basis]
+
+
+# A(t) of degree 14 > 2M + 1 at the floor M = 6: the cut levels above M read
+# levels below -M, and the window's first K levels run past its top
+_HIGH_DEGREE = MatrixConnection({1: [[0, 0], [0, 1]], 14: [[0, 0], [1, 0]]},
+                                "degree 14", h=1)
+
+
+@pytest.mark.parametrize("conn", [_HIGH_DEGREE, _HIGH_DEGREE.dual()],
+                         ids=["V", "V*"])
+def test_degree_above_the_window_matches_the_fraction_solver(conn):
+    """At the floor every space, its flag and its basis match the
+    reference, although the closed top reads levels below the window and
+    the seed depth changes the M + h window's rank (V* two_sided)."""
+    got = formal._floored_reports(conn, SPACES, 6)
+    for space in SPACES:
+        dim, stable, basis = ref_kernel_dimension(conn, space, 6)
+        assert (got[space].dimension, got[space].stabilized) == (dim, stable)
+        assert [w.coeffs for w in got[space].basis] == [w.coeffs
+                                                        for w in basis]
+
+
+@settings(max_examples=20, deadline=None)
+@given(polynomial_connections())
+def test_reports_at_the_floor_match_the_fraction_solver(conn):
+    """At the floor 2 dim + 2h, where kernel_dimension runs, each seed
+    family's one sweep against the reference run per space and window."""
+    floor = 2 * conn.dim + 2 * conn.h
+    for c in (conn, conn.dual()):
+        got = formal._floored_reports(c, SPACES, floor)
+        for space in SPACES:
+            dim, stable, basis = ref_kernel_dimension(c, space, floor)
+            assert (got[space].dimension, got[space].stabilized) == (dim,
+                                                                    stable)
+            assert [w.coeffs for w in got[space].basis] == [w.coeffs
+                                                            for w in basis]
 
 
 _DEEP_CASES = [
