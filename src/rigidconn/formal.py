@@ -14,12 +14,11 @@ gives (x, L y) in the true one, v_n and the old parameters in terms of the
 new ones.  Parameters enter where T is singular or, for spaces with an
 infinite tail at t = 0, as seed layers a buffer below the window; above a
 closed top edge v_n = 0, so the block is c alone and only cuts the
-parameter space down.  A kernel level composes its map of the old
-parameters, unless it is the identity, into one map per epoch (the levels
-between two kernel levels) and rewrites no level: the feed, the pivot pass
-or a basis brings a level into the current parameters when it reads it.  A
-back-substituted level whose feed c is zero or empty is stored as zero.
-Levels below the widest window are dropped once they feed no equation.
+parameter space down.  A kernel level whose map of the old parameters is
+not the identity rewrites the stored levels into the new ones, and a sweep
+stores only what is read: the seeds, each window's generating levels
+(below) and the K levels that feed the next one.  A back-substituted level
+whose feed c is zero or empty is stored as zero.
 Dimensions are ranks over the core window [-M, M], taken on its
 generating levels: its first max(K, 1) levels, K the degree of A(t), and
 those that took the kernel.  Every other level is back-substituted from
@@ -33,7 +32,7 @@ and the M + h window keeps the seed values that its own seeds, M + 2h below
 it, reach: ranks depend on the seed placement.  Unseeded, it starts at
 -(M + h); the M window is swept alone if a parameter entered below -M.
 The feed c runs over the nonzero entries of each A_k; a report builds its
-Fraction basis on read.
+Fraction basis on read, back-substituting the window's other levels.
 """
 
 from collections import Counter
@@ -95,7 +94,7 @@ class SeriesWindow:
 
 class KernelReport:
     """A space's dimension and stabilization; basis is built on first read
-    from the sweep's levels, in the parameters its top had when reached."""
+    from the levels of its window's top, in the top's final parameters."""
 
     def __init__(self, space, truncation, stabilized, dim, levels, pivots):
         self.space = space
@@ -124,32 +123,35 @@ def _lowest(mat, den):
 
 
 class _Levels:
-    """Levels {n: (M, D, epoch)}, M None for zero; an epoch is the run of
-    levels between two kernel levels, maps[epoch] the map (columns over one
-    denominator) from its parameters to the current ones, None for the
-    current epoch.  A read brings a level into these, and stores it so."""
+    """Levels {n: (M, D)} in the current parameters, M None for zero, and
+    the level step of their sweep (see _solve_space)."""
 
-    def __init__(self, d, p, stored, maps):
-        self.d, self.p, self.stored, self.maps = d, p, stored, maps
-
-    def __setitem__(self, n, level):
-        self.stored[n] = level + (len(self.maps) - 1,)
+    def __init__(self, d, p, stored, step):
+        self.d, self.p, self.stored, self.step = d, p, stored, step
 
     def __getitem__(self, n):
-        mat, den, epoch = self.stored[n]
-        if mat is None:
-            return [[0] * self.p] * self.d, 1
-        if self.maps[epoch]:
-            cols, dc = self.maps[epoch]
-            self[n] = mat, den = _lowest(_int_mul(mat, cols), den * dc)
-        return mat, den
+        mat, den = self.stored[n]
+        return ([[0] * self.p] * self.d, 1) if mat is None else (mat, den)
+
+    def copy(self):
+        return _Levels(self.d, self.p, dict(self.stored), self.step)
 
     def reparametrise(self, pmap, den):
-        """A new epoch, in whose parameters the old ones are the columns
-        pmap over den: composed into the map of every earlier epoch."""
-        self.maps = [_lowest(_int_mul(pmap, list(zip(*m[0]))), m[1] * den)
-                     if m else _lowest(pmap, den) for m in self.maps] + [None]
+        """Every level into new parameters, in which the old ones are the
+        columns pmap over den."""
+        self.stored = {n: (mat, dn) if mat is None
+                       else _lowest(_int_mul(mat, pmap), dn * den)
+                       for n, (mat, dn) in self.stored.items()}
         self.p = len(pmap)
+
+    def window(self, m):
+        """A copy holding every level of [-m, m]: a level not stored is
+        back-substituted from the K below it, in increasing n."""
+        full = self.copy()
+        for n in range(-m, m + 1):
+            if n not in full.stored:
+                full.step(full, n, full.d)
+        return full
 
 
 def _triangular_order(a0):
@@ -209,8 +211,8 @@ def _back_substitute(steps, diag, c, n, label):
 
 def _solve_space(conn, seeded, windows, buffer_depth):
     """[(open top, closed top, generating levels)] of one sweep per window
-    M of the increasing windows: the levels {n: (M_n, D_n)} of [-M, M], top
-    open and closed, and the generating levels in increasing order."""
+    M of the increasing windows: copies of the stored levels at n = M, open
+    and closed, and the generating levels of [-M, M] in increasing order."""
     if not conn.is_polynomial():
         raise ValidationError("formal solving needs polynomial A(t); %s has "
                               "poles at t = 0" % conn.label)
@@ -228,8 +230,7 @@ def _solve_space(conn, seeded, windows, buffer_depth):
     start = -windows[0] - buffer_depth if seeded else -windows[-1]
     p = layers * d
     eye = [[int(i == q) for q in range(p)] for i in range(p)]
-    seeds = {start + j: (eye[j * d:j * d + d], 1, 0) for j in range(layers)}
-    phi = _Levels(d, p, dict(seeds), [None])
+    seeds = {start + j: (eye[j * d:j * d + d], 1) for j in range(layers)}
 
     def level(phi, n, w):
         """Level n into phi, w = 0 above a closed top; True at a kernel."""
@@ -251,9 +252,9 @@ def _solve_space(conn, seeded, windows, buffer_depth):
             if any(map(any, c)):
                 diag = [n * den_a + a[0][i][i] for i in range(d)]
                 y = _back_substitute(steps, diag, c, n, conn.label)
-                phi[n] = _lowest(y, scale * big_l)
+                phi.stored[n] = _lowest(y, scale * big_l)
             else:
-                phi[n] = (None, 1)
+                phi.stored[n] = (None, 1)
             return False
         block = [[x + n * den_a if i == j else x
                   for j, x in enumerate(a[0][i][:w])] + c[i]
@@ -266,47 +267,45 @@ def _solve_space(conn, seeded, windows, buffer_depth):
         if pmap != [[den * (i == j) for j in range(p)] for i in range(p)]:
             phi.reparametrise(pmap, den)
         if w:
-            phi[n] = _lowest([[v[i] * s for v, s in zip(vecs, lift)]
-                              for i in range(d)], den * big_l)
+            phi.stored[n] = _lowest([[v[i] * s for v, s in zip(vecs, lift)]
+                                     for i in range(d)], den * big_l)
         return True
 
+    phi = _Levels(d, p, dict(seeds), level)
     # the window levels every other one is a linear function of: the first
     # max(big_k, 1), which may be fed from below the window, and those that
     # take the kernel (a back-substituted level is linear in its feed)
     lead = max(big_k, 1)
     generating = {m: list(range(-m, min(lead - m, m + 1))) for m in windows}
+    keep = set(seeds).union(*generating.values())
     tops, own = {}, list(windows)
     for n in range(start + layers, windows[-1] + 1):
-        # a level below the widest window feeds big_k equations, then goes
-        if n - big_k - 1 < -windows[-1]:
+        # a level feeds big_k equations, then goes unless a top reads it
+        if n - big_k - 1 not in keep:
             phi.stored.pop(n - big_k - 1, None)
         if not seeded and phi.p and -n in own:
             own.remove(-n)
         if level(phi, n, d):
-            generating.update((m, generating[m] + [n]) for m in windows
-                              if lead - m <= n <= m)
+            for m in windows:
+                if lead - m <= n <= m:
+                    generating[m].append(n)
+                    keep.add(n)
         if n in own:
-            # reads replace levels and kernels the maps: copies keep them,
-            # the closed one down to n + 1 - big_k, where its cut levels read
-            kept, closed = [{j: lv for j, lv in phi.stored.items() if j >= low}
-                            for low in (-n, min(-n, n + 1 - big_k))]
-            closed = _Levels(d, phi.p, closed, phi.maps)
+            closed = phi.copy()
             for j in range(n + 1, n + big_k + 1):
                 level(closed, j, 0)
-            tops[n] = _Levels(d, phi.p, kept, phi.maps), closed, generating[n]
+            tops[n] = phi.copy(), closed, generating[n]
         if seeded and n in windows[1:]:
             # window n alone is seeded 2 (n - M) lower: keep the seed values
             # x whose states B x = Q z a sweep from there reaches
             low = 2 * (n - windows[0])
-            pre = _Levels(d, p, {j - low: s for j, s in seeds.items()}, [None])
+            pre = _Levels(d, p, {j - low: s for j, s in seeds.items()}, level)
             for j in range(start - low + layers, start + layers):
                 level(pre, j, d)
             for top in tops[n][:2]:
-                b = _Levels(d, top.p, dict(seeds), top.maps)
                 vecs, den, _ = _kernel([
                     [x * dq for x in mb[i]] + [-x * db for x in mq[i]]
-                    for j in range(start, start + layers)
-                    for (mb, db), (mq, dq) in [(b[j], pre[j])]
+                    for j in seeds for (mb, db), (mq, dq) in [(top[j], pre[j])]
                     for i in range(d)])
                 top.reparametrise([v[:top.p] for v in vecs], den)
     # an unseeded window a parameter entered below is swept alone
@@ -316,6 +315,7 @@ def _solve_space(conn, seeded, windows, buffer_depth):
 
 def _basis(d, phi, pivots, m_window):
     """One SeriesWindow over the core window per pivot parameter column."""
+    phi = phi.window(m_window)
     core = [(n,) + phi[n] for n in range(-m_window, m_window + 1)]
     return [SeriesWindow._exact(d, {n: [Fraction(mat[i][col], den)
                                         for i in range(d)]
@@ -396,6 +396,9 @@ def check_rigidity(conn, conn_dual, truncation):
     the two-sided kernel splits as taylor0 + taylor_inf.  "h1" is the
     middle-extension h^1, None when V has flat sections.
     """
+    if conn_dual.dim != conn.dim:
+        raise ValidationError("%s has dimension %d, its dual %s has %d" % (
+            conn.label, conn.dim, conn_dual.label, conn_dual.dim))
     own = _floored_reports(conn, SPACES, truncation)
     reports = {"laurent_V": own["laurent_polys"],
                "laurent_V_dual": kernel_dimension(conn_dual, "laurent_polys",
@@ -454,6 +457,9 @@ def apply_connection(conn, window):
 
 def residue_pair(f, omega):
     """Res_{t=0} of the pairing series: sum over n + m = 0 of <v_n, w_m>."""
+    if f.dim != omega.dim:
+        raise ValidationError("windows of dimension %d and %d do not pair"
+                              % (f.dim, omega.dim))
     total = Fraction(0)
     for n, vec in f.coeffs.items():
         other = omega.coeffs.get(-n)

@@ -374,7 +374,8 @@ def test_closed_stdout_exits_141_without_traceback(tmp_path, argv,
 # ------------------------------------------------------------- README
 
 # options the README names for perfbench/run.py and for pip
-_OTHER_TOOLS = {"--workload", "--seed", "--seconds", "--no-build-isolation"}
+_OTHER_TOOLS = {"--workload", "--seed", "--seconds", "--no-build-isolation",
+                "--hypothesis-seed"}
 
 
 def test_readme_and_parser_name_the_same_options():

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -288,6 +289,18 @@ def test_residue_pair_basics():
     assert residue_pair(f, w) == 14
     shifted = SeriesWindow(2, {3: [Fraction(1), Fraction(4)]})
     assert residue_pair(f, shifted) == 0
+
+
+def test_residue_pair_rejects_mismatched_dimensions():
+    f = SeriesWindow(2, {0: [Fraction(1), Fraction(2)]})
+    w = SeriesWindow(3, {0: [Fraction(1), Fraction(2), Fraction(3)]})
+    with pytest.raises(ValidationError, match="dimension 2 and 3"):
+        residue_pair(f, w)
+
+
+def test_rigidity_rejects_a_dual_of_another_dimension():
+    with pytest.raises(ValidationError, match="dimension 3, its dual"):
+        check_rigidity(sl_standard(3), sl_standard(4).dual(), 20)
 
 
 def test_principal_regrading_of_adjoint_solutions():
@@ -678,10 +691,13 @@ _TWO_CHAINS = MatrixConnection({0: [[1, 1, 0, 0], [0, 0, 0, 0],
 
 
 def stored_levels(tops):
-    """Every stored level of a window's open and closed top, each brought
-    into its copy's final parameters as a read does, as bytes."""
-    return b"".join(repr(sorted((n, levels[n]) for n in levels.stored))
-                    .encode() for levels in tops[:2])
+    """Every level of a window [-m, m] at its open and closed top, in the
+    top's final parameters, the levels the sweep dropped back-substituted
+    as a basis does, as bytes."""
+    *tops, generating = tops
+    m = -generating[0]
+    return b"".join(repr([(n, full[n]) for n in range(-m, m + 1)]).encode()
+                    for full in (levels.window(m) for levels in tops))
 
 
 def level_hash(conn, truncation):
@@ -696,12 +712,11 @@ def level_hash(conn, truncation):
 
 
 def test_parameter_maps_apply_on_read(monkeypatch):
-    """A kernel level composes its parameter map into one map per epoch
-    and rewrites no stored level; a level takes the composed map when it
-    is read, once.  One seeded sl5 sweep at M = 60 and the pivot pass's
-    reads of its generating levels, at both tops, take at most 8 _int_mul
-    calls, where reparametrising every stored level at every kernel level
-    took 181; reading them again takes none."""
+    """A kernel level rewrites only the few levels the sweep keeps, and a
+    read rewrites none.  One seeded sl5 sweep at M = 60 and the pivot
+    pass's reads of its generating levels, at both tops, take at most 8
+    _int_mul calls, where reparametrising every level of the window at
+    every kernel level took 181; reading them again takes none."""
     calls = []
 
     def counted(rows, cols):
@@ -717,6 +732,35 @@ def test_parameter_maps_apply_on_read(monkeypatch):
     count = len(calls)
     assert [levels[n] for levels in tops for n in generating] == first
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["unseeded", "seeded"])
+def test_sweeps_keep_a_store_that_does_not_grow_with_the_window(seeded):
+    """A sweep keeps the seeds, the generating levels, and the level it
+    computed last with the K below it: for sl5 (K = 1, singular only at
+    n = 0) every top of the windows M and M + h holds as many levels at
+    M = 30 as at M = 60 (5 unseeded, 6 seeded), where keeping the whole
+    window held 121 at M = 60."""
+    conn = sl_standard(5)
+    sizes = [[len(top.stored) for *tops, _ in formal._solve_space(
+        conn, seeded, (m, m + conn.h), m + conn.h) for top in tops]
+        for m in (30, 60)]
+    assert sizes[0] == sizes[1] == [5 + seeded] * 4
+
+
+def test_rigidity_at_the_floor_holds_no_window():
+    """check_rigidity reads no basis, so no window is ever held whole: on
+    the adjoint D4 at its floor (M = 68) the traced allocations peak under
+    2 MiB, where keeping every window level peaked at 8 MiB."""
+    conn = adjoint_connection("D", 4)
+    dual = conn.dual()
+    tracemalloc.start()
+    try:
+        assert check_rigidity(conn, dual, 2 * conn.dim + 2 * conn.h)["passed"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def _model(model, dim):
@@ -969,28 +1013,39 @@ def test_a_smaller_scale_leaves_a_remainder(build, monkeypatch):
         level_hash(conn, 24)
 
 
-def test_identity_parameter_maps_add_no_epoch(monkeypatch):
+def test_identity_parameter_maps_rewrite_nothing(monkeypatch):
     """A(0) a swap has no triangular order, so every level takes the
     kernel, but T = n Id + A(0) is singular only at n = -1 and 1: there and
     at the cut level M + 1 of the closed top the parameters change, and
-    every other kernel map is the identity and opens no epoch.  A sweep
-    takes 12 to 20 kernels and keeps 3 maps (open top) and 4 (closed)."""
-    kernels = []
+    every other kernel map is the identity and rewrites no level.  A sweep
+    takes 12 to 20 kernels; its open top has been rewritten twice and its
+    closed top three times."""
+    kernels, rewrites = [], []
 
     def counted(block):
         kernels.append(block)
         return kernel(block)
 
-    kernel = formal._kernel
+    def rewrite(levels, pmap, den):
+        rewrites.append(levels)
+        return reparametrise(levels, pmap, den)
+
+    kernel, reparametrise = formal._kernel, formal._Levels.reparametrise
     monkeypatch.setattr(formal, "_kernel", counted)
+    monkeypatch.setattr(formal._Levels, "reparametrise", rewrite)
     conn = _CYCLIC_CASES[0]
     for seeded in (False, True):
         for m in (5, 6):
             kernels.clear()
+            rewrites.clear()
             open_top, closed, _ = formal._solve_space(conn, seeded, (m,),
                                                       m + 1)[0]
             assert len(kernels) >= 12
-            assert (len(open_top.maps), len(closed.maps)) == (3, 4)
+            # the sweep's own store took every rewrite before the tops were
+            # copied from it, the closed copy those of its cut level
+            assert open_top not in rewrites
+            assert (len([lv for lv in rewrites if lv is not closed]),
+                    len(rewrites)) == (2, 3)
 
 
 @pytest.mark.parametrize("type_label,rank", [("A", 3), ("B", 3), ("C", 3),
@@ -1045,10 +1100,11 @@ def test_generating_levels_have_the_window_pivots(build, truncation, dual,
             assert generating == sorted(set(generating))
             assert -m == generating[0] and generating[-1] <= m
             for levels in tops:
+                full = levels.window(m)
                 assert formal._row_reduce(
                     [row for n in generating for row in levels[n][0]]
                 ) == formal._row_reduce(
-                    [row for n in range(-m, m + 1) for row in levels[n][0]])
+                    [row for n in range(-m, m + 1) for row in full[n][0]])
 
 
 def test_basis_is_built_on_first_read(monkeypatch):
@@ -1072,8 +1128,9 @@ def test_basis_is_built_on_first_read(monkeypatch):
     assert report.basis is first
     assert len(built) == 1 and len(first) == report.dimension > 0
     levels = formal._solve_space(conn, True, (30,), 30 + conn.h)[0][0]
+    full = levels.window(30)
     pivots = formal._row_reduce([row for n in range(-30, 31)
-                                 for row in levels[n][0]])
+                                 for row in full[n][0]])
     eager = basis(conn.dim, levels, pivots, 30)
     assert [w.coeffs for w in first] == [w.coeffs for w in eager]
     for rep in result["reports"].values():
