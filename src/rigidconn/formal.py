@@ -1,24 +1,28 @@
 """Truncated formal solutions of (theta + A)f = 0 and the residue pairing.
 
-The recursion n v_n + sum_k A_k v_{n-k} = 0 is solved upward, one level
-at a time, with a running parameter space.  A level is an integer matrix
-over one denominator, v_n = M_n / D_n in lowest terms, D_n > 0; level n
-solves den(A) [n Id + A(0) | L sum A_k v_{n-k}] = [T | c], L the lcm of
-the fed D_{n-k}.  Where T is nonsingular and den(A) A(0) is triangular in
-some order of its rows (found once per sweep; A(0) = N raises the grading,
-so every built model has one, permuted or dual), v_n = -T^-1 c / L by back
-substitution along that order, scaled by the least exact scale of T's
-chains.  Elsewhere (T singular, a cut level above a closed top, or no such
-order) the Gauss-Jordan kernel of [T | c] runs: a kernel vector (x, y)
-gives (x, L y) in the true one, v_n and the old parameters in terms of the
-new ones.  Parameters enter where T is singular or, for spaces with an
-infinite tail at t = 0, as seed layers a buffer below the window; above a
-closed top edge v_n = 0, so the block is c alone and only cuts the
-parameter space down.  A kernel level whose map of the old parameters is
-not the identity rewrites the stored levels into the new ones, and a sweep
-stores only what is read: the seeds, each window's generating levels
-(below) and the K levels that feed the next one.  A back-substituted level
-whose feed c is zero or empty is stored as zero.
+The recursion n v_n + sum_k A_k v_{n-k} = 0 is solved upward, one level at
+a time, with a running parameter space.  A level is an integer matrix over
+one denominator, v_n = M_n / D_n, D_n > 0; level n solves
+den(A) [n Id + A(0) | L sum A_k v_{n-k}] = [T | c], L the lcm of the fed
+D_{n-k}.  Kernel levels and rewritten levels are in lowest terms; a
+back-substituted level is brought there only once D_n has more than twice
+the bits of the last level the sweep brought there, so D_n never has more
+than twice the bits of a lowest-terms denominator of its sweep.  Where T
+is nonsingular and den(A) A(0) is triangular in some order of its rows
+(found once per sweep; A(0) = N raises the grading, so every built model
+has one, permuted or dual), v_n = -T^-1 c / L by back substitution along
+that order, scaled by the least exact scale of T's chains.  Elsewhere (T
+singular, a cut level above a closed top, or no such order) the
+Gauss-Jordan kernel of [T | c] runs: a kernel vector (x, y) gives (x, L y)
+in the true one, v_n and the old parameters in terms of the new ones.
+Parameters enter where T is singular or, for spaces with an infinite tail
+at t = 0, as seed layers a buffer below the window; above a closed top
+edge v_n = 0, so the block is c alone and only cuts the parameter space
+down.  A kernel level whose map of the old parameters is not the identity
+rewrites the stored levels into the new ones, and a sweep stores only what
+is read: the seeds, each window's generating levels (below) and the K
+levels that feed the next one.  A back-substituted level whose feed c is
+zero or empty is stored as zero.
 Dimensions are ranks over the core window [-M, M], taken on its
 generating levels: its first max(K, 1) levels, K the degree of A(t), and
 those that took the kernel.  Every other level is back-substituted from
@@ -114,7 +118,8 @@ class KernelReport:
 
 
 def _lowest(mat, den):
-    """(mat, den) over the gcd of den and every entry, folded row by row."""
+    """(mat, den) over the gcd of den and every entry, folded row by row:
+    the level in lowest terms."""
     g = den
     for row in mat:
         if (g := gcd(g, *row)) == 1:
@@ -124,17 +129,28 @@ def _lowest(mat, den):
 
 class _Levels:
     """Levels {n: (M, D)} in the current parameters, M None for zero, and
-    the level step of their sweep (see _solve_space)."""
+    the level step of their sweep (see _solve_space).  bits is the bit
+    length of the last denominator the step brought to lowest terms."""
 
-    def __init__(self, d, p, stored, step):
+    def __init__(self, d, p, stored, step, bits=1):
         self.d, self.p, self.stored, self.step = d, p, stored, step
+        self.bits = bits
 
     def __getitem__(self, n):
         mat, den = self.stored[n]
         return ([[0] * self.p] * self.d, 1) if mat is None else (mat, den)
 
     def copy(self):
-        return _Levels(self.d, self.p, dict(self.stored), self.step)
+        return _Levels(self.d, self.p, dict(self.stored), self.step,
+                       self.bits)
+
+    def put(self, n, mat, den, lazy=False):
+        """Store level n, in lowest terms unless lazy and den has at most
+        twice the bits of the last level brought to lowest terms."""
+        if not lazy or den.bit_length() > 2 * self.bits:
+            mat, den = _lowest(mat, den)
+            self.bits = den.bit_length()
+        self.stored[n] = mat, den
 
     def reparametrise(self, pmap, den):
         """Every level into new parameters, in which the old ones are the
@@ -228,6 +244,11 @@ def _solve_space(conn, seeded, windows, buffer_depth):
                    for j, x in enumerate(row) if x] for k in ks}
     layers = max(big_k, 1) if seeded else 0
     start = -windows[0] - buffer_depth if seeded else -windows[-1]
+    if start + layers > windows[0]:
+        raise ValidationError("%s: A(t) has degree %d, so the seed layers "
+                              "of the seeded sweep at truncation %d reach "
+                              "past the window's top"
+                              % (conn.label, big_k, windows[0]))
     p = layers * d
     eye = [[int(i == q) for q in range(p)] for i in range(p)]
     seeds = {start + j: (eye[j * d:j * d + d], 1) for j in range(layers)}
@@ -252,7 +273,7 @@ def _solve_space(conn, seeded, windows, buffer_depth):
             if any(map(any, c)):
                 diag = [n * den_a + a[0][i][i] for i in range(d)]
                 y = _back_substitute(steps, diag, c, n, conn.label)
-                phi.stored[n] = _lowest(y, scale * big_l)
+                phi.put(n, y, scale * big_l, lazy=True)
             else:
                 phi.stored[n] = (None, 1)
             return False
@@ -267,8 +288,8 @@ def _solve_space(conn, seeded, windows, buffer_depth):
         if pmap != [[den * (i == j) for j in range(p)] for i in range(p)]:
             phi.reparametrise(pmap, den)
         if w:
-            phi.stored[n] = _lowest([[v[i] * s for v, s in zip(vecs, lift)]
-                                     for i in range(d)], den * big_l)
+            phi.put(n, [[v[i] * s for v, s in zip(vecs, lift)]
+                        for i in range(d)], den * big_l)
         return True
 
     phi = _Levels(d, p, dict(seeds), level)

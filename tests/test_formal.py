@@ -692,11 +692,12 @@ _TWO_CHAINS = MatrixConnection({0: [[1, 1, 0, 0], [0, 0, 0, 0],
 
 def stored_levels(tops):
     """Every level of a window [-m, m] at its open and closed top, in the
-    top's final parameters, the levels the sweep dropped back-substituted
-    as a basis does, as bytes."""
+    top's final parameters and in lowest terms, the levels the sweep
+    dropped back-substituted as a basis does, as bytes."""
     *tops, generating = tops
     m = -generating[0]
-    return b"".join(repr([(n, full[n]) for n in range(-m, m + 1)]).encode()
+    return b"".join(repr([(n, formal._lowest(*full[n]))
+                          for n in range(-m, m + 1)]).encode()
                     for full in (levels.window(m) for levels in tops))
 
 
@@ -746,6 +747,40 @@ def test_sweeps_keep_a_store_that_does_not_grow_with_the_window(seeded):
         conn, seeded, (m, m + conn.h), m + conn.h) for top in tops]
         for m in (30, 60)]
     assert sizes[0] == sizes[1] == [5 + seeded] * 4
+
+
+@pytest.mark.parametrize("conn,truncation", [
+    (sl_standard(5), 60), (adjoint_connection("B", 4), 88)],
+    ids=["sl5", "adjoint B4"])
+def test_lowest_terms_only_when_the_denominator_doubles(conn, truncation,
+                                                         monkeypatch):
+    """A back-substituted level is brought to lowest terms only once its
+    denominator has more than twice the bits of the last level the sweep
+    brought there.  On one seeded sweep of the windows M and M + h (sl5 at
+    M = 60, the adjoint B4 at its floor 88) _lowest runs, for any caller,
+    at most once per four back-substituted levels (it ran on every one),
+    and no stored D_n has more than twice the bits of the largest
+    lowest-terms denominator of the sweep."""
+    reduced, stored, lazy_puts = [], [], []
+
+    def lowest(mat, den):
+        out = formal_lowest(mat, den)
+        reduced.append(out[1].bit_length())
+        return out
+
+    def put(levels, n, mat, den, lazy=False):
+        lazy_puts.append(lazy)
+        formal_put(levels, n, mat, den, lazy)
+        stored.append(levels.stored[n][1].bit_length())
+
+    formal_lowest, formal_put = formal._lowest, formal._Levels.put
+    monkeypatch.setattr(formal, "_lowest", lowest)
+    monkeypatch.setattr(formal._Levels, "put", put)
+    windows = (truncation, truncation + conn.h)
+    formal._solve_space(conn, True, windows, windows[1])
+    assert 4 * len(reduced) <= lazy_puts.count(True)
+    assert max(stored) > max(reduced)
+    assert max(stored) <= 2 * max(reduced)
 
 
 def test_rigidity_at_the_floor_holds_no_window():
@@ -918,6 +953,27 @@ def test_degree_above_the_window_matches_the_fraction_solver(conn):
         assert (got[space].dimension, got[space].stabilized) == (dim, stable)
         assert [w.coeffs for w in got[space].basis] == [w.coeffs
                                                         for w in basis]
+
+
+def _degree(big_k):
+    return MatrixConnection({1: [[0, 0], [0, 1]], big_k: [[0, 0], [1, 0]]},
+                            "degree %d" % big_k, h=1)
+
+
+def test_seed_layers_past_the_window_top_are_rejected():
+    """At the floor M = 6 (h = 1) the seeded sweep starts at -2M - h, so
+    the seed layers of an A(t) of degree K > 3M + h = 19 end above the
+    window's top: kernel_dimension and check_rigidity raise a
+    ValidationError that names the connection, its degree and the
+    truncation.  Degree 19 and the unseeded spaces still run."""
+    conn = _degree(20)
+    for run in (lambda: kernel_dimension(conn, "taylor_inf", 6),
+                lambda: check_rigidity(conn, conn.dual(), 6)):
+        with pytest.raises(ValidationError, match="^degree 20: A\\(t\\) has "
+                           "degree 20, .* at truncation 6 reach past"):
+            run()
+    assert kernel_dimension(conn, "taylor0", 6).dimension == 2
+    assert kernel_dimension(_degree(19), "taylor_inf", 6).truncation == 6
 
 
 @settings(max_examples=20, deadline=None)
