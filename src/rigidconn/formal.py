@@ -1,28 +1,28 @@
 """Truncated formal solutions of (theta + A)f = 0 and the residue pairing.
 
-The recursion n v_n + sum_k A_k v_{n-k} = 0 is solved upward, one level at
-a time, with a running parameter space.  A level is an integer matrix over
-one denominator, v_n = M_n / D_n, D_n > 0; level n solves
+The recursion n v_n + sum_k A_k v_{n-k} = 0 is solved upward, one level
+at a time, with a running parameter space.  A level is an integer matrix
+over one denominator, v_n = M_n / D_n, D_n > 0; level n solves
 den(A) [n Id + A(0) | L sum A_k v_{n-k}] = [T | c], L the lcm of the fed
 D_{n-k}.  Kernel levels and rewritten levels are in lowest terms; a
 back-substituted level is brought there only once D_n has more than twice
 the bits of the last level the sweep brought there, so D_n never has more
-than twice the bits of a lowest-terms denominator of its sweep.  Where T
-is nonsingular and den(A) A(0) is triangular in some order of its rows
-(found once per sweep; A(0) = N raises the grading, so every built model
-has one, permuted or dual), v_n = -T^-1 c / L by back substitution along
-that order, scaled by the least exact scale of T's chains.  Elsewhere (T
-singular, a cut level above a closed top, or no such order) the
-Gauss-Jordan kernel of [T | c] runs: a kernel vector (x, y) gives (x, L y)
-in the true one, v_n and the old parameters in terms of the new ones.
-Parameters enter where T is singular or, for spaces with an infinite tail
-at t = 0, as seed layers a buffer below the window; above a closed top
-edge v_n = 0, so the block is c alone and only cuts the parameter space
-down.  A kernel level whose map of the old parameters is not the identity
-rewrites the stored levels into the new ones, and a sweep stores only what
-is read: the seeds, each window's generating levels (below) and the K
-levels that feed the next one.  A back-substituted level whose feed c is
-zero or empty is stored as zero.
+than twice the bits of a lowest-terms denominator of its sweep.
+Where T is nonsingular and den(A) A(0) is triangular in
+some order of its rows (found once per sweep; A(0) = N raises the grading,
+so every built model has one, permuted or dual), v_n = -T^-1 c / L by back
+substitution along that order, scaled by the least exact scale of T's
+chains.  Elsewhere (T singular, a cut level above a closed top, or no such
+order) the Gauss-Jordan kernel of [T | c] runs: a kernel vector (x, y)
+gives (x, L y) in the true one, v_n and the old parameters in terms of the
+new ones.  Parameters enter where T is singular or, for spaces with an
+infinite tail at t = 0, as seed layers a buffer below the window; above a
+closed top edge v_n = 0, so the block is c alone and only cuts the
+parameter space down.  A kernel level whose map of the old parameters is
+not the identity rewrites the stored levels into the new ones, and a sweep
+stores only what is read: the seeds, each window's generating levels
+(below) and the K levels that feed the next one.  A back-substituted level
+whose feed c is zero or empty is stored as zero.
 Dimensions are ranks over the core window [-M, M], taken on its
 generating levels: its first max(K, 1) levels, K the degree of A(t), and
 those that took the kernel.  Every other level is back-substituted from
@@ -119,7 +119,9 @@ class KernelReport:
 
 def _lowest(mat, den):
     """(mat, den) over the gcd of den and every entry, folded row by row:
-    the level in lowest terms."""
+    the level in lowest terms, where kernel levels, rewritten levels and a
+    back-substituted level whose denominator has doubled are kept (see
+    _Levels.put)."""
     g = den
     for row in mat:
         if (g := gcd(g, *row)) == 1:
@@ -247,7 +249,7 @@ def _solve_space(conn, seeded, windows, buffer_depth):
     if start + layers > windows[0]:
         raise ValidationError("%s: A(t) has degree %d, so the seed layers "
                               "of the seeded sweep at truncation %d reach "
-                              "past the window's top"
+                              "the window's top"
                               % (conn.label, big_k, windows[0]))
     p = layers * d
     eye = [[int(i == q) for q in range(p)] for i in range(p)]
@@ -386,7 +388,9 @@ def kernel_dimension(conn, space, truncation):
     off the same sweep; the report is flagged unstabilized if they differ.
     The truncation must reach the floor 2 dim + 2h, with dim + 1 in
     place of h when the connection has none.  taylor0 is read off the
-    laurent_polys sweep at M and two_sided off the taylor_inf one.
+    laurent_polys sweep at M and two_sided off the taylor_inf one.  The
+    seeded spaces refuse an A(t) of degree above 3 truncation + h, whose
+    seed layers would reach the window's top.
     """
     if space not in SPACES:
         raise ValidationError("unknown space %r; expected one of %s"

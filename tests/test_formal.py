@@ -960,9 +960,9 @@ def _degree(big_k):
                             "degree %d" % big_k, h=1)
 
 
-def test_seed_layers_past_the_window_top_are_rejected():
+def test_seed_layers_that_reach_the_window_top_are_rejected():
     """At the floor M = 6 (h = 1) the seeded sweep starts at -2M - h, so
-    the seed layers of an A(t) of degree K > 3M + h = 19 end above the
+    the K seed layers of an A(t) of degree K > 3M + h = 19 reach the
     window's top: kernel_dimension and check_rigidity raise a
     ValidationError that names the connection, its degree and the
     truncation.  Degree 19 and the unseeded spaces still run."""
@@ -970,7 +970,7 @@ def test_seed_layers_past_the_window_top_are_rejected():
     for run in (lambda: kernel_dimension(conn, "taylor_inf", 6),
                 lambda: check_rigidity(conn, conn.dual(), 6)):
         with pytest.raises(ValidationError, match="^degree 20: A\\(t\\) has "
-                           "degree 20, .* at truncation 6 reach past"):
+                           "degree 20, .* at truncation 6 reach the"):
             run()
     assert kernel_dimension(conn, "taylor0", 6).dimension == 2
     assert kernel_dimension(_degree(19), "taylor_inf", 6).truncation == 6
