@@ -935,10 +935,15 @@ def test_wide_window_reads_the_rank_of_its_own_seeds(conn, ranks,
                                                         for w in basis]
 
 
+def _degree(big_k):
+    """The 2 x 2 A(t) = diag(0, 1) t + E_21 t^big_k, with h = 1."""
+    return MatrixConnection({1: [[0, 0], [0, 1]], big_k: [[0, 0], [1, 0]]},
+                            "degree %d" % big_k, h=1)
+
+
 # A(t) of degree 14 > 2M + 1 at the floor M = 6: the cut levels above M read
 # levels below -M, and the window's first K levels run past its top
-_HIGH_DEGREE = MatrixConnection({1: [[0, 0], [0, 1]], 14: [[0, 0], [1, 0]]},
-                                "degree 14", h=1)
+_HIGH_DEGREE = _degree(14)
 
 
 @pytest.mark.parametrize("conn", [_HIGH_DEGREE, _HIGH_DEGREE.dual()],
@@ -953,11 +958,6 @@ def test_degree_above_the_window_matches_the_fraction_solver(conn):
         assert (got[space].dimension, got[space].stabilized) == (dim, stable)
         assert [w.coeffs for w in got[space].basis] == [w.coeffs
                                                         for w in basis]
-
-
-def _degree(big_k):
-    return MatrixConnection({1: [[0, 0], [0, 1]], big_k: [[0, 0], [1, 0]]},
-                            "degree %d" % big_k, h=1)
 
 
 def test_seed_layers_that_reach_the_window_top_are_rejected():
