@@ -6,11 +6,13 @@ alpha + beta = gamma and alpha the least simple root for which beta is a
 root gets N(alpha, beta) = p + 1 > 0, p read off RootSystem.down,
 and every other constant follows from the standard identities relating
 N on rotated, negated, and quadruple configurations, each an exact
-division of integers.  Elements are sparse dicts {basis index: int};
-only rho_check and the form kappa take Fraction values.
+division of integers weighted by root norms from the one table
+RootSystem.norms.  Elements are sparse dicts {basis index: int}; only
+rho_check and the form kappa take Fraction values.
 """
 
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .errors import ConsistencyError, ValidationError
 from .linalg import (_cleared, _row_reduce, graded_cycle_check, nullspace,
@@ -40,9 +42,9 @@ class ChevalleyAlgebra:
             self.root_of_index.append(beta)
             self.index_of_root[beta] = rs.rank + k
         for k, beta in enumerate(self.pos):
-            neg = tuple(-x for x in beta)
-            self.root_of_index.append(neg)
-            self.index_of_root[neg] = rs.rank + self.npos + k
+            minus = tuple(map(neg, beta))
+            self.root_of_index.append(minus)
+            self.index_of_root[minus] = rs.rank + self.npos + k
         self._order = {beta: k for k, beta in enumerate(self.pos)}
         self._nc = {}
         self._bracket_cache = {}
@@ -60,7 +62,7 @@ class ChevalleyAlgebra:
             raise ConsistencyError("chevalley: no special pair for the root "
                                    "%s of %s" % (gamma, rs.label()))
         alpha = min(below)
-        return alpha, tuple(g - a for g, a in zip(gamma, alpha))
+        return alpha, tuple(map(sub, gamma, alpha))
 
     def structure_constant(self, a, b):
         """N(a, b) with [x_a, x_b] = N(a, b) x_{a+b}; a, b, a+b roots."""
@@ -76,48 +78,47 @@ class ChevalleyAlgebra:
 
     def _compute_nc(self, a, b):
         rs = self.rs
+        norms = rs.norms
         order = self._order
         pos_a, pos_b = a in order, b in order
         if pos_a and pos_b:
             if order[a] > order[b]:
                 return -self.structure_constant(b, a)
-            gamma = tuple(x + y for x, y in zip(a, b))
+            gamma = tuple(map(add, a, b))
             a0, b0 = self.extraspecial_pair(gamma)
             if (a, b) == (a0, b0):
                 # a is simple: p is the length of its string below b
                 return rs.down[b][rs.simple_roots.index(a)] + 1
             # quadruple (a0, b0, -a, -b) sums to zero, no two summing to
             # zero: N(a, b) = |gamma|^2 / N(a0, b0) times the sum of the
-            # products below over |d|^2, summed as num / den
-            na = tuple(-x for x in a)
-            nb = tuple(-x for x in b)
+            # products below over |c - a|^2, summed as num / den
+            na = tuple(map(neg, a))
+            nb = tuple(map(neg, b))
             num, den = 0, 1
             for c, pair1, pair2 in ((b0, (b0, na), (a0, nb)),
                                     (a0, (na, a0), (b0, nb))):
-                d = tuple(x - y for x, y in zip(c, a))
-                if d in rs.root_set:
-                    ld = rs.gram_pair(d, d)
+                ld = norms.get(tuple(map(sub, c, a)))
+                if ld:  # c - a is a root
                     num = (num * ld + den * self.structure_constant(*pair1)
                            * self.structure_constant(*pair2))
                     den *= ld
-            return self._exact(num * rs.gram_pair(gamma, gamma),
+            return self._exact(num * norms[gamma],
                                den * self.structure_constant(a0, b0),
                                "quadruple", a, b)
         if not pos_a and not pos_b:
-            return -self.structure_constant(tuple(-x for x in a),
-                                            tuple(-x for x in b))
+            return -self.structure_constant(tuple(map(neg, a)),
+                                            tuple(map(neg, b)))
         if not pos_a:
             return -self.structure_constant(b, a)
         # a positive, b negative; rotate to a same-sign pair
-        v = tuple(-x for x in b)
-        c = tuple(x + y for x, y in zip(a, b))
+        v = tuple(map(neg, b))
+        c = tuple(map(add, a, b))
         if c in order:
-            return self._exact(-self.structure_constant(v, c)
-                               * rs.gram_pair(c, c), rs.gram_pair(a, a),
-                               "rotation", a, b)
-        w = tuple(-x for x in c)
-        return self._exact(self.structure_constant(w, a) * rs.gram_pair(c, c),
-                           rs.gram_pair(v, v), "rotation", a, b)
+            return self._exact(-self.structure_constant(v, c) * norms[c],
+                               norms[a], "rotation", a, b)
+        w = tuple(map(neg, c))
+        return self._exact(self.structure_constant(w, a) * norms[c],
+                           norms[v], "rotation", a, b)
 
     def _exact(self, num, den, identity, a, b):
         """num / den, which the identity for N(a, b) makes an integer."""
@@ -150,8 +151,8 @@ class ChevalleyAlgebra:
             return {j: beta[i]} if beta[i] else {}
         if beta is None:
             return {i: -alpha[j]} if alpha[j] else {}
-        total = tuple(x + y for x, y in zip(alpha, beta))
-        if all(x == 0 for x in total):
+        total = tuple(map(add, alpha, beta))
+        if not any(total):
             if i < j:  # [e, f] = h_alpha
                 return self.coroot_element(alpha)
             return {k: -v for k, v in self.coroot_element(beta).items()}
@@ -180,15 +181,14 @@ class ChevalleyAlgebra:
     # -- distinguished elements ----------------------------------------------
 
     def simple_f(self, i):
-        neg = tuple(-x for x in self.rs.simple_roots[i])
-        return {self.index_of_root[neg]: 1}
+        minus = tuple(map(neg, self.rs.simple_roots[i]))
+        return {self.index_of_root[minus]: 1}
 
     def e_theta(self):
         return {self.index_of_root[self.rs.theta]: 1}
 
     def f_theta(self):
-        neg = tuple(-x for x in self.rs.theta)
-        return {self.index_of_root[neg]: 1}
+        return {self.index_of_root[tuple(map(neg, self.rs.theta))]: 1}
 
     def rho_check(self):
         return {i: Fraction(c, 2) for i, c in enumerate(self.rs.a_coeffs)}
@@ -228,7 +228,7 @@ class ChevalleyAlgebra:
                  for i in range(r)}
         for k, beta in enumerate(self.pos):
             ei, fi = r + k, r + self.npos + k
-            v = 2 / rs.root_length_sq(beta)
+            v = Fraction(2 * rs.gram_den, rs.norms[beta])
             kappa[ei] = {fi: v}
             kappa[fi] = {ei: v}
         self._kappa = kappa

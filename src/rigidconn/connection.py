@@ -18,19 +18,26 @@ from .poly import (RatFun, _zgcd, padd, pmul, pneg, pscale, psub, ptrim,
                    pzdivmod, render_poly, render_rational, render_terms)
 
 
+_EXACT = (int, Fraction)
+
+
 class MatrixConnection:
+    """theta + sum_k coeffs[k] t^k.  Entries and rho weights of type
+    exactly int or Fraction are stored as given, the same objects; any
+    other number (float, bool, numeric string) becomes its exact Fraction.
+    The built models hold ints, so x / y on two entries may be a float."""
     def __init__(self, coeffs, label, h=None, rho_weights=None, group=None):
         cleaned = {}
         dim = None
         for k, mat in coeffs.items():
-            rows = [[x if type(x) is Fraction else Fraction(x) for x in row]
+            rows = [[x if type(x) in _EXACT else Fraction(x) for x in row]
                     for row in mat]
             if dim is None:
                 dim = len(rows)
             if len(rows) != dim or any(len(r) != dim for r in rows):
                 raise ValidationError("coefficient matrices must be square "
                                       "of equal size")
-            if any(any(x != 0 for x in row) for row in rows):
+            if any(map(any, rows)):
                 cleaned[int(k)] = rows
         if dim is None:
             raise ValidationError("a connection needs at least one coefficient")
@@ -42,7 +49,7 @@ class MatrixConnection:
         self.label = label
         self.h = h
         self.rho_weights = (None if rho_weights is None else
-                            [w if type(w) is Fraction else Fraction(w)
+                            [w if type(w) in _EXACT else Fraction(w)
                              for w in rho_weights])
         self.group = group
 
@@ -89,16 +96,20 @@ class MatrixConnection:
 def _subdiagonal(n):
     m = zeros(n, n)
     for i in range(1, n):
-        m[i][i - 1] = Fraction(1)
+        m[i][i - 1] = 1
     return m
+
+
+def _halved(k):  # k / 2, an int when k is even
+    return k // 2 if k % 2 == 0 else Fraction(k, 2)
 
 
 def sl_standard(n):
     if n < 2:
         raise ValidationError("sl standard needs matrix size >= 2")
     e = zeros(n, n)
-    e[0][n - 1] = Fraction(1)
-    weights = [Fraction(n - 1 - 2 * i, 2) for i in range(n)]
+    e[0][n - 1] = 1
+    weights = [_halved(n - 1 - 2 * i) for i in range(n)]
     return MatrixConnection({0: _subdiagonal(n), 1: e}, "sl%d standard" % n,
                             h=n, rho_weights=weights, group=("A", n - 1))
 
@@ -116,9 +127,9 @@ def so_odd_standard(n):
         raise ValidationError("so standard needs odd matrix size >= 3")
     m = (n - 1) // 2
     e = zeros(n, n)
-    e[0][n - 2] = Fraction(1)
-    e[1][n - 1] = Fraction(1)
-    weights = [Fraction(m - i) for i in range(n)]
+    e[0][n - 2] = 1
+    e[1][n - 1] = 1
+    weights = [m - i for i in range(n)]
     group = ("B", m) if m >= 2 else ("A", 1)
     return MatrixConnection({0: _subdiagonal(n), 1: e}, "so%d standard" % n,
                             h=2 * m, rho_weights=weights, group=group)
@@ -133,7 +144,7 @@ def g2_seven_dim():
 def adjoint_connection(type_label, rank):
     alg = build_chevalley(type_label, rank)
     n_el, e_el, _ = principal_triple(alg)
-    weights = [Fraction(alg.weight_of_index(i)) for i in range(alg.dim)]
+    weights = [alg.weight_of_index(i) for i in range(alg.dim)]
     return MatrixConnection({0: alg.ad_matrix(n_el), 1: alg.ad_matrix(e_el)},
                             "adjoint %s" % alg.rs.label(),
                             h=alg.rs.coxeter_number, rho_weights=weights,
@@ -146,8 +157,8 @@ def sl2_sym(k):
     n = k + 1
     e = zeros(n, n)
     for i in range(1, n):
-        e[i - 1][i] = Fraction(i * (k - i + 1))
-    weights = [Fraction(k - 2 * i, 2) for i in range(n)]
+        e[i - 1][i] = i * (k - i + 1)
+    weights = [_halved(k - 2 * i) for i in range(n)]
     return MatrixConnection({0: _subdiagonal(n), 1: e}, "sl2 Sym^%d" % k,
                             h=2, rho_weights=weights, group=("A", 1))
 

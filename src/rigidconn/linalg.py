@@ -20,7 +20,7 @@ from .errors import ConsistencyError
 
 
 def zeros(nrows, ncols):
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
+    return [[0] * ncols for _ in range(nrows)]
 
 
 def _cleared(rows):

@@ -9,7 +9,7 @@ equal to the j-th column of A in these coordinates.
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, prod
-from operator import add, mul
+from operator import add, mul, neg
 
 from .errors import ConsistencyError, ValidationError
 from .linalg import _cleared, _int_mul, inverse, mat_vec
@@ -196,9 +196,18 @@ class RootSystem:
         return self.form(beta, beta)
 
     @cached_property
+    def norms(self):
+        """{beta: gram_den (beta, beta)} for every root beta, by one
+        gram_pair per positive root."""
+        out = {}
+        for beta in self.pos_roots:
+            out[beta] = out[tuple(map(neg, beta))] = self.gram_pair(beta, beta)
+        return out
+
+    @cached_property
     def strings(self):
         """(beta, gram_den (beta, beta), gram beta) for each positive beta."""
-        return [(beta, self.gram_pair(beta, beta),
+        return [(beta, self.norms[beta],
                  [sum(map(mul, row, beta)) for row in self.gram])
                 for beta in self.pos_roots]
 

@@ -26,7 +26,7 @@ from rigidconn.connection import (MatrixConnection, ScalarOperator,
                                   so_odd_standard, sp_standard)
 from rigidconn.errors import (ConsistencyError, CyclicVectorError,
                               SlopeVerificationError, ValidationError)
-from rigidconn.formal import kernel_dimension
+from rigidconn.formal import check_rigidity, kernel_dimension
 from rigidconn.galois import cohomology_dims
 from rigidconn.linalg import nullspace, zeros
 from rigidconn.poly import RatFun
@@ -233,18 +233,91 @@ def test_slope_with_half_integer_weights(monkeypatch):
                       "infinity of sl4 standard)^4"]
 
 
-def test_connection_keeps_its_fractions():
-    """Fraction entries and rho weights are kept as handed over; ints and
-    other numbers become Fractions."""
+def test_connection_keeps_ints_and_fractions():
+    """Fraction entries and rho weights are kept as the same objects and
+    ints stay ints; any other number becomes the exact Fraction of its
+    value."""
     half, third = Fraction(1, 2), Fraction(1, 3)
-    conn = MatrixConnection({0: [[half, 2], [0, third]]}, "kept",
-                            rho_weights=[half, 1])
+    conn = MatrixConnection({0: [[half, 2], [0, third]],
+                             1: [[0.5, True], ["1/3", 0]]}, "kept",
+                            rho_weights=[half, 1, 0.5, True, "1/3"])
     mat = conn.coeffs[0]
     assert mat[0][0] is half and mat[1][1] is third
     assert conn.rho_weights[0] is half
-    assert [type(x) for row in mat for x in row] == [Fraction] * 4
-    assert type(conn.rho_weights[1]) is Fraction
-    assert mat[0][1] == 2 and conn.rho_weights[1] == 1
+    assert [type(x) for row in mat for x in row] == [Fraction, int, int,
+                                                     Fraction]
+    assert mat[0][1] == 2 and mat[1][0] == 0
+    converted = [Fraction(1, 2), Fraction(1), Fraction(1, 3)]
+    for got in ([x for row in conn.coeffs[1] for x in row][:3],
+                conn.rho_weights[2:]):
+        assert got == converted
+        assert [type(x) for x in got] == [Fraction] * 3
+    assert type(conn.rho_weights[1]) is int and conn.rho_weights[1] == 1
+
+
+# the built models whose entries and rho weights are checked for int input
+INT_MODELS = ([sl_standard(n) for n in (2, 3, 4, 5)]
+              + [so_odd_standard(n) for n in (3, 5, 7)]
+              + [sp_standard(4), g2_seven_dim()]
+              + [sl2_sym(k) for k in (3, 4, 5)]
+              + [adjoint_connection(*key) for key in
+                 [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2)]])
+
+
+def _as_fractions(conn):
+    """conn rebuilt with every entry and rho weight wrapped in Fraction."""
+    return MatrixConnection(
+        {k: [[Fraction(x) for x in row] for row in mat]
+         for k, mat in conn.coeffs.items()}, conn.label, h=conn.h,
+        rho_weights=[Fraction(w) for w in conn.rho_weights], group=conn.group)
+
+
+@pytest.mark.parametrize("conn", INT_MODELS, ids=lambda c: c.label)
+def test_int_and_fraction_entries_agree(conn):
+    """The built models hold int entries; the same model with Fraction
+    entries gives the same JSON, slope, leading term and scalar operator."""
+    assert {type(x) for mat in conn.coeffs.values() for row in mat
+            for x in row} == {int}
+    frac = _as_fractions(conn)
+    assert {type(x) for mat in frac.coeffs.values() for row in mat
+            for x in row} == {Fraction}
+    assert conn.to_json_dict() == frac.to_json_dict()
+    got, want = (slope_at_infinity(c, details=True) for c in (conn, frac))
+    assert (got["slope"], got["pole_order"]) == (want["slope"],
+                                                 want["pole_order"])
+    assert got["leading"] == want["leading"]
+    got, want = scalar_reduction(conn), scalar_reduction(frac)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.render() == want.render()
+
+
+@pytest.mark.parametrize("conn", [sl_standard(3), sl2_sym(3),
+                                  adjoint_connection("A", 1)],
+                         ids=lambda c: c.label)
+def test_int_and_fraction_entries_agree_on_rigidity(conn):
+    """check_rigidity at the floor 2 dim + 2h reads the same dimensions
+    and flags off int and Fraction entries."""
+    floor = 2 * conn.dim + 2 * conn.h
+    got, want = (check_rigidity(c, c.dual(), floor)
+                 for c in (conn, _as_fractions(conn)))
+    for key in ("dimensions", "passed", "splits", "h1", "stabilized"):
+        assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("conn", INT_MODELS, ids=lambda c: c.label)
+def test_no_float_leaks_from_int_entries(conn):
+    """Entries, their dual and gauged forms, the leading term at infinity
+    and the rho weights of the built models are ints or Fractions."""
+    n = conn.dim
+    g = [[RatFun([0, 1]) if (i, j) == (0, n - 1) else int(i == j)
+          for j in range(n)] for i in range(n)]
+    mats = list(conn.coeffs.values()) + list(conn.dual().coeffs.values())
+    mats += [conn.coefficient(k) for k in conn.support() + [-1]]
+    mats += list(gauge_transform(conn, g).coeffs.values())
+    mats.append(slope_at_infinity(conn, details=True)["leading"])
+    types = {type(x) for mat in mats for row in mat for x in row}
+    assert types <= {int, Fraction}, types
+    assert {type(w) for w in conn.rho_weights} <= {int, Fraction}
 
 
 @pytest.mark.parametrize("weights,match", [

@@ -131,6 +131,33 @@ def test_string_table_matches_string_walk(type_label, rank_):
 
 
 @pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
+def test_root_norm_table(type_label, rank_, monkeypatch):
+    """RootSystem.norms holds gram_den (beta, beta) for every root, built
+    by one gram_pair per positive root: -beta has beta's value, every
+    value is the norm of a simple root (each root is W-conjugate to one),
+    and the highest root theta is long."""
+    rs = RootSystem(type_label, rank_)
+    calls = []
+    pair = RootSystem.gram_pair
+
+    def counted(self, mu, nu):
+        calls.append(mu)
+        return pair(self, mu, nu)
+
+    monkeypatch.setattr(RootSystem, "gram_pair", counted)
+    norms = rs.norms
+    assert len(calls) == len(rs.pos_roots)
+    monkeypatch.undo()
+    assert set(norms) == rs.root_set
+    simple = {norms[alpha] for alpha in rs.simple_roots}
+    for beta, value in norms.items():
+        assert value == rs.gram_pair(beta, beta)
+        assert norms[tuple(-x for x in beta)] == value
+        assert value in simple
+    assert norms[rs.theta] == max(norms.values())
+
+
+@pytest.mark.parametrize("type_label,rank_", ALL_TYPES)
 def test_coxeter_element_matches_reference(type_label, rank_):
     """The column-updated integer Coxeter element is the Fraction product
     of the simple reflection matrices."""
