@@ -36,15 +36,9 @@ class ChevalleyAlgebra:
         self.npos = len(self.pos)
         self.dim = rs.rank + 2 * self.npos
         # basis: 0..rank-1 the simple coroots, then e_beta, then f_beta
-        self.root_of_index = [None] * rs.rank
-        self.index_of_root = {}
-        for k, beta in enumerate(self.pos):
-            self.root_of_index.append(beta)
-            self.index_of_root[beta] = rs.rank + k
-        for k, beta in enumerate(self.pos):
-            minus = tuple(map(neg, beta))
-            self.root_of_index.append(minus)
-            self.index_of_root[minus] = rs.rank + self.npos + k
+        self.root_of_index = [None] * rs.rank + self.pos + rs.neg_roots
+        self.index_of_root = {beta: i for i, beta in
+                              enumerate(self.root_of_index) if beta}
         self._order = {beta: k for k, beta in enumerate(self.pos)}
         self._nc = {}
         self._bracket_cache = {}

@@ -26,6 +26,7 @@ class MatrixConnection:
     exactly int or Fraction are stored as given, the same objects; any
     other number (float, bool, numeric string) becomes its exact Fraction.
     The built models hold ints, so x / y on two entries may be a float."""
+
     def __init__(self, coeffs, label, h=None, rho_weights=None, group=None):
         cleaned = {}
         dim = None
@@ -426,13 +427,13 @@ def _weights_from_sparsity(conn):
     for i in range(n):
         for j in range(n):
             if a0[i][j] != 0 and i != j:
-                edges[j].append((i, Fraction(-1)))
-                edges[i].append((j, Fraction(1)))
+                edges[j].append((i, -1))
+                edges[i].append((j, 1))
     weights = [None] * n
     for start in range(n):
         if weights[start] is not None:
             continue
-        weights[start] = Fraction(0)
+        weights[start] = 0
         queue = [start]
         while queue:
             i = queue.pop()

@@ -107,8 +107,8 @@ class RootSystem:
             ht += 1
         self.height = height
         self.pos_roots = sorted(height, key=lambda b: (height[b], b))
-        self.root_set = set(self.pos_roots)
-        self.root_set.update(tuple(-x for x in b) for b in self.pos_roots)
+        self.neg_roots = [tuple(map(neg, b)) for b in self.pos_roots]
+        self.root_set = set(self.pos_roots + self.neg_roots)
         self.max_height = max(height.values())
         tops = [b for b, h in height.items() if h == self.max_height]
         if len(tops) != 1:
@@ -197,11 +197,10 @@ class RootSystem:
 
     @cached_property
     def norms(self):
-        """{beta: gram_den (beta, beta)} for every root beta, by one
-        gram_pair per positive root."""
+        """{beta: gram_den (beta, beta)} over all roots, by positive root."""
         out = {}
-        for beta in self.pos_roots:
-            out[beta] = out[tuple(map(neg, beta))] = self.gram_pair(beta, beta)
+        for beta, minus in zip(self.pos_roots, self.neg_roots):
+            out[beta] = out[minus] = self.gram_pair(beta, beta)
         return out
 
     @cached_property
